@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, offline, online, scenario as scn, tables as tbl
-from .constellations import by_name
+from .constellations import BUILTIN_NAMES, by_name
 from .errors import (
     ConvergenceError,
     InvalidInputError,
@@ -198,10 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=config_required, help="JSON config path")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--format", choices=("csv",), default="csv")
 
     sp = sub.add_parser("tables", help="build and persist mmse tables")
-    sp.add_argument("--constellations", default="bpsk,4pam,16pam,32pam,gaussian")
+    sp.add_argument("--constellations", default=",".join(BUILTIN_NAMES))
     sp.add_argument("--snr-max", type=float, default=tbl.DEFAULT_SNR_MAX)
     sp.add_argument("--n-points", type=int, default=tbl.DEFAULT_N_POINTS)
     common(sp, config_required=False)

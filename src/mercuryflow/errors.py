@@ -56,7 +56,3 @@ class ConvergenceError(MercuryflowError):
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
         self.bracket = bracket
-
-
-class VerificationError(MercuryflowError):
-    """An allocation failed optimality verification."""

@@ -25,12 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
+from ._textout import emit
 from .constellations import gaussian
 from .errors import InvalidInputError
 from .offline import (
     Allocation,
-    Epoch,
     RunStats,
+    _assemble,
+    _solve_group,
     build_pools,
     dwf_reference,
     fsa_solve,
@@ -40,7 +42,6 @@ from .offline import (
 from .online import online_solve
 from .scenario import Scenario, generate, rescale_energy
 from .tables import MmseTable
-from .waterfill import EpochProblem, classical_wf, solve_epoch
 
 __all__ = [
     "STRATEGIES",
@@ -94,38 +95,14 @@ def pbp_solve(
     if inputs not in ("tables", "gaussian"):
         raise InvalidInputError(f"inputs must be 'tables' or 'gaussian', got {inputs!r}")
     pools = build_pools(scenario.arrivals, scenario.n)
-    if inputs == "tables":
-        tables = tables if tables is not None else stream_tables(scenario)
-    powers = np.zeros((scenario.k, scenario.n))
-    levels = np.empty(len(pools))
-    access_levels = np.empty(scenario.n)
+    if inputs == "gaussian":
+        tables = None
+    elif tables is None:
+        tables = stream_tables(scenario)
+    groups = [[p] for p in pools]
     stats = RunStats()
-    for p in pools:
-        gains = scenario.gains[:, p.start - 1 : p.end]
-        if inputs == "gaussian":
-            sol = classical_wf(gains, budget=p.energy, ts=scenario.ts)
-        else:
-            sol = solve_epoch(
-                EpochProblem(
-                    gains=gains,
-                    tables=tables,
-                    budget=p.energy,
-                    ts=scenario.ts,
-                    accesses=tuple(range(p.start, p.end + 1)),
-                )
-            )
-        stats.hg_calls += sol.hg_calls
-        powers[:, p.start - 1 : p.end] = sol.powers
-        levels[p.index - 1] = sol.water_level
-        access_levels[p.start - 1 : p.end] = sol.water_level
-    return Allocation(
-        powers=powers,
-        pool_water_levels=levels,
-        access_water_levels=access_levels,
-        epoch_of_pool=np.arange(len(pools), dtype=np.int64),
-        epochs=tuple(Epoch(pools=(p.index,), water_level=levels[p.index - 1]) for p in pools),
-        stats=stats,
-    )
+    sols = [_solve_group(scenario, tables, g, stats) for g in groups]
+    return _assemble(scenario, pools, groups, sols, stats)
 
 
 def dwf_solve(scenario: Scenario) -> Allocation:
@@ -361,7 +338,7 @@ def sweep_csv(result: SweepResult, path_or_buf=None) -> str | None:
     for name, curve in result.curves.items():
         for e, mi in zip(result.energies, curve):
             buf.write(f"{float(e)!r},{name},{float(mi)!r}\n")
-    return _emit(buf, path_or_buf)
+    return emit(buf.getvalue(), path_or_buf)
 
 
 def complexity_csv(ens: ComplexityEnsemble, path_or_buf=None) -> str | None:
@@ -372,7 +349,7 @@ def complexity_csv(ens: ComplexityEnsemble, path_or_buf=None) -> str | None:
             buf.write(f"{j},{seed},nda,{c}\n")
         for seed, c in zip(ens.seeds[j], ens.fsa_calls[j]):
             buf.write(f"{j},{seed},fsa,{c}\n")
-    return _emit(buf, path_or_buf)
+    return emit(buf.getvalue(), path_or_buf)
 
 
 def trace_csv(
@@ -383,31 +360,18 @@ def trace_csv(
 ) -> str | None:
     """Per-access levels: (n, k, inv_gain, mercury_level, water_level, power)."""
     tables = tables if tables is not None else stream_tables(scenario)
+    w = alloc.access_water_levels
+    lam = scenario.gains
+    psi = np.full(lam.shape, np.inf)
+    pos = w > 0.0
+    psi[:, pos] = 1.0 / (w[pos] * lam[:, pos])
+    mercury = np.array(
+        [tab.mercury_factor(np.minimum(psi[k], 1.0)) for k, tab in enumerate(tables)]
+    ) / lam
     buf = io.StringIO()
     buf.write("n,k,inv_gain,mercury_level,water_level,power\n")
-    for n in range(1, scenario.n + 1):
-        w = float(alloc.access_water_levels[n - 1])
-        for k in range(1, scenario.k + 1):
-            lam = float(scenario.gains[k - 1, n - 1])
-            psi = 1.0 / (w * lam) if w > 0.0 else np.inf
-            g = tables[k - 1].mercury_factor(min(psi, 1.0))
-            mercury = g / lam
-            buf.write(
-                f"{n},{k},{1.0 / lam!r},{float(mercury)!r},{w!r},"
-                f"{float(alloc.powers[k - 1, n - 1])!r}\n"
-            )
-    return _emit(buf, path_or_buf)
-
-
-def _emit(buf: io.StringIO, path_or_buf):
-    text = buf.getvalue()
-    if path_or_buf is None:
-        return text
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
-    try:
-        fh.write(text)
-    finally:
-        if own:
-            fh.close()
-    return None
+    rows = zip(w.tolist(), (1.0 / lam).T.tolist(), mercury.T.tolist(), alloc.powers.T.tolist())
+    for n, (w_n, inv_gains, mercuries, powers) in enumerate(rows, 1):
+        for k, (inv_g, mer, pw) in enumerate(zip(inv_gains, mercuries, powers), 1):
+            buf.write(f"{n},{k},{inv_g!r},{mer!r},{w_n!r},{pw!r}\n")
+    return emit(buf.getvalue(), path_or_buf)

@@ -1,10 +1,18 @@
 """Offline mercury/water-flowing allocation over all channel accesses.
 
-Two optimal algorithms compute the same allocation:
+Every pool-based scheduler here cuts the pools into epochs and solves each
+epoch for one water level with :func:`_solve_group`; that call is what
+``RunStats.hg_calls`` counts.  Two optimal algorithms compute the same
+allocation:
 
-* :func:`nda_solve` starts from one epoch per pool and repeatedly merges the
-  first adjacent pair whose water level decreases, re-solving only the merged
-  epoch, until levels are non-decreasing.
+* :func:`nda_solve` solves every pool alone, then pushes the pools onto a
+  stack in order; while the top two groups have decreasing water levels it
+  merges them and re-solves the merged group (pool-adjacent violators).
+  NDA's scan form rescans from the first pair after each merge and merges
+  the first decreasing pair it finds.  Below the stack top the levels are
+  already non-decreasing, so that pair is always the stack's top pair: both
+  make the same merges in the same order and the same solver calls,
+  ``2 J - #epochs`` of them.
 * :func:`fsa_solve` searches forward for transition pools: the candidate
   first epoch spans all remaining pools; while any energy-causality
   constraint inside it is violated, the last pool is dropped; on success the
@@ -21,13 +29,13 @@ cross-check.
 from __future__ import annotations
 
 import io
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, TableRangeError
+from ._textout import emit
+from .errors import InvalidInputError
 from .scenario import Scenario
 from .tables import MmseTable, table_for
 from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epoch
@@ -62,10 +70,6 @@ class Pool:
     def arrival_access(self) -> int:
         return self.start
 
-    @property
-    def n_accesses(self) -> int:
-        return self.end - self.start + 1
-
 
 @dataclass(frozen=True)
 class Epoch:
@@ -78,7 +82,6 @@ class Epoch:
 @dataclass
 class RunStats:
     hg_calls: int = 0
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -124,15 +127,25 @@ def stream_tables(scenario: Scenario, **table_kwargs) -> tuple[MmseTable, ...]:
     return tuple(table_for(c, **table_kwargs) for c in scenario.constellations)
 
 
-def _epoch_problem(scenario: Scenario, tables, pools: list[Pool]) -> EpochProblem:
-    start, end = pools[0].start, pools[-1].end
-    return EpochProblem(
-        gains=scenario.gains[:, start - 1 : end],
-        tables=tables,
-        budget=sum(p.energy for p in pools),
-        ts=scenario.ts,
-        accesses=tuple(range(start, end + 1)),
-    )
+def _solve_group(
+    scenario: Scenario,
+    tables: tuple[MmseTable, ...] | None,
+    group: list[Pool],
+    stats: RunStats,
+) -> EpochSolution:
+    """Solve a run of pools as one epoch and count the call in ``stats``.
+
+    ``tables=None`` solves by exact Gaussian water-filling.
+    """
+    start, end = group[0].start, group[-1].end
+    gains = scenario.gains[:, start - 1 : end]
+    budget = sum(p.energy for p in group)
+    if tables is None:
+        sol = classical_wf(gains, budget=budget, ts=scenario.ts)
+    else:
+        sol = solve_epoch(EpochProblem(gains=gains, tables=tables, budget=budget, ts=scenario.ts))
+    stats.hg_calls += sol.hg_calls
+    return sol
 
 
 def _assemble(
@@ -165,55 +178,31 @@ def _assemble(
     )
 
 
-def _nda_loop(scenario: Scenario, pools: list[Pool], solve) -> Allocation:
-    """Merge-on-decrease loop, parametrized by the per-epoch solver."""
-    t0 = time.perf_counter()
+def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Allocation:
+    """Merge-on-decrease over the pools as a one-pass stack of epochs."""
+    pools = build_pools(scenario.arrivals, scenario.n)
     stats = RunStats()
-    groups = [[p] for p in pools]
-    sols = [solve(scenario, g, stats) for g in groups]
-    # merge the first decreasing adjacent pair, re-solve it, restart the scan;
-    # exact level ties count as non-decreasing
-    while True:
-        for m in range(len(groups) - 1):
-            if sols[m].water_level > sols[m + 1].water_level * (1.0 + 1e-12):
-                groups[m] = groups[m] + groups.pop(m + 1)
-                sols.pop(m + 1)
-                sols[m] = solve(scenario, groups[m], stats)
-                break
-        else:
-            break
-    stats.wall_seconds = time.perf_counter() - t0
+    singles = [_solve_group(scenario, tables, [p], stats) for p in pools]
+    groups: list[list[Pool]] = []
+    sols: list[EpochSolution] = []
+    for p, sol in zip(pools, singles):
+        groups.append([p])
+        sols.append(sol)
+        # exact level ties count as non-decreasing
+        while len(sols) > 1 and sols[-2].water_level > sols[-1].water_level * (1.0 + 1e-12):
+            groups[-2:] = [groups[-2] + groups[-1]]
+            sols[-2:] = [_solve_group(scenario, tables, groups[-1], stats)]
     return _assemble(scenario, pools, groups, sols, stats)
 
 
 def nda_solve(scenario: Scenario, tables: tuple[MmseTable, ...] | None = None) -> Allocation:
     """Optimal offline allocation by the non-decreasing water level algorithm."""
-    tables = tables if tables is not None else stream_tables(scenario)
-    pools = build_pools(scenario.arrivals, scenario.n)
-
-    def solve(sc, group, stats):
-        sol = solve_epoch(_epoch_problem(sc, tables, group))
-        stats.hg_calls += sol.hg_calls
-        return sol
-
-    return _nda_loop(scenario, pools, solve)
+    return _nda_loop(scenario, tables if tables is not None else stream_tables(scenario))
 
 
 def dwf_reference(scenario: Scenario) -> Allocation:
     """Gaussian-input closed-form reference: exact water-filling per epoch."""
-    pools = build_pools(scenario.arrivals, scenario.n)
-
-    def solve(sc, group, stats):
-        start, end = group[0].start, group[-1].end
-        sol = classical_wf(
-            sc.gains[:, start - 1 : end],
-            budget=sum(p.energy for p in group),
-            ts=sc.ts,
-        )
-        stats.hg_calls += sol.hg_calls
-        return sol
-
-    return _nda_loop(scenario, pools, solve)
+    return _nda_loop(scenario, None)
 
 
 def fsa_solve(
@@ -236,7 +225,6 @@ def fsa_solve(
             f"ecc_oracle must give {n_pools - 1} boundary verdicts, got {len(ecc_oracle)}"
         )
     slack = 1e-9 * max(scenario.total_energy, 1.0)
-    t0 = time.perf_counter()
     stats = RunStats()
     groups: list[list[Pool]] = []
     sols: list[EpochSolution] = []
@@ -245,15 +233,13 @@ def fsa_solve(
         end = n_pools
         while True:
             group = pools[start:end]
-            sol = solve_epoch(_epoch_problem(scenario, tables, group))
-            stats.hg_calls += sol.hg_calls
+            sol = _solve_group(scenario, tables, group, stats)
             if _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack):
                 break
             end -= 1  # drop the last pool and retry
         groups.append(group)
         sols.append(sol)
         start = end
-    stats.wall_seconds = time.perf_counter() - t0
     return _assemble(scenario, pools, groups, sols, stats)
 
 
@@ -324,37 +310,33 @@ def kkt_verify(
     pools = build_pools(scenario.arrivals, scenario.n)
     if alloc.pool_water_levels.shape != (len(pools),):
         raise InvalidInputError("allocation pool levels do not match the pool count")
-    msgs: list[str] = []
 
-    # (1) stationarity
+    # (1) stationarity: one table call per stream, notes in access-major order
+    w_acc = np.repeat(alloc.pool_water_levels, [p.end - p.start + 1 for p in pools])
     max_resid = 0.0
     stat_ok = True
-    for pool in pools:
-        w = float(alloc.pool_water_levels[pool.index - 1])
-        for n in range(pool.start, pool.end + 1):
-            lam = scenario.gains[:, n - 1]
-            pw = alloc.powers[:, n - 1]
-            for k in range(scenario.k):
-                if pw[k] > 0.0:
-                    try:
-                        m = tables[k].mmse_at(float(lam[k] * pw[k]))
-                    except TableRangeError:
-                        stat_ok = False
-                        msgs.append(
-                            f"stationarity: stream {k + 1} access {n} beyond table range"
-                        )
-                        continue
-                    resid = abs(w * lam[k] * m - 1.0)
-                    max_resid = max(max_resid, resid)
-                    if resid > tol:
-                        stat_ok = False
-                else:
-                    if w * lam[k] > 1.0 + tol:
-                        stat_ok = False
-                        msgs.append(
-                            f"stationarity: inactive stream {k + 1} access {n} "
-                            f"has W*lam = {w * lam[k]:.6g} > 1"
-                        )
+    notes: list[tuple[int, int, str]] = []
+    for k, tab in enumerate(tables):
+        lam, on = scenario.gains[k], alloc.powers[k] > 0.0
+        active, idle = np.nonzero(on)[0], np.nonzero(~on)[0]
+        snr = lam[active] * alloc.powers[k, active]
+        beyond = tab._past_top(snr)
+        ok = active[~beyond]
+        m = tab.mmse_at(snr[~beyond])
+        resid = np.abs(w_acc[ok] * lam[ok] * m - 1.0)
+        # fmax skips the NaN residuals of allocations without pool levels
+        max_resid = float(np.fmax.reduce(resid, initial=max_resid))
+        for n in (active[beyond] + 1).tolist():
+            notes.append((n, k, f"stationarity: stream {k + 1} access {n} beyond table range"))
+        w_lam = w_acc[idle] * lam[idle]
+        high = w_lam > 1.0 + tol
+        for n, v in zip((idle[high] + 1).tolist(), w_lam[high].tolist()):
+            notes.append(
+                (n, k, f"stationarity: inactive stream {k + 1} access {n} has W*lam = {v:.6g} > 1")
+            )
+        if beyond.any() or (resid > tol).any() or high.any():
+            stat_ok = False
+    msgs: list[str] = [msg for _, _, msg in sorted(notes)]
     if not stat_ok and not msgs:
         msgs.append(f"stationarity: max residual {max_resid:.3e} > tol {tol:.1e}")
 
@@ -481,14 +463,4 @@ def allocation_csv(scenario: Scenario, alloc: Allocation, path_or_buf=None) -> s
                 f"{float(alloc.access_water_levels[n - 1])!r},{pool_ix},"
                 f"{epoch_ix + 1 if epoch_ix >= 0 else -1}\n"
             )
-    text = buf.getvalue()
-    if path_or_buf is None:
-        return text
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
-    try:
-        fh.write(text)
-    finally:
-        if own:
-            fh.close()
-    return None
+    return emit(buf.getvalue(), path_or_buf)

@@ -14,8 +14,6 @@ so committed powers are invariant to any perturbation of the future.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -48,7 +46,6 @@ def online_solve(
         from .offline import stream_tables
 
         tables = stream_tables(scenario)
-    t0 = time.perf_counter()
     events = detect_events(scenario)
     arrivals = dict(scenario.arrivals)
     n = scenario.n
@@ -68,7 +65,6 @@ def online_solve(
                 tables=tables,
                 budget=available,
                 ts=scenario.ts,
-                accesses=tuple(range(s_t, w_end + 1)),
             )
         )
         stats.hg_calls += sol.hg_calls
@@ -77,7 +73,6 @@ def online_solve(
         powers[:, s_t - 1 : upto] = sol.powers[:, : upto - s_t + 1]
         access_levels[s_t - 1 : upto] = sol.water_level
         spent += scenario.ts * float(powers[:, s_t - 1 : commit_end].sum())
-    stats.wall_seconds = time.perf_counter() - t0
     n_pools = len(build_pools(scenario.arrivals, n))
     return Allocation(
         powers=powers,

@@ -23,13 +23,13 @@ inverse = 1/psi - 1, mercury factor identically 1.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._textout import emit
 from .constellations import Constellation, _gh_mmse_grid, _pairwise_mmse
 from .errors import InvalidInputError, TableBuildError, TableRangeError
 
@@ -116,7 +116,7 @@ class MmseTable:
         if self.is_gaussian:
             out = 1.0 / (1.0 + s)
         else:
-            if np.any(s > self.snr_top * (1.0 + 1e-12)):
+            if np.any(self._past_top(s)):
                 raise TableRangeError(
                     f"snr {float(s.max())!r} beyond the {self.label} table top "
                     f"{self.snr_top!r}; rebuild with a larger snr_max"
@@ -124,6 +124,12 @@ class MmseTable:
             out = np.exp(_hermite_eval(np.minimum(s, self.snr_top),
                                        self.snr_grid, self.log_mmse, self.dlog_mmse))
         return float(out[0]) if scalar else out
+
+    def _past_top(self, s):
+        """Mask of finite snr values beyond the modeled range; none for Gaussian."""
+        if self.is_gaussian:
+            return np.zeros(np.shape(s), dtype=bool)
+        return np.isfinite(s) & (s > self.snr_top * (1.0 + 1e-12))
 
     def mi_at(self, snr):
         """Interpolated mutual information in bits; saturates past the grid top."""
@@ -218,20 +224,12 @@ class MmseTable:
 
     def to_csv(self, path_or_buf) -> None:
         """Write the (snr, mmse, mi) grid as CSV for inspection."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
-        try:
-            fh.write("snr,mmse,mi_bits\n")
-            for s, m, i in zip(self.snr_grid, self.mmse_values, self.mi_values):
-                fh.write(f"{float(s)!r},{float(m)!r},{float(i)!r}\n")
-        finally:
-            if own:
-                fh.close()
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        rows = "".join(
+            f"{s!r},{m!r},{i!r}\n"
+            for s, m, i in zip(self.snr_grid.tolist(), self.mmse_values.tolist(),
+                               self.mi_values.tolist())
+        )
+        emit("snr,mmse,mi_bits\n" + rows, path_or_buf)
 
 
 def _verify_grid(snr, mmse, label):

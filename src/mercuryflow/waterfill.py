@@ -39,7 +39,6 @@ class EpochProblem:
     tables: tuple[MmseTable, ...]     # one per stream
     budget: float                     # Joules, spent exactly over the epoch
     ts: float                         # symbol duration, seconds
-    accesses: tuple[int, ...] = ()    # 1-based access indices, informational
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=float)

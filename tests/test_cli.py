@@ -158,3 +158,19 @@ def test_seed_override(tmp_path):
     f1 = (out1 / "allocation_nda.csv").read_bytes()
     assert f1 == (out2 / "allocation_nda.csv").read_bytes()
     assert f1 != (out3 / "allocation_nda.csv").read_bytes()
+
+
+def test_verify_prints_plain_float_residual(tmp_path, capsys):
+    # a PAM scenario, so the stationarity residual comes from the table path
+    s = scn.generate(n=40, k=2, ts=0.01, j=6, total_energy=1.0,
+                     constellations=("bpsk", "4pam"), gain_model="block_random",
+                     block_len=4, seed=5)
+    path = tmp_path / "scenario.json"
+    scn.save(s, path)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", out]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", path, "--allocation", out / "allocation_nda.csv"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    residual = float(line.split("max_residual=", 1)[1])
+    assert 0.0 <= residual <= 1e-7

@@ -9,6 +9,7 @@ from mercuryflow import offline as off
 from mercuryflow import online as onl
 from mercuryflow import scenario as scn
 from mercuryflow.errors import InvalidInputError
+from mercuryflow.waterfill import EpochProblem, classical_wf, solve_epoch
 
 
 def gaussian_scenario(energies, n, k=1, ts=1.0):
@@ -65,6 +66,29 @@ def test_pbp_per_pool_budgets():
     assert p.powers.ravel() == pytest.approx([3.0, 1.0], rel=1e-12)
     mw = off.nda_solve(s)
     assert ev.evaluate_mi(s, p) <= ev.evaluate_mi(s, mw) + 1e-9
+
+
+def test_pbp_epochs_are_the_per_pool_solves(builtin_tables):
+    s = scn.generate(n=12, k=2, ts=0.01, j=4, total_energy=0.5,
+                     constellations=("bpsk", "4pam"), gain_model="block_random",
+                     block_len=3, seed=7)
+    tabs = off.stream_tables(s)
+    pools = off.build_pools(s.arrivals, s.n)
+    for inputs in ("tables", "gaussian"):
+        a = ev.pbp_solve(s, inputs, tables=tabs)
+        assert a.epoch_of_pool.tolist() == list(range(len(pools)))
+        assert [e.pools for e in a.epochs] == [(p.index,) for p in pools]
+        assert a.stats.hg_calls == len(pools)
+        for p in pools:
+            gains = s.gains[:, p.start - 1 : p.end]
+            if inputs == "tables":
+                sol = solve_epoch(EpochProblem(gains=gains, tables=tabs, budget=p.energy, ts=s.ts))
+            else:
+                sol = classical_wf(gains, budget=p.energy, ts=s.ts)
+            assert a.pool_water_levels[p.index - 1] == sol.water_level
+            assert a.epochs[p.index - 1].water_level == sol.water_level
+            assert np.array_equal(a.powers[:, p.start - 1 : p.end], sol.powers)
+            assert np.all(a.access_water_levels[p.start - 1 : p.end] == sol.water_level)
 
 
 def test_pbp_rejects_unknown_inputs():
@@ -155,6 +179,24 @@ def test_trace_csv_level_identity(builtin_tables):
         if float(power) > 0.0:
             assert float(mercury) + float(power) == pytest.approx(float(water), rel=1e-9)
         assert float(mercury) >= 0.0
+
+
+def test_trace_csv_matches_per_entry_reference(builtin_tables):
+    s = scn.generate(n=16, k=3, ts=0.01, j=4, total_energy=0.6,
+                     constellations=("bpsk", "16pam", "gaussian"), gain_model="block_random",
+                     block_len=3, seed=13)
+    tabs = off.stream_tables(s)
+    a = off.nda_solve(s, tables=tabs)
+    rows = ["n,k,inv_gain,mercury_level,water_level,power\n"]
+    for n in range(s.n):
+        w = float(a.access_water_levels[n])
+        for k in range(s.k):
+            lam = float(s.gains[k, n])
+            psi = 1.0 / (w * lam) if w > 0.0 else math.inf
+            mercury = tabs[k].mercury_factor(min(psi, 1.0)) / lam
+            rows.append(f"{n + 1},{k + 1},{1.0 / lam!r},{mercury!r},{w!r},"
+                        f"{float(a.powers[k, n])!r}\n")
+    assert ev.trace_csv(s, a, tables=tabs) == "".join(rows)
 
 
 def test_run_strategy_unknown_name():

@@ -80,6 +80,31 @@ def test_nda_merge_count_bounds():
         assert jj <= a.stats.hg_calls <= 2 * jj - 1
 
 
+def test_nda_calls_are_two_j_minus_epochs(builtin_tables):
+    # every merge costs one call and removes one epoch, in any merge order
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        j = int(rng.integers(1, 9))
+        n = int(rng.integers(j, 3 * j + 1))
+        k = int(rng.integers(1, 3))
+        s = scn.generate(n=n, k=k, ts=0.01, j=j, total_energy=float(rng.uniform(0.05, 2.0)),
+                         constellations=(("gaussian",), ("bpsk", "16pam"))[k - 1],
+                         gain_model="block_random", block_len=2,
+                         seed=int(rng.integers(1 << 30)))
+        a = off.nda_solve(s)
+        assert a.stats.hg_calls == 2 * s.n_arrivals - len(a.epochs)
+
+
+def test_nda_merged_epoch_merges_again():
+    # levels 4, 3, 2: pools 1+2 merge to 3.5, which still exceeds pool 3's 2
+    s = gaussian_scenario([(1, 3.0), (2, 2.0), (3, 1.0)], n=3)
+    a = off.nda_solve(s)
+    assert [e.pools for e in a.epochs] == [(1, 2, 3)]
+    assert a.stats.hg_calls == 5  # 3 singletons + 2 merges
+    assert a.pool_water_levels == pytest.approx([3.0, 3.0, 3.0], rel=1e-9)
+    assert a.powers.ravel() == pytest.approx([2.0, 2.0, 2.0], rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # FSA
 # ---------------------------------------------------------------------------
@@ -213,6 +238,47 @@ def test_kkt_detects_banked_energy_level_rise():
     )
     report = off.kkt_verify(s, bad)
     assert not report.empty_battery_changes_ok
+
+
+def test_kkt_stationarity_messages_in_access_order():
+    # stream 1 is active at both accesses, beyond the bpsk table at access 2;
+    # stream 2 is silent under W*lam = 2 at both
+    s = scn.Scenario(n=2, k=2, ts=1.0, gains=np.ones((2, 2)),
+                     arrivals=((1, 10001.0),), constellations=(cons.bpsk(), cons.bpsk()))
+    alloc = off.Allocation(
+        powers=np.array([[1.0, 1e4], [0.0, 0.0]]),
+        pool_water_levels=np.array([2.0]),
+        access_water_levels=np.array([2.0, 2.0]),
+        epoch_of_pool=np.array([0]),
+        epochs=(off.Epoch(pools=(1,), water_level=2.0),),
+    )
+    report = off.kkt_verify(s, alloc)
+    assert report.messages == [
+        "stationarity: inactive stream 2 access 1 has W*lam = 2 > 1",
+        "stationarity: stream 1 access 2 beyond table range",
+        "stationarity: inactive stream 2 access 2 has W*lam = 2 > 1",
+    ]
+    assert not report.stationarity_ok and report.ecc_ok and report.terminal_ok
+    assert type(report.stationarity_max_residual) is float
+    assert report.stationarity_max_residual > 0.1
+
+
+def test_kkt_residual_matches_per_entry_reference(builtin_tables):
+    s = scn.generate(n=30, k=3, ts=0.01, j=5, total_energy=0.8,
+                     constellations=("bpsk", "4pam", "32pam"), gain_model="block_random",
+                     block_len=4, seed=11)
+    tabs = off.stream_tables(s)
+    a = off.nda_solve(s, tables=tabs)
+    expected = 0.0
+    for pool in off.build_pools(s.arrivals, s.n):
+        w = float(a.pool_water_levels[pool.index - 1])
+        for n in range(pool.start - 1, pool.end):
+            for k in range(s.k):
+                lam, pw = s.gains[k, n], a.powers[k, n]
+                if pw > 0.0:
+                    m = tabs[k].mmse_at(float(lam * pw))
+                    expected = max(expected, abs(w * lam * m - 1.0))
+    assert off.kkt_verify(s, a, tables=tabs).stationarity_max_residual == expected
 
 
 def test_kkt_dimension_mismatch():
