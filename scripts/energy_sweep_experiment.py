@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mercuryflow import evaluation as ev
 
-STRATEGIES = ("mwflow", "online", "pbp-hgwf", "pbp-wf", "dwf")
+STRATEGIES = ev.SWEEP_STRATEGIES
 
 
 def main() -> int:

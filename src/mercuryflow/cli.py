@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
     result = evaluation.sweep_energy(
         params,
         doc["energy_grid"],
-        strategies=tuple(doc.get("strategies", ("mwflow", "online", "pbp-hgwf", "pbp-wf", "dwf"))),
+        strategies=tuple(doc.get("strategies", evaluation.SWEEP_STRATEGIES)),
         f_w=doc.get("f_w"),
         jobs=args.jobs,
     )

@@ -7,9 +7,10 @@ solver):
   own packet inside itself, no water flows across pools.
 * ``pbp-wf``   -- classical Gaussian water-filling pool by pool, scored
   under the true constellations.
-* ``dwf``      -- the Gaussian-optimal offline allocation (water levels and
-  powers computed as if inputs were Gaussian), scored under the true
-  constellations.
+* ``dwf``      -- the Gaussian-optimal offline allocation, scored under the
+  true constellations.  A Gaussian input's mercury factor is 1, so this is
+  directional water-filling in closed form per epoch: :func:`dwf_solve` is
+  :func:`mercuryflow.offline.dwf_reference`.
 * ``online``   -- the causal flowing-window algorithm.
 
 All scoring goes through the per-stream mmse tables, in bits summed over
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .constellations import gaussian
 from .errors import InvalidInputError
 from .offline import (
     Allocation,
@@ -44,7 +44,7 @@ from .scenario import Scenario, generate, rescale_energy
 from .tables import MmseTable
 
 __all__ = [
-    "STRATEGIES",
+    "SWEEP_STRATEGIES",
     "SweepResult",
     "ComplexityEnsemble",
     "evaluate_mi",
@@ -59,7 +59,8 @@ __all__ = [
     "trace_csv",
 ]
 
-STRATEGIES = ("mwflow", "fsa", "online", "pbp-hgwf", "pbp-wf", "dwf")
+# the strategies an energy sweep runs when none are named
+SWEEP_STRATEGIES = ("mwflow", "online", "pbp-hgwf", "pbp-wf", "dwf")
 
 
 def evaluate_mi(
@@ -105,15 +106,8 @@ def pbp_solve(
     return _assemble(scenario, pools, groups, sols, stats)
 
 
-def dwf_solve(scenario: Scenario) -> Allocation:
-    """Offline optimum for Gaussian inputs; score it under the true inputs.
-
-    Runs the merge-based solver with every constellation replaced by the
-    ideal Gaussian, so the returned powers are the directional water-filling
-    allocation.
-    """
-    as_gaussian = replace(scenario, constellations=(gaussian(),) * scenario.k)
-    return nda_solve(as_gaussian)
+# offline optimum for Gaussian inputs, whatever the scenario's constellations
+dwf_solve = dwf_reference
 
 
 def run_strategy(
@@ -137,8 +131,6 @@ def run_strategy(
         return pbp_solve(scenario, "gaussian")
     if name == "dwf":
         return dwf_solve(scenario)
-    if name == "dwf-reference":
-        return dwf_reference(scenario)
     raise InvalidInputError(f"unknown strategy {name!r}")
 
 
@@ -162,6 +154,14 @@ def best_window(
         scores[int(f_w)] = evaluate_mi(scenario, alloc, tables=tables)
     best = max(sorted(scores), key=lambda f: scores[f])
     return best, scores
+
+
+def _map(fn, tasks: list, jobs: int) -> list:
+    """``fn`` over ``tasks`` in order, on ``jobs`` worker processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def _sweep_point(args) -> tuple[int, dict[str, float]]:
 def sweep_energy(
     base_params: dict,
     energy_grid,
-    strategies=("mwflow", "online", "pbp-hgwf", "pbp-wf", "dwf"),
+    strategies=SWEEP_STRATEGIES,
     f_w: int | None = None,
     jobs: int = 1,
 ) -> SweepResult:
@@ -217,12 +217,7 @@ def sweep_energy(
         for i, E in enumerate(grid)
     ]
     curves = {name: np.zeros(grid.size) for name in strategies}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
-    for i, point in results:
+    for i, point in _map(_sweep_point, tasks, jobs):
         for name, mi in point.items():
             curves[name][i] = mi
     return SweepResult(energies=grid, curves=curves)
@@ -292,15 +287,10 @@ def complexity_ensemble(
             p["n"] = 2 * j
         for r in range(runs):
             tasks.append((j, base_seed + 7919 * j + r, p))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_complexity_run, tasks))
-    else:
-        results = [_complexity_run(t) for t in tasks]
     seeds = {j: [] for j in j_values}
     nda_calls = {j: [] for j in j_values}
     fsa_calls = {j: [] for j in j_values}
-    for j, seed, cn, cf in results:
+    for j, seed, cn, cf in _map(_complexity_run, tasks, jobs):
         seeds[j].append(seed)
         nda_calls[j].append(cn)
         fsa_calls[j].append(cf)

@@ -23,7 +23,7 @@ stationarity, cumulative energy causality with a terminally empty battery,
 non-decreasing water levels, and level changes only at empty-battery
 boundaries.  :func:`dwf_reference` provides the Gaussian-input closed-form
 solution (classical water-filling per epoch, no bisection) as an independent
-cross-check.
+cross-check and as the ``dwf`` baseline.
 """
 
 from __future__ import annotations
@@ -249,15 +249,21 @@ def _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack) -> bool:
         return True
     if ecc_oracle is not None:
         return all(ecc_oracle[p.index - 1] for p in group[:-1])
-    offset = group[0].start
-    spent_per_access = scenario.ts * sol.powers.sum(axis=0)
-    cum = np.cumsum(spent_per_access)
-    avail = 0.0
-    for p in group[:-1]:
-        avail += p.energy
-        if cum[p.end - offset] > avail + slack:
-            return False
-    return True
+    harvested, spent = _ledger(scenario, group, sol.powers)
+    ends = [p.end - group[0].start for p in group[:-1]]
+    return not np.any(spent[ends] > harvested[ends] + slack)
+
+
+def _ledger(scenario: Scenario, pools: list[Pool], powers) -> tuple[NDArray, NDArray]:
+    """Harvested and spent energy summed from the first access of a run of pools.
+
+    ``powers`` covers the run's accesses; entry ``i`` of each prefix sum is
+    the energy up to and including the run's ``i``-th access, the packets
+    added pool by pool in arrival order.
+    """
+    packets = np.zeros(powers.shape[1])
+    packets[[p.start - pools[0].start for p in pools]] = [p.energy for p in pools]
+    return np.cumsum(packets), np.cumsum(scenario.ts * powers.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +305,9 @@ def kkt_verify(
     to ``tol`` relative, inactive streams satisfy W * lam <= 1 + tol;
     (2) cumulative energy causality at every pool boundary, with an empty
     battery at the end; (3) water levels non-decreasing across pools;
-    (4) level increases only where the battery emptied.
+    (4) level increases only where the battery emptied.  Pool levels must
+    be finite: an online allocation, which has none, raises
+    InvalidInputError.
     """
     if alloc.powers.shape != (scenario.k, scenario.n):
         raise InvalidInputError(
@@ -310,6 +318,10 @@ def kkt_verify(
     pools = build_pools(scenario.arrivals, scenario.n)
     if alloc.pool_water_levels.shape != (len(pools),):
         raise InvalidInputError("allocation pool levels do not match the pool count")
+    if not np.all(np.isfinite(alloc.pool_water_levels)):
+        raise InvalidInputError(
+            "allocation pool levels must be finite; an online allocation has none"
+        )
 
     # (1) stationarity: one table call per stream, notes in access-major order
     w_acc = np.repeat(alloc.pool_water_levels, [p.end - p.start + 1 for p in pools])
@@ -324,8 +336,7 @@ def kkt_verify(
         ok = active[~beyond]
         m = tab.mmse_at(snr[~beyond])
         resid = np.abs(w_acc[ok] * lam[ok] * m - 1.0)
-        # fmax skips the NaN residuals of allocations without pool levels
-        max_resid = float(np.fmax.reduce(resid, initial=max_resid))
+        max_resid = float(np.max(resid, initial=max_resid))
         for n in (active[beyond] + 1).tolist():
             notes.append((n, k, f"stationarity: stream {k + 1} access {n} beyond table range"))
         w_lam = w_acc[idle] * lam[idle]
@@ -342,56 +353,40 @@ def kkt_verify(
 
     # (2) energy causality, terminal empty battery
     scale = max(scenario.total_energy, 1.0)
-    spent_per_access = scenario.ts * alloc.powers.sum(axis=0)
-    cum_spent = np.cumsum(spent_per_access)
-    ecc_ok = True
-    max_viol = 0.0
-    avail = 0.0
-    batteries = []
-    for pool in pools:
-        avail += pool.energy
-        battery = avail - float(cum_spent[pool.end - 1])
-        batteries.append(battery)
-        viol = max(0.0, -battery)
-        max_viol = max(max_viol, viol)
-        if viol > tol * scale:
-            ecc_ok = False
-            msgs.append(f"ecc: pool {pool.index} overspends by {viol:.3e} J")
-    terminal_gap = abs(batteries[-1])
+    harvested, spent = _ledger(scenario, pools, alloc.powers)
+    ends = [p.end - 1 for p in pools]
+    batteries = harvested[ends] - spent[ends]
+    viol = np.maximum(0.0, -batteries)
+    over = viol > tol * scale
+    for j in np.nonzero(over)[0].tolist():
+        msgs.append(f"ecc: pool {j + 1} overspends by {viol[j]:.3e} J")
+    terminal_gap = float(abs(batteries[-1]))
     terminal_ok = terminal_gap <= tol * scale
     if not terminal_ok:
         msgs.append(f"terminal battery not empty: {batteries[-1]:.3e} J left")
 
-    # (3) non-decreasing water levels
+    # (3) non-decreasing water levels, (4) changing only where the battery emptied
     levels = alloc.pool_water_levels
-    mono_ok = True
-    for j in range(len(pools) - 1):
-        if levels[j + 1] < levels[j] - tol * max(1.0, abs(levels[j])):
-            mono_ok = False
-            msgs.append(
-                f"water level decreases from pool {j + 1} ({levels[j]:.6g}) "
-                f"to pool {j + 2} ({levels[j + 1]:.6g})"
-            )
-
-    # (4) level changes only at empty-battery boundaries
-    empty_ok = True
-    for j in range(len(pools) - 1):
-        rises = levels[j + 1] > levels[j] + tol * max(1.0, abs(levels[j]))
-        if rises and batteries[j] > tol * scale:
-            empty_ok = False
-            msgs.append(
-                f"water level rises after pool {j + 1} with {batteries[j]:.3e} J banked"
-            )
+    step = tol * np.maximum(1.0, np.abs(levels[:-1]))
+    falls = levels[1:] < levels[:-1] - step
+    for j in np.nonzero(falls)[0].tolist():
+        msgs.append(
+            f"water level decreases from pool {j + 1} ({levels[j]:.6g}) "
+            f"to pool {j + 2} ({levels[j + 1]:.6g})"
+        )
+    banked = (levels[1:] > levels[:-1] + step) & (batteries[:-1] > tol * scale)
+    for j in np.nonzero(banked)[0].tolist():
+        msgs.append(f"water level rises after pool {j + 1} with {batteries[j]:.3e} J banked")
 
     return KktReport(
         stationarity_ok=stat_ok,
         stationarity_max_residual=max_resid,
-        ecc_ok=ecc_ok,
-        ecc_max_violation=max_viol,
+        ecc_ok=not over.any(),
+        ecc_max_violation=float(np.max(viol)),
         terminal_ok=terminal_ok,
         terminal_gap=terminal_gap,
-        monotone_levels_ok=mono_ok,
-        empty_battery_changes_ok=empty_ok,
+        monotone_levels_ok=not falls.any(),
+        empty_battery_changes_ok=not banked.any(),
         messages=msgs,
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .offline import Allocation, RunStats, build_pools
+from .offline import Allocation, RunStats, _ledger, build_pools
 from .scenario import Scenario
 from .tables import MmseTable
 from .waterfill import EpochProblem, solve_epoch
@@ -86,9 +86,6 @@ def online_solve(
 
 def causal_ecc_check(scenario: Scenario, alloc: Allocation, tol: float = 1e-9):
     """(ok, worst_violation): prefix spent <= prefix harvested at every access."""
-    harvested = np.zeros(scenario.n)
-    for e, E in scenario.arrivals:
-        harvested[e - 1 :] += E
-    cum_spent = np.cumsum(scenario.ts * alloc.powers.sum(axis=0))
-    viol = float(np.max(cum_spent - harvested, initial=0.0))
+    harvested, spent = _ledger(scenario, build_pools(scenario.arrivals, scenario.n), alloc.powers)
+    viol = float(np.max(spent - harvested, initial=0.0))
     return viol <= tol * max(scenario.total_energy, 1.0), viol

@@ -116,8 +116,8 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
 
     Zero budgets return level 0 with all powers zero.  A budget whose level
     would push some stream past its table range raises TableRangeError
-    naming the stream; failure to converge raises ConvergenceError with the
-    final bracket.
+    naming the stream (counted from 1) and the level cap; failure to
+    converge raises ConvergenceError with the final bracket.
     """
     if problem.budget == 0.0:
         return EpochSolution(0.0, np.zeros_like(problem.gains), 0.0, hg_calls=1)
@@ -134,8 +134,9 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
             )
             raise TableRangeError(
                 f"budget {problem.budget!r} J needs a water level beyond the "
-                f"modeled snr range of stream {k_bad} "
-                f"({problem.tables[k_bad].label}); rebuild with larger snr_max"
+                f"modeled snr range of stream {k_bad + 1} "
+                f"({problem.tables[k_bad].label}), which caps it at {cap!r}; "
+                f"rebuild with larger snr_max"
             )
         lo = hi
         hi = min(hi * 4.0, cap)

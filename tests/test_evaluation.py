@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -99,7 +100,22 @@ def test_pbp_rejects_unknown_inputs():
 
 def test_dwf_on_gaussian_scenario_equals_nda():
     s = gaussian_scenario([(1, 2.0), (3, 1.0)], n=4)
-    assert np.array_equal(ev.dwf_solve(s).powers, off.nda_solve(s).powers)
+    dwf = ev.dwf_solve(s).powers
+    assert np.array_equal(dwf, off.dwf_reference(s).powers)
+    a = off.nda_solve(s).powers
+    # the closed form against the bisection, at the cross-check tolerance
+    assert np.max(np.abs(dwf - a)) <= 1e-8 * max(1.0, float(a.max()))
+
+
+def test_dwf_strategy_matches_nda_on_gaussian_inputs(builtin_tables):
+    s = scn.generate(n=40, k=2, ts=0.01, j=6, total_energy=1.0,
+                     constellations=("bpsk", "4pam"), gain_model="block_random",
+                     block_len=4, seed=5)
+    dwf = ev.run_strategy(s, "dwf")
+    ref = off.nda_solve(dataclasses.replace(s, constellations=(cons.gaussian(),) * s.k))
+    assert [e.pools for e in dwf.epochs] == [e.pools for e in ref.epochs]
+    assert dwf.stats.hg_calls == ref.stats.hg_calls
+    assert np.max(np.abs(dwf.powers - ref.powers)) <= 1e-8 * max(1.0, float(ref.powers.max()))
 
 
 def test_dominance_random_ensemble(builtin_tables):

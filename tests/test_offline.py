@@ -3,6 +3,7 @@ import pytest
 
 from mercuryflow import constellations as cons
 from mercuryflow import offline as off
+from mercuryflow import online as onl
 from mercuryflow import scenario as scn
 from mercuryflow.errors import InvalidInputError
 
@@ -224,6 +225,75 @@ def test_kkt_detects_pool_overspend():
     report = off.kkt_verify(s, bad)
     assert not report.ecc_ok
     assert any("pool 1" in m for m in report.messages)
+
+
+def test_kkt_ecc_violation_equals_causal_check():
+    s = gaussian_scenario([(1, 1.0), (3, 2.0), (4, 0.5)], n=6)
+    a = off.nda_solve(s)
+    a.powers *= 1.5  # every pool boundary overspends
+    report = off.kkt_verify(s, a)
+    ok, worst = onl.causal_ecc_check(s, a)
+    assert not report.ecc_ok and not ok
+    assert worst == report.ecc_max_violation > 0.0
+
+
+def _battery_reference(s, a, tol):
+    """Checks (2)-(4) and the causal check as per-pool and per-arrival loops."""
+    pools = off.build_pools(s.arrivals, s.n)
+    scale = max(s.total_energy, 1.0)
+    cum_spent = np.cumsum(s.ts * a.powers.sum(axis=0))
+    msgs, batteries, max_viol, avail = [], [], 0.0, 0.0
+    for pool in pools:
+        avail += pool.energy
+        batteries.append(avail - float(cum_spent[pool.end - 1]))
+        viol = max(0.0, -batteries[-1])
+        max_viol = max(max_viol, viol)
+        if viol > tol * scale:
+            msgs.append(f"ecc: pool {pool.index} overspends by {viol:.3e} J")
+    if abs(batteries[-1]) > tol * scale:
+        msgs.append(f"terminal battery not empty: {batteries[-1]:.3e} J left")
+    levels = a.pool_water_levels
+    for j in range(len(pools) - 1):
+        if levels[j + 1] < levels[j] - tol * max(1.0, abs(levels[j])):
+            msgs.append(f"water level decreases from pool {j + 1} ({levels[j]:.6g}) "
+                        f"to pool {j + 2} ({levels[j + 1]:.6g})")
+    for j in range(len(pools) - 1):
+        rises = levels[j + 1] > levels[j] + tol * max(1.0, abs(levels[j]))
+        if rises and batteries[j] > tol * scale:
+            msgs.append(f"water level rises after pool {j + 1} with {batteries[j]:.3e} J banked")
+    harvested = np.zeros(s.n)
+    for e, E in s.arrivals:
+        harvested[e - 1 :] += E
+    causal = float(np.max(cum_spent - harvested, initial=0.0))
+    return msgs, max_viol, abs(batteries[-1]), causal
+
+
+def test_battery_checks_match_per_pool_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 20))
+        j = int(rng.integers(1, min(6, n) + 1))
+        s = scn.generate(n=n, k=2, ts=0.1, j=j, total_energy=float(rng.uniform(0.1, 5.0)),
+                         constellations=("gaussian", "gaussian"), gain_model="block_random",
+                         block_len=3, seed=int(rng.integers(1 << 30)))
+        a = off.dwf_reference(s)
+        a.powers *= rng.uniform(0.7, 1.3, size=a.powers.shape)
+        a.pool_water_levels = a.pool_water_levels * rng.uniform(0.8, 1.2, size=j)
+        msgs, max_viol, gap, causal = _battery_reference(s, a, 1e-7)
+        report = off.kkt_verify(s, a)
+        assert [m for m in report.messages if not m.startswith("stationarity")] == msgs
+        assert (report.ecc_max_violation, report.terminal_gap) == (max_viol, gap)
+        assert onl.causal_ecc_check(s, a)[1] == causal
+
+
+def test_kkt_rejects_allocation_without_pool_levels(builtin_tables):
+    s = scn.generate(n=40, k=2, ts=0.01, j=6, total_energy=1.0,
+                     constellations=("bpsk", "4pam"), gain_model="block_random",
+                     block_len=4, seed=5)
+    a = onl.online_solve(s, 5)
+    assert np.all(np.isnan(a.pool_water_levels))
+    with pytest.raises(InvalidInputError, match="finite"):
+        off.kkt_verify(s, a)
 
 
 def test_kkt_detects_banked_energy_level_rise():

@@ -110,8 +110,9 @@ def test_solve_epoch_range_error_names_stream(builtin_tables):
     t = builtin_tables["bpsk"]
     # enough energy to drive BPSK past its table top on a single access
     need = 10.0 * t.snr_top
-    with pytest.raises(TableRangeError, match="stream 0"):
+    with pytest.raises(TableRangeError, match=r"stream 1 \(bpsk\)") as err:
         solve_epoch(EpochProblem(gains=np.array([[1.0]]), tables=(t,), budget=need, ts=1.0))
+    assert f"caps it at {1.0 / t.mmse_floor!r}" in str(err.value)
 
 
 def test_classical_wf_examples():
