@@ -82,6 +82,7 @@ class Epoch:
 @dataclass
 class RunStats:
     hg_calls: int = 0
+    spent_evals: int = 0      # spent-energy evaluations over all epoch solves
 
 
 @dataclass
@@ -145,6 +146,7 @@ def _solve_group(
     else:
         sol = solve_epoch(EpochProblem(gains=gains, tables=tables, budget=budget, ts=scenario.ts))
     stats.hg_calls += sol.hg_calls
+    stats.spent_evals += sol.evals
     return sol
 
 

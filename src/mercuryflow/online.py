@@ -68,6 +68,7 @@ def online_solve(
             )
         )
         stats.hg_calls += sol.hg_calls
+        stats.spent_evals += sol.evals
         commit_end = events[t + 1] - 1 if t + 1 < len(events) else n
         upto = min(w_end, commit_end)
         powers[:, s_t - 1 : upto] = sol.powers[:, : upto - s_t + 1]

@@ -4,10 +4,11 @@ A :class:`MmseTable` materializes ``snr -> (mmse, mi)`` for one constellation
 on a log-spaced grid (snr = 0 anchor plus points in [1e-3, snr_max]).  Both
 values and exact derivatives are stored, so evaluation uses cubic Hermite
 interpolation of ``log mmse`` (relative accuracy is uniform across the
-exponential tail) and the inverse is the *exact* numerical inverse of that
-interpolant, polished by a safeguarded Newton iteration.  Forward-then-invert
-round trips are therefore consistent to near machine precision, which is what
-the downstream water-level solver leans on.
+exponential tail) and the inverse is the numerical inverse of that
+interpolant: an inverse cubic Hermite seed on the query's cell, then two
+Newton steps, over a packed bank so one pass inverts every stream of an
+epoch.  Forward-then-invert round trips are therefore consistent to near
+machine precision, which is what the downstream water-level solver leans on.
 
 Construction detail: the cheap vectorized Gauss-Hermite sweep is used only on
 the snr prefix where it agrees with the exact pairwise-boundary rule (probed
@@ -45,7 +46,7 @@ MMSE_FLOOR = 1.0e-250
 _LN2 = math.log(2.0)
 
 
-def _hermite_eval(x, xs, ys, ds, derivative: bool = False):
+def _hermite_eval(x, xs, ys, ds):
     """Cubic Hermite evaluation with exact node derivatives.
 
     ``xs`` strictly increasing; queries must lie within [xs[0], xs[-1]].
@@ -57,21 +58,12 @@ def _hermite_eval(x, xs, ys, ds, derivative: bool = False):
     d0, d1 = ds[idx] * h, ds[idx + 1] * h
     t2 = t * t
     t3 = t2 * t
-    val = (
+    return (
         (2.0 * t3 - 3.0 * t2 + 1.0) * y0
         + (t3 - 2.0 * t2 + t) * d0
         + (-2.0 * t3 + 3.0 * t2) * y1
         + (t3 - t2) * d1
     )
-    if not derivative:
-        return val
-    dval = (
-        (6.0 * t2 - 6.0 * t) * y0
-        + (3.0 * t2 - 4.0 * t + 1.0) * d0
-        + (-6.0 * t2 + 6.0 * t) * y1
-        + (3.0 * t2 - 2.0 * t) * d1
-    ) / h
-    return val, dval
 
 
 @dataclass(frozen=True)
@@ -160,48 +152,8 @@ class MmseTable:
         p = np.atleast_1d(np.asarray(psi, dtype=float))
         if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
             raise InvalidInputError("psi must be finite and > 0")
-        if self.is_gaussian:
-            out = np.where(p >= 1.0, 0.0, 1.0 / p - 1.0)
-            return float(out[0]) if scalar else out
-        out = np.zeros_like(p)
-        active = p < 1.0
-        if np.any(active):
-            pa = p[active]
-            if np.any(pa < self.mmse_floor):
-                raise TableRangeError(
-                    f"mmse {float(pa.min())!r} below the {self.label} table floor "
-                    f"{self.mmse_floor!r}; the requested water level implies an snr "
-                    "beyond the modeled range (rebuild with a larger snr_max)"
-                )
-            out[active] = self._invert_log(np.log(pa))
+        out = _invert(_bank((self,)), 0, p)[0]
         return float(out[0]) if scalar else out
-
-    def _invert_log(self, target: np.ndarray) -> np.ndarray:
-        grid = self.snr_grid
-        logm = self.log_mmse
-        # log_mmse decreases along the grid; locate the bracketing cell
-        idx = np.clip(logm.size - 1 - np.searchsorted(logm[::-1], target, side="left"),
-                      0, logm.size - 2)
-        lo = grid[idx].copy()
-        hi = grid[idx + 1].copy()
-        x = lo + (hi - lo) * np.clip(
-            (logm[idx] - target) / np.maximum(logm[idx] - logm[idx + 1], 1e-300), 0.0, 1.0
-        )
-        done = np.zeros(x.shape, dtype=bool)
-        for _ in range(80):
-            f, df = _hermite_eval(x, grid, logm, self.dlog_mmse, derivative=True)
-            resid = f - target
-            done |= np.abs(resid) <= 1e-13 * np.maximum(np.abs(target), 1.0)
-            if done.all():
-                break
-            above = resid > 0.0  # mmse too high -> snr too low
-            lo = np.where(~done & above, x, lo)
-            hi = np.where(~done & ~above, x, hi)
-            step = np.where(df != 0.0, resid / df, 0.0)
-            cand = x - step
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), cand))
-        return x
 
     # -- mercury factor ---------------------------------------------------
 
@@ -230,6 +182,72 @@ class MmseTable:
                                self.mi_values.tolist())
         )
         emit("snr,mmse,mi_bits\n" + rows, path_or_buf)
+
+
+def _pack(tables):
+    """The bank of a tuple of tables: their grids concatenated for one pass.
+
+    Returns ``(keys, cells, offset, floor, gaussian, tables)``.  Table k's
+    search keys are ``offset[k] - log mmse`` at its nodes (its first key sits
+    half a unit lower, so a log mmse(0) off zero by rounding still finds the
+    first cell); they increase across the bank, so one ``searchsorted`` finds every
+    query's cell.  On a cell, with t = (snr - x0)/h and s = (log mmse - y0)/dy,
+    ``log mmse = y0 + t*(b1 + t*(b2 + t*b3))`` is the forward interpolant and
+    ``t = s*(m0 + s*(e2 + s*e3))`` its inverse cubic Hermite; the last cell is
+    repeated as a sentinel.  ``floor`` is 0 for Gaussian tables, which have
+    none, and ``gaussian`` is None when no table is Gaussian.
+    """
+    sizes = np.array([t.snr_grid.size for t in tables])
+    span = np.array([1.0 - t.log_mmse[-1] for t in tables])
+    offset = np.cumsum(span) - span
+    x, y, d = (np.concatenate([getattr(t, f) for t in tables])
+               for f in ("snr_grid", "log_mmse", "dlog_mmse"))
+    keys = np.repeat(offset, sizes) - y
+    keys[np.cumsum(sizes) - sizes] = offset - 0.5
+    h, dy = np.diff(x), np.diff(y)
+    b1, d1 = d[:-1] * h, d[1:] * h
+    m0, m1 = dy / b1, dy / d1
+    cells = np.stack([x[:-1], h, y[:-1], dy, b1, 3.0 * dy - 2.0 * b1 - d1, b1 + d1 - 2.0 * dy,
+                      m0, 3.0 - 2.0 * m0 - m1, m0 + m1 - 2.0])
+    floor = np.array([0.0 if t.is_gaussian else t.mmse_floor for t in tables])
+    gaussian = np.array([t.is_gaussian for t in tables])
+    return (keys, np.hstack([cells, cells[:, -1:]]), offset, floor,
+            gaussian if gaussian.any() else None, tuple(tables))
+
+
+def _invert(bank, rows, psi):
+    """(snr, d log mmse/d snr there) with mmse(snr) = psi, for every query at once.
+
+    ``rows`` gives each query's table in ``bank`` and broadcasts against
+    ``psi``; psi >= 1 maps to snr 0, and psi below a table's floor raises
+    :class:`TableRangeError`.  The cell's inverse cubic Hermite seeds it and
+    two Newton steps on the forward interpolant polish it.  Gaussian tables
+    are closed form.
+    """
+    keys, cells, offset, floor, gaussian, tables = bank
+    p = np.minimum(psi, 1.0)
+    low = p < floor[rows]
+    if low.any():
+        j = int(np.argmin(np.where(low, p, np.inf)))
+        k = int(np.broadcast_to(rows, p.shape).flat[j])
+        raise TableRangeError(
+            f"mmse {float(p.flat[j])!r} below the {tables[k].label} table floor "
+            f"{tables[k].mmse_floor!r}; the requested water level implies an snr "
+            "beyond the modeled range (rebuild with a larger snr_max)"
+        )
+    y = np.log(p)
+    cell = keys.searchsorted(offset[rows] - y) - 1
+    x0, h, y0, dy, b1, b2, b3, m0, e2, e3 = cells.take(cell, axis=1)
+    s = (y - y0) / dy
+    t = np.minimum(np.maximum(s * (m0 + s * (e2 + s * e3)), 0.0), 1.0)
+    for _ in range(2):
+        df = b1 + t * (2.0 * b2 + 3.0 * t * b3)
+        t = t - (y0 - y + t * (b1 + t * (b2 + t * b3))) / df
+    snr = np.where(p < 1.0, x0 + h * np.minimum(np.maximum(t, 0.0), 1.0), 0.0)
+    if gaussian is None:
+        return snr, df / h
+    g = gaussian[rows]
+    return np.where(g, 1.0 / p - 1.0, snr), np.where(g, -p, df / h)
 
 
 def _verify_grid(snr, mmse, label):
@@ -384,6 +402,9 @@ def _integrate_mi(grid, mmse, dmmse) -> np.ndarray:
 CACHE_ENV_VAR = "MERCURYFLOW_TABLE_CACHE"
 
 _TABLE_CACHE: dict[tuple, MmseTable] = {}
+# banks by the ids of their tables; a bank holds its tables, so no id is reused
+_BANKS: dict[tuple[int, ...], tuple] = {}
+_MAX_BANKS = 64
 
 
 def _disk_path(c: Constellation, snr_max: float, n_points: int):
@@ -444,5 +465,17 @@ def table_for(
     return tab
 
 
+def _bank(tables) -> tuple:
+    """The packed bank of a tuple of tables (see :func:`_pack`), built on first use."""
+    key = tuple(map(id, tables))
+    bank = _BANKS.get(key)
+    if bank is None:
+        if len(_BANKS) >= _MAX_BANKS:
+            _BANKS.clear()
+        bank = _BANKS[key] = _pack(tables)
+    return bank
+
+
 def clear_cache() -> None:
     _TABLE_CACHE.clear()
+    _BANKS.clear()

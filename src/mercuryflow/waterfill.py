@@ -8,8 +8,12 @@ of the run, find the common water level W and the per-stream powers
 
 which is the mercury/water-filling rule: power = (W - mercury_level)^+ with
 mercury_level = (1/lam) * G(1/(W*lam)).  Total spent energy is continuous
-and non-decreasing in W, so W is located by bracketed root finding on the
-energy residual.  Gaussian inputs reduce to the classical (W - 1/lam)^+
+and non-decreasing in W, and by the I-MMSE relation its slope is closed
+form, sum over active entries of -1/(W * lam * dlog mmse/dsnr).  One packed
+evaluation gives the spent energy and that slope for every stream at once,
+and W is located by a bracketed Newton search on the energy residual, with
+a single evaluation at the level cap to detect budgets beyond the tables'
+range.  Gaussian inputs reduce to the classical (W - 1/lam)^+
 water-filling, for which :func:`classical_wf` also provides the exact
 sorted-gain solution with no iteration.
 """
@@ -23,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, InvalidInputError, TableRangeError
-from .tables import MmseTable
+from .tables import MmseTable, _bank, _invert
 
 __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "classical_wf"]
 
@@ -63,13 +67,14 @@ class EpochSolution:
     powers: NDArray[np.float64]       # (K, L)
     spent_energy: float
     hg_calls: int = 1
+    evals: int = 0                    # spent-energy evaluations of the level search
 
 
 def power_at_level(table: MmseTable, lam, level):
     """Power of one stream at water level ``level``: zero once level*lam <= 1.
 
     Accepts scalar or vector ``lam``; strictly increasing in ``level`` once
-    positive, which is what makes the epoch bisection valid.
+    positive, which is what makes the epoch level search valid.
     """
     scalar = np.isscalar(lam)
     lam_v = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -84,77 +89,122 @@ def power_at_level(table: MmseTable, lam, level):
     return float(out[0]) if scalar else out
 
 
-def _spent(problem: EpochProblem, level: float) -> float:
-    if level <= 0.0:
-        return 0.0
-    total = 0.0
-    for k, tab in enumerate(problem.tables):
-        total += float(np.sum(power_at_level(tab, problem.gains[k], level)))
-    return problem.ts * total
+def _evaluate(problem: EpochProblem, bank, level: float):
+    """Powers, spent energy and d(spent)/dW at water level ``level > 0``.
+
+    Every stream goes through one packed inverse.  The slope is closed form
+    by I-MMSE: an active entry's power moves as -1/(W * lam * dlog mmse/dsnr).
+    An entry exactly at its activation level counts with its right slope.
+    """
+    lam = problem.gains
+    psi = 1.0 / (level * lam)
+    snr, dlog = _invert(bank, np.arange(lam.shape[0])[:, None], psi)
+    powers = snr / lam
+    slope = np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
+    return powers, problem.ts * float(powers.sum()), problem.ts * float(slope.sum())
 
 
-def _powers(problem: EpochProblem, level: float) -> NDArray[np.float64]:
-    powers = np.zeros_like(problem.gains)
-    if level > 0.0:
-        for k, tab in enumerate(problem.tables):
-            powers[k] = power_at_level(tab, problem.gains[k], level)
-    return powers
+def _level_cap(problem: EpochProblem) -> tuple[float, int]:
+    """Largest level the tables can model, and the stream that sets it.
 
-
-def _level_cap(problem: EpochProblem) -> float:
-    """Largest level the tables can model; inf when all streams are Gaussian."""
-    cap = math.inf
+    inf (stream -1) when all streams are Gaussian.  Stepped down until no
+    entry's 1/(W * lam) rounds below its table floor.
+    """
+    cap, k_cap = math.inf, -1
     for k, tab in enumerate(problem.tables):
         if tab.is_gaussian:
             continue
-        cap = min(cap, 1.0 / (float(problem.gains[k].max()) * tab.mmse_floor))
-    return cap
+        lam_max = float(problem.gains[k].max())
+        level = 1.0 / (lam_max * tab.mmse_floor)
+        while 1.0 / (level * lam_max) < tab.mmse_floor:
+            level = math.nextafter(level, 0.0)
+        if level < cap:
+            cap, k_cap = level, k
+    return cap, k_cap
+
+
+def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
+                hi_open: bool) -> float:
+    """Newton's next level from ``x``, or a midpoint of [lo, hi] if it leaves it.
+
+    Of the Newton steps in log W and in W, the farther goes first (log W from
+    below, W from above).  A log-W step past a finite cap not yet evaluated
+    (``hi_open``) goes to the cap; steps that both pass one end put the root
+    within rounding of it, so the next double inside is tried.
+    """
+    if slope > 0.0:
+        in_w = x - excess / slope
+        in_log = x * math.exp(min(-excess / (x * slope), 700.0))
+        if hi_open and in_log >= hi and hi < math.inf:
+            return hi
+        for cand in ((in_log, in_w) if excess < 0.0 else (in_w, in_log)):
+            if lo < cand < hi:
+                return cand
+        if max(in_w, in_log) <= lo:
+            return math.nextafter(lo, hi)
+        if min(in_w, in_log) >= hi and hi < math.inf:
+            return math.nextafter(hi, lo)
+    if hi == math.inf:
+        return 4.0 * lo
+    return 0.5 * (lo + hi) if hi <= 4.0 * lo else math.sqrt(lo) * math.sqrt(hi)
 
 
 def solve_epoch(problem: EpochProblem) -> EpochSolution:
     """Find the water level spending the budget exactly (relative 1e-9).
 
-    Zero budgets return level 0 with all powers zero.  A budget whose level
-    would push some stream past its table range raises TableRangeError
-    naming the stream (counted from 1) and the level cap; failure to
-    converge raises ConvergenceError with the final bracket.
+    Zero budgets return level 0 with all powers zero.  The level search is
+    a bracketed Newton iteration started at the Gaussian water level, which
+    never exceeds the answer (a unit-power input's mmse is at most the
+    Gaussian one).  A budget that even the level cap under-spends raises
+    TableRangeError naming the stream (counted from 1) and the cap; failure
+    to converge raises ConvergenceError with the final bracket.
     """
     if problem.budget == 0.0:
         return EpochSolution(0.0, np.zeros_like(problem.gains), 0.0, hg_calls=1)
 
-    cap = _level_cap(problem)
-    lo = 0.0
-    hi = 1.0 / float(problem.gains.min())   # level at which even the weakest entry activates
-    spent_hi = _spent(problem, hi)
-    while spent_hi < problem.budget:
-        if hi >= cap:
-            k_bad = min(
-                (k for k, t in enumerate(problem.tables) if not t.is_gaussian),
-                key=lambda k: 1.0 / (problem.gains[k].max() * problem.tables[k].mmse_floor),
-            )
+    budget = problem.budget
+    bank = _bank(problem.tables)
+    cap, k_cap = _level_cap(problem)
+    # spent(lo) < budget <= spent(hi) once hi is evaluated; below the
+    # strongest entry's activation level nothing is spent
+    lo, hi = 1.0 / float(problem.gains.max()), cap
+    spent_lo, spent_hi = 0.0, math.inf
+    sub_ulp = lo + budget / problem.ts == lo    # classical_wf finds no level above lo
+    x = lo if sub_ulp else min(classical_wf(problem.gains, budget, problem.ts).water_level, cap)
+    for evals in range(1, MAX_ITER + 1):
+        spent, slope = _evaluate(problem, bank, x)[1:]
+        if spent < budget and x == cap:
             raise TableRangeError(
-                f"budget {problem.budget!r} J needs a water level beyond the "
-                f"modeled snr range of stream {k_bad + 1} "
-                f"({problem.tables[k_bad].label}), which caps it at {cap!r}; "
-                f"rebuild with larger snr_max"
-            )
-        lo = hi
-        hi = min(hi * 4.0, cap)
-        spent_hi = _spent(problem, hi)
-
-    if spent_hi == problem.budget:
-        level = hi
+                f"budget {budget!r} J needs a water level beyond the modeled snr range of "
+                f"stream {k_cap + 1} ({problem.tables[k_cap].label}), which caps it at "
+                f"{cap!r}; rebuild with larger snr_max")
+        if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # nothing left to settle
+            level = x
+            break
+        if spent < budget:
+            lo, spent_lo = x, spent
+        else:
+            hi, spent_hi = x, spent
+        hi_open = spent_hi == math.inf
+        x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
+        if not (lo < x < hi or (x == hi and hi_open)):
+            # the bracket holds no double between its ends: take the end
+            # with active entries nearest the budget
+            level = lo if 0.0 < spent_lo and budget - spent_lo < spent_hi - budget else hi
+            break
     else:
-        level = _bisect_level(problem, lo, hi, spent_hi)
-    powers = _powers(problem, level)
-    powers, spent = _settle_residual(problem, powers)
-    if abs(spent - problem.budget) > ENERGY_RTOL * problem.budget:
         raise ConvergenceError(
-            f"epoch bisection left an energy residual of "
-            f"{abs(spent - problem.budget) / problem.budget:.3e} (relative)",
+            f"epoch solve did not converge in {MAX_ITER} evaluations", bracket=(lo, hi)
+        )
+    powers = np.array([power_at_level(t, g, level) for t, g in zip(problem.tables, problem.gains)])
+    powers, spent = _settle_residual(problem, powers)
+    if abs(spent - budget) > ENERGY_RTOL * budget:
+        raise ConvergenceError(
+            f"epoch solve left an energy residual of "
+            f"{abs(spent - budget) / budget:.3e} (relative)",
             bracket=(lo, hi),
         )
-    return EpochSolution(float(level), powers, spent, hg_calls=1)
+    return EpochSolution(float(level), powers, spent, hg_calls=1, evals=evals)
 
 
 def _settle_residual(problem, powers):
@@ -181,52 +231,6 @@ def _settle_residual(problem, powers):
         powers = np.maximum(powers + per * active, 0.0)
         spent = problem.ts * float(powers.sum())
     return powers, spent
-
-
-def _bisect_level(problem: EpochProblem, lo: float, hi: float, spent_hi: float) -> float:
-    """Residual-terminated bracketed search for the water level.
-
-    Plain bisection interleaved with Illinois-damped secant steps; stops when
-    the spent energy hits the budget to ENERGY_RTOL relative, or the bracket
-    collapses to adjacent doubles (whichever is first).  Spent energy is
-    continuous and non-decreasing in the level, so the bracket is always
-    valid.
-    """
-    budget = problem.budget
-    tol = ENERGY_RTOL * budget
-    f_lo = _spent(problem, lo) - budget
-    f_hi = spent_hi - budget
-    if abs(f_lo) <= tol:
-        return lo
-    if abs(f_hi) <= tol:
-        return hi
-    side = 0
-    best_x, best_f = hi, abs(f_hi)
-    for it in range(MAX_ITER):
-        if it % 2 == 0 or f_hi == f_lo:
-            x = 0.5 * (lo + hi)
-        else:
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not (lo < x < hi):
-                x = 0.5 * (lo + hi)
-        if x <= lo or x >= hi:  # bracket exhausted at machine precision
-            break
-        fx = _spent(problem, x) - budget
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        if abs(fx) <= tol:
-            return x
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, fx
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-    return best_x
 
 
 def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:

@@ -96,6 +96,26 @@ def test_nda_calls_are_two_j_minus_epochs(builtin_tables):
         assert a.stats.hg_calls == 2 * s.n_arrivals - len(a.epochs)
 
 
+def test_run_stats_count_spent_evaluations(monkeypatch):
+    s = scn.generate(n=12, k=2, ts=0.01, j=3, total_energy=1.0, constellations=("bpsk", "16pam"),
+                     gain_model="block_random", block_len=2, seed=9)
+    evals = []
+    solve = off.solve_epoch
+
+    def counted(problem):
+        sol = solve(problem)
+        evals.append(sol.evals)
+        return sol
+
+    monkeypatch.setattr(off, "solve_epoch", counted)
+    monkeypatch.setattr(onl, "solve_epoch", counted)
+    for run in (off.nda_solve, off.fsa_solve, lambda sc: onl.online_solve(sc, 3)):
+        evals.clear()
+        a = run(s)
+        assert len(evals) == a.stats.hg_calls
+        assert 0 < a.stats.spent_evals == sum(evals)
+
+
 def test_nda_merged_epoch_merges_again():
     # levels 4, 3, 2: pools 1+2 merge to 3.5, which still exceeds pool 3's 2
     s = gaussian_scenario([(1, 3.0), (2, 2.0), (3, 1.0)], n=3)

@@ -163,3 +163,24 @@ def test_forward_of_inverse_round_trip(psi):
     t = tb.table_for(cons.pam(4))
     snr = t.mmse_inverse(psi)
     assert t.mmse_at(snr) == pytest.approx(psi, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", [*FINITE_BUILTINS, "gaussian"])
+def test_inverse_forward_residual_dense(builtin_tables, name):
+    # the seed plus two Newton steps leave a rounding-level forward residual
+    t = builtin_tables[name]
+    psi = np.exp(np.random.default_rng(17).uniform(math.log(t.mmse_floor), 0.0, 100_000))
+    back = np.log(t.mmse_at(t.mmse_inverse(psi)))
+    tol = 1e-13 * np.maximum(np.abs(np.log(psi)), 1.0)
+    assert np.all(np.abs(back - np.log(psi)) <= tol)
+
+
+def test_bank_is_cached_per_tables_tuple(builtin_tables):
+    tabs = (builtin_tables["bpsk"], builtin_tables["gaussian"])
+    bank = tb._bank(tabs)
+    assert tb._bank(tabs) is bank
+    # the packed inverse of a stream equals that table's own inverse
+    psi = np.array([[0.9, 0.2, 1e-30], [0.9, 0.2, 1e-30]])
+    snr = tb._invert(bank, np.arange(2)[:, None], psi)[0]
+    assert np.array_equal(snr[0], tabs[0].mmse_inverse(psi[0]))
+    assert np.array_equal(snr[1], tabs[1].mmse_inverse(psi[1]))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mercuryflow import constellations as cons
 from mercuryflow import tables as tb
+from mercuryflow import waterfill as wf
 from mercuryflow.errors import InvalidInputError, TableRangeError
 from mercuryflow.waterfill import EpochProblem, classical_wf, power_at_level, solve_epoch
+
+from conftest import FINITE_BUILTINS
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +116,115 @@ def test_solve_epoch_range_error_names_stream(builtin_tables):
     with pytest.raises(TableRangeError, match=r"stream 1 \(bpsk\)") as err:
         solve_epoch(EpochProblem(gains=np.array([[1.0]]), tables=(t,), budget=need, ts=1.0))
     assert f"caps it at {1.0 / t.mmse_floor!r}" in str(err.value)
+
+
+def _counting_evaluate(monkeypatch):
+    calls = []
+    evaluate = wf._evaluate
+
+    def counted(*args):
+        calls.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(wf, "_evaluate", counted)
+    return calls
+
+
+def test_solve_epoch_range_error_in_one_evaluation(builtin_tables, monkeypatch):
+    # a budget even the level cap under-spends is decided by one evaluation
+    # at the cap, not by walking the bracket up to it
+    for name in FINITE_BUILTINS:
+        t = builtin_tables[name]
+        calls = _counting_evaluate(monkeypatch)
+        cap = 1.0 / (1.0 * t.mmse_floor)
+        with pytest.raises(TableRangeError, match=rf"stream 1 \({name}\)"):
+            solve_epoch(EpochProblem(gains=np.array([[1.0, 0.5]]), tables=(t,),
+                                     budget=10.0 * t.snr_top, ts=1.0))
+        assert calls[-1] == cap
+        assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("names,gains", [
+    (("bpsk",), [[1.0]]),
+    (("gaussian",), [[1.0]]),
+    (("bpsk", "gaussian"), [[3.0, 0.7], [1.1, 2.0]]),
+])
+def test_solve_epoch_sub_lattice_budget(builtin_tables, names, gains):
+    # the root lies within one ulp above the strongest entry's activation
+    # level, so no representable level spends the budget; the solve returns
+    # the end of the collapsed bracket that has an active entry and settles
+    # the residue there
+    tabs = tuple(builtin_tables[n] for n in names)
+    budget = 1.7e-18
+    sol = solve_epoch(EpochProblem(gains=np.array(gains), tables=tabs, budget=budget, ts=1.0))
+    assert abs(sol.spent_energy - budget) <= 1e-9 * budget
+    assert np.all(sol.powers >= 0.0) and np.count_nonzero(sol.powers) >= 1
+    floor = 1.0 / np.max(gains)
+    assert floor < sol.water_level <= floor + 4 * np.spacing(floor)
+    assert sol.evals <= 4
+
+
+def _ulp_gain(t):
+    """A gain whose level cap rounds 1/(cap * gain) one ulp below the floor."""
+    for lam in np.random.default_rng(1).uniform(0.1, 10.0, 100_000):
+        if 1.0 / (1.0 / (lam * t.mmse_floor) * lam) < t.mmse_floor:
+            return float(lam)
+    raise AssertionError("no such gain")
+
+
+@pytest.mark.parametrize("name", ["bpsk", "32pam"])
+def test_solve_epoch_cap_never_trips_the_table_floor(builtin_tables, name):
+    t = builtin_tables[name]
+    lam = _ulp_gain(t)
+    problem = EpochProblem(gains=np.array([[lam]]), tables=(t,), budget=1.0, ts=1.0)
+    cap, k_cap = wf._level_cap(problem)
+    assert k_cap == 0 and cap < 1.0 / (lam * t.mmse_floor)
+    top = power_at_level(t, lam, cap)   # no raw floor error at the cap itself
+    # a budget the cap just covers solves at a level inside the tables
+    sol = solve_epoch(EpochProblem(gains=np.array([[lam]]), tables=(t,),
+                                   budget=top * (1.0 - 1e-12), ts=1.0))
+    assert sol.water_level <= cap
+    # one the cap under-spends raises the solver's typed error, naming the cap
+    with pytest.raises(TableRangeError, match=rf"stream 1 \({name}\)") as err:
+        solve_epoch(EpochProblem(gains=np.array([[lam]]), tables=(t,), budget=2.0 * top, ts=1.0))
+    assert f"caps it at {cap!r}" in str(err.value)
+
+
+def test_solve_epoch_counts_evaluations(builtin_tables):
+    tabs = (builtin_tables["bpsk"], builtin_tables["16pam"])
+    gains = np.random.default_rng(4).chisquare(1.0, size=(2, 6)) + 0.05
+    sol = solve_epoch(EpochProblem(gains=gains, tables=tabs, budget=0.5, ts=0.01))
+    assert 1 <= sol.evals <= 12
+    zero = solve_epoch(EpochProblem(gains=gains, tables=tabs, budget=0.0, ts=0.01))
+    assert zero.evals == 0
+
+
+_MIXED = st.lists(st.sampled_from((*FINITE_BUILTINS, "gaussian")), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=_MIXED, n_access=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       u=st.floats(0.0, 1.0))
+def test_evaluator_matches_per_stream_powers_and_slope(builtin_tables, names, n_access, seed, u):
+    tabs = tuple(builtin_tables[n] for n in names)
+    gains = np.exp(np.random.default_rng(seed).uniform(np.log(1e-2), np.log(1e2),
+                                                      size=(len(tabs), n_access)))
+    problem = EpochProblem(gains=gains, tables=tabs, budget=1.0, ts=0.01)
+    cap = min(wf._level_cap(problem)[0], 1e6 / gains.min())
+    lo = 0.5 / gains.max()
+    level = float(lo * (cap / lo) ** u)
+    powers, spent, slope = wf._evaluate(problem, tb._bank(tabs), level)
+    for k, t in enumerate(tabs):
+        ref = power_at_level(t, gains[k], level)
+        assert np.all(np.abs(powers[k] - ref) <= 1e-12 * np.abs(ref))
+    assert spent == pytest.approx(0.01 * sum(power_at_level(t, gains[k], level).sum()
+                                             for k, t in enumerate(tabs)), rel=1e-12)
+    # central difference, away from activation kinks and the cap
+    h = 1e-5 * level
+    assume(level + h < cap and np.all(np.abs(level * gains - 1.0) > 4e-5 * level * gains))
+    diff = (wf._evaluate(problem, tb._bank(tabs), level + h)[1]
+            - wf._evaluate(problem, tb._bank(tabs), level - h)[1]) / (2.0 * h)
+    assert slope == pytest.approx(diff, rel=1e-6, abs=1e-300)
 
 
 def test_classical_wf_examples():
