@@ -315,6 +315,25 @@ def conditional_mean(c: Constellation, y: float, snr: float) -> float:
     return float(np.sum(w * c.points) / np.sum(w))
 
 
+def _checked_pairwise(c: Constellation, snr: float, which: int, what: str, check: bool) -> float:
+    """Entry ``which`` of the pairwise rule; with ``check``, re-run at half step.
+
+    The two estimates must agree to 1e-8 relative (QuadratureAccuracyError
+    naming ``what`` otherwise), and the finer one is returned.
+    """
+    coarse = _pairwise_mmse(c, snr)[which]
+    if not check:
+        return coarse
+    fine = _pairwise_mmse(c, snr, step=_PAIR_STEP / 2.0)[which]
+    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
+        raise QuadratureAccuracyError(
+            f"{what} quadrature for {c.label} did not converge at snr={snr}",
+            coarse=coarse,
+            fine=fine,
+        )
+    return fine
+
+
 def mmse_exact(c: Constellation, snr: float, check: bool = True) -> float:
     """mmse(snr) = E{(x - E{x|y})^2}, clamped to [0, 1].
 
@@ -325,17 +344,7 @@ def mmse_exact(c: Constellation, snr: float, check: bool = True) -> float:
     snr = _check_args(snr)
     if c.is_gaussian:
         return 1.0 / (1.0 + snr)
-    coarse = _pairwise_mmse(c, snr)[0]
-    if not check:
-        return coarse
-    fine = _pairwise_mmse(c, snr, step=_PAIR_STEP / 2.0)[0]
-    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
-        raise QuadratureAccuracyError(
-            f"mmse quadrature for {c.label} did not converge at snr={snr}",
-            coarse=coarse,
-            fine=fine,
-        )
-    return fine
+    return _checked_pairwise(c, snr, 0, "mmse", check)
 
 
 def mmse_derivative(c: Constellation, snr: float, check: bool = True) -> float:
@@ -343,17 +352,7 @@ def mmse_derivative(c: Constellation, snr: float, check: bool = True) -> float:
     snr = _check_args(snr)
     if c.is_gaussian:
         return -1.0 / (1.0 + snr) ** 2
-    coarse = _pairwise_mmse(c, snr)[1]
-    if not check:
-        return coarse
-    fine = _pairwise_mmse(c, snr, step=_PAIR_STEP / 2.0)[1]
-    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
-        raise QuadratureAccuracyError(
-            f"mmse-derivative quadrature for {c.label} did not converge at snr={snr}",
-            coarse=coarse,
-            fine=fine,
-        )
-    return fine
+    return _checked_pairwise(c, snr, 1, "mmse-derivative", check)
 
 
 _MI_ORDERS = (96, 192, 384, 768)

@@ -29,13 +29,14 @@ cross-check and as the ``dwf`` baseline.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TableRangeError
 from .scenario import Scenario
 from .tables import MmseTable, table_for
 from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epoch
@@ -181,19 +182,36 @@ def _assemble(
 
 
 def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Allocation:
-    """Merge-on-decrease over the pools as a one-pass stack of epochs."""
+    """Merge-on-decrease over the pools as a one-pass stack of epochs.
+
+    A group that needs a level beyond the tables' cap counts as level +inf,
+    so it merges with the next group; its error is raised only if it is
+    still on the stack at the end.
+    """
     pools = build_pools(scenario.arrivals, scenario.n)
     stats = RunStats()
-    singles = [_solve_group(scenario, tables, [p], stats) for p in pools]
+
+    def solve(group):
+        try:
+            return _solve_group(scenario, tables, group, stats)
+        except TableRangeError as err:
+            stats.hg_calls += 1
+            return err
+
+    singles = [solve([p]) for p in pools]
     groups: list[list[Pool]] = []
-    sols: list[EpochSolution] = []
+    sols: list[EpochSolution | TableRangeError] = []
     for p, sol in zip(pools, singles):
         groups.append([p])
         sols.append(sol)
-        # exact level ties count as non-decreasing
-        while len(sols) > 1 and sols[-2].water_level > sols[-1].water_level * (1.0 + 1e-12):
+        # exact level ties count as non-decreasing; a deferred error stands at +inf
+        while len(sols) > 1 and (getattr(sols[-2], "water_level", math.inf)
+                                 > getattr(sols[-1], "water_level", math.inf) * (1.0 + 1e-12)):
             groups[-2:] = [groups[-2] + groups[-1]]
-            sols[-2:] = [_solve_group(scenario, tables, groups[-1], stats)]
+            sols[-2:] = [solve(groups[-1])]
+    for sol in sols:
+        if isinstance(sol, TableRangeError):
+            raise sol
     return _assemble(scenario, pools, groups, sols, stats)
 
 

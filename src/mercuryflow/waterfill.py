@@ -90,7 +90,7 @@ def power_at_level(table: MmseTable, lam, level):
 
 
 def _evaluate(problem: EpochProblem, bank, level: float):
-    """Powers, spent energy and d(spent)/dW at water level ``level > 0``.
+    """Powers and their slopes dP/dW at water level ``level > 0``, per entry.
 
     Every stream goes through one packed inverse.  The slope is closed form
     by I-MMSE: an active entry's power moves as -1/(W * lam * dlog mmse/dsnr).
@@ -99,9 +99,7 @@ def _evaluate(problem: EpochProblem, bank, level: float):
     lam = problem.gains
     psi = 1.0 / (level * lam)
     snr, dlog = _invert(bank, np.arange(lam.shape[0])[:, None], psi)
-    powers = snr / lam
-    slope = np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
-    return powers, problem.ts * float(powers.sum()), problem.ts * float(slope.sum())
+    return snr / lam, np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
 
 
 def _level_cap(problem: EpochProblem) -> tuple[float, int]:
@@ -155,82 +153,64 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
     Zero budgets return level 0 with all powers zero.  The level search is
     a bracketed Newton iteration started at the Gaussian water level, which
     never exceeds the answer (a unit-power input's mmse is at most the
-    Gaussian one).  A budget that even the level cap under-spends raises
-    TableRangeError naming the stream (counted from 1) and the cap; failure
-    to converge raises ConvergenceError with the final bracket.
+    Gaussian one).  When no double between the bracket ends spends the
+    budget, the powers at the under-spending end take the shortfall along
+    their slopes dP/dW: one tangent step of W.  A budget that even the
+    level cap under-spends raises TableRangeError naming the stream
+    (counted from 1) and the cap; failure to converge raises
+    ConvergenceError with the final bracket.
     """
     if problem.budget == 0.0:
         return EpochSolution(0.0, np.zeros_like(problem.gains), 0.0, hg_calls=1)
 
-    budget = problem.budget
+    budget, ts = problem.budget, problem.ts
     bank = _bank(problem.tables)
     cap, k_cap = _level_cap(problem)
     # spent(lo) < budget <= spent(hi) once hi is evaluated; below the
     # strongest entry's activation level nothing is spent
     lo, hi = 1.0 / float(problem.gains.max()), cap
     spent_lo, spent_hi = 0.0, math.inf
-    sub_ulp = lo + budget / problem.ts == lo    # classical_wf finds no level above lo
-    x = lo if sub_ulp else min(classical_wf(problem.gains, budget, problem.ts).water_level, cap)
+    powers_lo = rates_lo = rates_hi = np.zeros_like(problem.gains)
+    x = min(classical_wf(problem.gains, budget, ts).water_level, cap)
     for evals in range(1, MAX_ITER + 1):
-        spent, slope = _evaluate(problem, bank, x)[1:]
+        powers, rates = _evaluate(problem, bank, x)
+        spent, slope = ts * float(powers.sum()), ts * float(rates.sum())
         if spent < budget and x == cap:
             raise TableRangeError(
                 f"budget {budget!r} J needs a water level beyond the modeled snr range of "
                 f"stream {k_cap + 1} ({problem.tables[k_cap].label}), which caps it at "
                 f"{cap!r}; rebuild with larger snr_max")
-        if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # nothing left to settle
+        if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # this level spends the budget
             level = x
+            powers = np.array([power_at_level(t, g, level)
+                               for t, g in zip(problem.tables, problem.gains)])
             break
         if spent < budget:
-            lo, spent_lo = x, spent
+            lo, spent_lo, powers_lo, rates_lo = x, spent, powers, rates
         else:
-            hi, spent_hi = x, spent
+            hi, spent_hi, rates_hi = x, spent, rates
         hi_open = spent_hi == math.inf
         x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
         if not (lo < x < hi or (x == hi and hi_open)):
-            # the bracket holds no double between its ends: take the end
-            # with active entries nearest the budget
+            # the bracket holds no double between its ends: report the end
+            # with active entries nearest the budget, and step the powers
+            # at lo along their slopes (those at hi if none is active at lo)
             level = lo if 0.0 < spent_lo and budget - spent_lo < spent_hi - budget else hi
+            rates = rates_lo if rates_lo.any() else rates_hi
+            powers = powers_lo + (budget - spent_lo) / ts * (rates / rates.sum())
             break
     else:
         raise ConvergenceError(
             f"epoch solve did not converge in {MAX_ITER} evaluations", bracket=(lo, hi)
         )
-    powers = np.array([power_at_level(t, g, level) for t, g in zip(problem.tables, problem.gains)])
-    powers, spent = _settle_residual(problem, powers)
-    if abs(spent - budget) > ENERGY_RTOL * budget:
+    spent = ts * float(powers.sum())
+    if not abs(spent - budget) <= ENERGY_RTOL * budget:
         raise ConvergenceError(
             f"epoch solve left an energy residual of "
             f"{abs(spent - budget) / budget:.3e} (relative)",
             bracket=(lo, hi),
         )
     return EpochSolution(float(level), powers, spent, hg_calls=1, evals=evals)
-
-
-def _settle_residual(problem, powers):
-    """Spread the sub-lattice energy residue uniformly over active entries.
-
-    When the level sits at very large 1/lam floors, one ulp of W moves the
-    spent energy by more than the 1e-9 contract, so no representable level
-    hits the budget exactly.  The leftover is at most a few W-lattice steps
-    of energy; splitting it across active entries perturbs each power by
-    less than one lattice step and leaves the stationarity residual at the
-    same machine-noise scale.
-    """
-    spent = problem.ts * float(powers.sum())
-    budget = problem.budget
-    for _ in range(64):
-        delta = budget - spent
-        if abs(delta) <= 0.5 * ENERGY_RTOL * budget:
-            break
-        active = powers > 0.0
-        m = int(active.sum())
-        if m == 0:
-            break
-        per = delta / (problem.ts * m)
-        powers = np.maximum(powers + per * active, 0.0)
-        spent = problem.ts * float(powers.sum())
-    return powers, spent
 
 
 def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
@@ -256,7 +236,9 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     m_range = np.arange(1, floors.size + 1)
     levels = (target + csum) / m_range
     feasible = levels > floors  # level must sit above the last active floor
-    m = int(np.nonzero(feasible)[0].max()) + 1
+    m = int(np.nonzero(feasible)[0].max(initial=0)) + 1
     level = float((target + csum[m - 1]) / m)
     powers = np.maximum(level - 1.0 / g, 0.0)
+    if not powers.any():   # below one ulp of the top floor: the strongest entry takes it all
+        powers.flat[np.argmax(g)] = target
     return EpochSolution(level, powers, ts * float(powers.sum()), hg_calls=1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mercuryflow import constellations as cons
-from mercuryflow.errors import InvalidInputError
+from mercuryflow.errors import InvalidInputError, QuadratureAccuracyError
 
 FINITE = ("bpsk", "4pam", "16pam", "32pam")
 
@@ -114,6 +114,21 @@ def test_mmse_bpsk_against_monte_carlo():
     err = (x - np.tanh(y)) ** 2
     mc, ci = float(err.mean()), 3.0 * float(err.std()) / math.sqrt(n)
     assert abs(cons.mmse_exact(cons.bpsk(), 1.0) - mc) < ci
+
+
+@pytest.mark.parametrize("fn,what", [
+    (cons.mmse_exact, "mmse"),
+    (cons.mmse_derivative, "mmse-derivative"),
+])
+def test_pairwise_step_mismatch_raises(monkeypatch, fn, what):
+    # a rule whose estimates move with the step fails the half-step check
+    monkeypatch.setattr(cons, "_pairwise_mmse", lambda c, snr, step=1.0: (step, -step))
+    c, sign = cons.by_name("4pam"), 1.0 if what == "mmse" else -1.0
+    with pytest.raises(QuadratureAccuracyError) as err:
+        fn(c, 2.0)
+    assert str(err.value) == f"{what} quadrature for 4pam did not converge at snr=2.0"
+    assert (err.value.coarse, err.value.fine) == (sign, sign * cons._PAIR_STEP / 2.0)
+    assert fn(c, 2.0, check=False) == sign
 
 
 def test_mmse_negative_snr_rejected():

@@ -118,6 +118,21 @@ def test_dwf_strategy_matches_nda_on_gaussian_inputs(builtin_tables):
     assert np.max(np.abs(dwf.powers - ref.powers)) <= 1e-8 * max(1.0, float(ref.powers.max()))
 
 
+def test_gaussian_baselines_take_a_sub_ulp_pool_packet():
+    # pool 2's packet is below one ulp of energy at its top floor 1/gain
+    s = scn.Scenario(
+        n=4, k=1, ts=1.0, gains=np.ones((1, 4)), arrivals=((1, 1.0), (3, 1e-18)),
+        constellations=(cons.by_name("bpsk"),),
+    )
+    pbp = ev.run_strategy(s, "pbp-wf")
+    assert pbp.powers[0, 2:].tolist() == [1e-18, 0.0]
+    assert pbp.pool_water_levels[1] == 1.0
+    dwf = ev.run_strategy(s, "dwf")
+    assert len(dwf.epochs) == 1 and dwf.powers.sum() == pytest.approx(1.0, rel=1e-12)
+    for alloc in (pbp, dwf):
+        assert onl.causal_ecc_check(s, alloc)[0]
+
+
 def test_dominance_random_ensemble(builtin_tables):
     rng = np.random.default_rng(23)
     names = ("bpsk", "4pam", "16pam", "32pam")

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from mercuryflow import constellations as cons
+from mercuryflow import evaluation as ev
 from mercuryflow import offline as off
 from mercuryflow import online as onl
 from mercuryflow import scenario as scn
-from mercuryflow.errors import InvalidInputError
+from mercuryflow.errors import InvalidInputError, TableRangeError
 
 
 def gaussian_scenario(energies, n, gains=None, k=1, ts=1.0):
@@ -199,6 +202,55 @@ def test_nda_fsa_agree_on_random_scenarios(builtin_tables):
         assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale
         assert off.kkt_verify(s, a, tables=tabs).passed
         assert off.kkt_verify(s, f, tables=tabs).passed
+
+
+_FUZZ_NAMES = ("gaussian", "bpsk", "4pam", "16pam", "32pam")
+
+
+def _wide_range_scenario(rng):
+    """Gains log-uniform in 1e-6..1e6, packets in 1e-6..1e3 J (20% zero), ts in e^-7..1."""
+    n, k = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+    j = int(rng.integers(1, n + 1))
+    gains = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=(k, n)))
+    later = rng.choice(np.arange(2, n + 1), size=j - 1, replace=False) if j > 1 else []
+    accesses = np.sort(np.concatenate(([1], later))).astype(int)
+    packets = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), size=j)) * (rng.random(j) >= 0.2)
+    ts = float(np.exp(rng.uniform(-7.0, 0.0)))
+    names = [_FUZZ_NAMES[i] for i in rng.integers(0, len(_FUZZ_NAMES), size=k)]
+    return scn.Scenario(
+        n=n, k=k, ts=ts, gains=gains, arrivals=tuple(zip(accesses.tolist(), packets.tolist())),
+        constellations=tuple(cons.by_name(c) for c in names),
+    )
+
+
+def _solve_or_range_error(solve):
+    try:
+        return solve()
+    except TableRangeError as err:
+        assert re.search(r"stream \d+ \(\w+\), which caps it at \S+", str(err)), str(err)
+        return None
+
+
+def test_wide_range_fuzz_gate():
+    solved = 0
+    for seed in range(300):
+        s = _wide_range_scenario(np.random.default_rng(seed))
+        tabs = off.stream_tables(s)
+        a = _solve_or_range_error(lambda: off.nda_solve(s, tables=tabs))
+        f = _solve_or_range_error(lambda: off.fsa_solve(s, tables=tabs))
+        for name in ("dwf", "pbp-wf"):
+            ev.run_strategy(s, name)
+        assert a is not None or f is None, f"seed {seed}: fsa solves, nda does not"
+        if a is None:
+            continue
+        solved += 1
+        assert off.kkt_verify(s, a, tol=1e-7, tables=tabs).passed, f"seed {seed}"
+        assert a.stats.hg_calls == 2 * s.n_arrivals - len(a.epochs), f"seed {seed}"
+        if f is not None:
+            assert off.kkt_verify(s, f, tol=1e-7, tables=tabs).passed, f"seed {seed}"
+            scale = max(float(a.powers.max()), 1e-12)
+            assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale, f"seed {seed}"
+    assert solved >= 250
 
 
 def test_fixture_from_spec_kkt_and_water_level():

@@ -144,6 +144,15 @@ def test_solve_epoch_range_error_in_one_evaluation(builtin_tables, monkeypatch):
         assert len(calls) <= 2
 
 
+def _assert_sub_lattice_solve(tabs, gains, budget, ts):
+    sol = solve_epoch(EpochProblem(gains=np.array(gains), tables=tabs, budget=budget, ts=ts))
+    assert abs(sol.spent_energy - budget) <= 1e-9 * budget
+    assert np.all(sol.powers >= 0.0) and np.count_nonzero(sol.powers) >= 1
+    floor = 1.0 / np.max(gains)
+    assert floor < sol.water_level <= floor + 4 * np.spacing(floor)
+    assert sol.evals <= 4
+
+
 @pytest.mark.parametrize("names,gains", [
     (("bpsk",), [[1.0]]),
     (("gaussian",), [[1.0]]),
@@ -152,16 +161,23 @@ def test_solve_epoch_range_error_in_one_evaluation(builtin_tables, monkeypatch):
 def test_solve_epoch_sub_lattice_budget(builtin_tables, names, gains):
     # the root lies within one ulp above the strongest entry's activation
     # level, so no representable level spends the budget; the solve returns
-    # the end of the collapsed bracket that has an active entry and settles
-    # the residue there
-    tabs = tuple(builtin_tables[n] for n in names)
-    budget = 1.7e-18
-    sol = solve_epoch(EpochProblem(gains=np.array(gains), tables=tabs, budget=budget, ts=1.0))
-    assert abs(sol.spent_energy - budget) <= 1e-9 * budget
-    assert np.all(sol.powers >= 0.0) and np.count_nonzero(sol.powers) >= 1
-    floor = 1.0 / np.max(gains)
-    assert floor < sol.water_level <= floor + 4 * np.spacing(floor)
-    assert sol.evals <= 4
+    # the end of the collapsed bracket that has an active entry and steps
+    # the powers along their slopes to spend the budget
+    _assert_sub_lattice_solve(tuple(builtin_tables[n] for n in names), gains, 1.7e-18, 1.0)
+
+
+_CRUMB_GAINS = [1.8259023316173926, 0.04853189319861556, 0.08130829985051354, 0.00968547284204158]
+
+
+@pytest.mark.parametrize("names,gains,budget,ts", [
+    # far below one W-ulp of energy: every share of the step stays positive
+    (("32pam",), [[1.0, 1.0]], 1e-300, 1.0),
+    # an online plan of the ensemble pool: no entry is active at the lower end
+    (("bpsk", "4pam", "16pam", "32pam"), [[g, g] for g in _CRUMB_GAINS],
+     1.734723475976807e-18, 0.01),
+])
+def test_solve_epoch_tangent_step_far_below_the_lattice(builtin_tables, names, gains, budget, ts):
+    _assert_sub_lattice_solve(tuple(builtin_tables[n] for n in names), gains, budget, ts)
 
 
 def _ulp_gain(t):
@@ -213,7 +229,8 @@ def test_evaluator_matches_per_stream_powers_and_slope(builtin_tables, names, n_
     cap = min(wf._level_cap(problem)[0], 1e6 / gains.min())
     lo = 0.5 / gains.max()
     level = float(lo * (cap / lo) ** u)
-    powers, spent, slope = wf._evaluate(problem, tb._bank(tabs), level)
+    powers, rates = wf._evaluate(problem, tb._bank(tabs), level)
+    spent, slope = 0.01 * float(powers.sum()), 0.01 * float(rates.sum())
     for k, t in enumerate(tabs):
         ref = power_at_level(t, gains[k], level)
         assert np.all(np.abs(powers[k] - ref) <= 1e-12 * np.abs(ref))
@@ -222,8 +239,8 @@ def test_evaluator_matches_per_stream_powers_and_slope(builtin_tables, names, n_
     # central difference, away from activation kinks and the cap
     h = 1e-5 * level
     assume(level + h < cap and np.all(np.abs(level * gains - 1.0) > 4e-5 * level * gains))
-    diff = (wf._evaluate(problem, tb._bank(tabs), level + h)[1]
-            - wf._evaluate(problem, tb._bank(tabs), level - h)[1]) / (2.0 * h)
+    diff = 0.01 * (wf._evaluate(problem, tb._bank(tabs), level + h)[0].sum()
+                   - wf._evaluate(problem, tb._bank(tabs), level - h)[0].sum()) / (2.0 * h)
     assert slope == pytest.approx(diff, rel=1e-6, abs=1e-300)
 
 
@@ -235,6 +252,15 @@ def test_classical_wf_examples():
     assert z.powers == pytest.approx([0.0])
     with pytest.raises(InvalidInputError):
         classical_wf(np.array([]), 1.0)
+
+
+def test_classical_wf_sub_ulp_budget():
+    # below one ulp of the top floor no level above it exists: the strongest
+    # entry takes the whole budget at that floor
+    sol = classical_wf(np.array([1.0, 0.5]), 1e-18, ts=1.0)
+    assert sol.water_level == 1.0
+    assert sol.powers.tolist() == [1e-18, 0.0]
+    assert sol.spent_energy == 1e-18
 
 
 def test_classical_wf_preserves_shape():
