@@ -89,9 +89,8 @@ def cmd_run(args) -> int:
     s = _load_scenario(args)
     if args.alg == "online" and (args.window is None or args.window < 1):
         raise InvalidInputError("--window must be >= 1 for the online algorithm")
-    name = "mwflow" if args.alg == "nda" else args.alg
     tables = offline.stream_tables(s)
-    alloc = evaluation.run_strategy(s, name, f_w=args.window, tables=tables)
+    alloc = evaluation.run_strategy(s, args.alg, f_w=args.window, tables=tables)
     mi = evaluation.evaluate_mi(s, alloc, tables=tables)
     if args.alg in ("nda", "fsa"):
         ok = offline.kkt_verify(s, alloc, tables=tables).passed
@@ -159,8 +158,7 @@ def cmd_complexity(args) -> int:
 def cmd_trace(args) -> int:
     s = _load_scenario(args)
     tables = offline.stream_tables(s)
-    name = "mwflow" if args.alg == "nda" else args.alg
-    alloc = evaluation.run_strategy(s, name, f_w=args.window, tables=tables)
+    alloc = evaluation.run_strategy(s, args.alg, f_w=args.window, tables=tables)
     out = _out_dir(args)
     path = out / "trace.csv"
     evaluation.trace_csv(s, alloc, tables=tables, path_or_buf=path)

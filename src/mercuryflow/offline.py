@@ -18,6 +18,14 @@ allocation:
   constraint inside it is violated, the last pool is dropped; on success the
   next epoch starts at the first excluded pool.
 
+Range policy: a group whose budget needs a water level beyond the tables'
+cap comes back from :func:`_solve_group` as a :class:`TableRangeError` whose
+message starts ``accesses s-e:``, the group's first and last access.  NDA
+places it at level +inf, so it merges with the next group; FSA drops such a
+multi-pool candidate like one that breaks causality.  An error left among
+the final epochs is raised, and so is FSA's first dropped one if any level
+falls from one final epoch to the next.
+
 Optimality of either output is checked by :func:`kkt_verify`: per-stream
 stationarity, cumulative energy causality with a terminally empty battery,
 non-decreasing water levels, and level changes only at empty-battery
@@ -40,6 +48,9 @@ from .errors import InvalidInputError, TableRangeError
 from .scenario import Scenario
 from .tables import MmseTable, table_for
 from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epoch
+
+# what solving a group gives: its epoch, or the TableRangeError it ran into
+_Solved = EpochSolution | TableRangeError
 
 __all__ = [
     "Pool",
@@ -124,9 +135,9 @@ def build_pools(arrivals, n: int) -> list[Pool]:
     return pools
 
 
-def stream_tables(scenario: Scenario, **table_kwargs) -> tuple[MmseTable, ...]:
+def stream_tables(scenario: Scenario) -> tuple[MmseTable, ...]:
     """One cached mmse table per stream of the scenario."""
-    return tuple(table_for(c, **table_kwargs) for c in scenario.constellations)
+    return tuple(table_for(c) for c in scenario.constellations)
 
 
 def _solve_group(
@@ -134,30 +145,48 @@ def _solve_group(
     tables: tuple[MmseTable, ...] | None,
     group: list[Pool],
     stats: RunStats,
-) -> EpochSolution:
+) -> _Solved:
     """Solve a run of pools as one epoch and count the call in ``stats``.
 
-    ``tables=None`` solves by exact Gaussian water-filling.
+    ``tables=None`` solves by exact Gaussian water-filling.  A group beyond
+    the tables' cap returns its TableRangeError (the module's range policy).
     """
     start, end = group[0].start, group[-1].end
     gains = scenario.gains[:, start - 1 : end]
     budget = sum(p.energy for p in group)
+    stats.hg_calls += 1
     if tables is None:
         sol = classical_wf(gains, budget=budget, ts=scenario.ts)
     else:
-        sol = solve_epoch(EpochProblem(gains=gains, tables=tables, budget=budget, ts=scenario.ts))
-    stats.hg_calls += sol.hg_calls
+        try:
+            sol = solve_epoch(EpochProblem(gains, tables, budget, scenario.ts))
+        except TableRangeError as err:
+            return TableRangeError(f"accesses {start}-{end}: {err}")
     stats.spent_evals += sol.evals
     return sol
+
+
+def _falls(first: _Solved, second: _Solved) -> bool:
+    """Whether the water level falls from one solved group to the next.
+
+    Exact ties (1e-12 relative) do not fall; a returned TableRangeError
+    stands at level +inf.
+    """
+    w0, w1 = (math.inf if isinstance(s, TableRangeError) else s.water_level
+              for s in (first, second))
+    return w0 > w1 * (1.0 + 1e-12)
 
 
 def _assemble(
     scenario: Scenario,
     pools: list[Pool],
     groups: list[list[Pool]],
-    sols: list[EpochSolution],
+    sols: list[_Solved],
     stats: RunStats,
 ) -> Allocation:
+    for sol in sols:
+        if isinstance(sol, TableRangeError):
+            raise sol
     powers = np.zeros((scenario.k, scenario.n))
     pool_levels = np.empty(len(pools))
     access_levels = np.empty(scenario.n)
@@ -182,36 +211,18 @@ def _assemble(
 
 
 def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Allocation:
-    """Merge-on-decrease over the pools as a one-pass stack of epochs.
-
-    A group that needs a level beyond the tables' cap counts as level +inf,
-    so it merges with the next group; its error is raised only if it is
-    still on the stack at the end.
-    """
+    """Merge-on-decrease over the pools as a one-pass stack of epochs."""
     pools = build_pools(scenario.arrivals, scenario.n)
     stats = RunStats()
-
-    def solve(group):
-        try:
-            return _solve_group(scenario, tables, group, stats)
-        except TableRangeError as err:
-            stats.hg_calls += 1
-            return err
-
-    singles = [solve([p]) for p in pools]
+    singles = [_solve_group(scenario, tables, [p], stats) for p in pools]
     groups: list[list[Pool]] = []
-    sols: list[EpochSolution | TableRangeError] = []
+    sols: list[_Solved] = []
     for p, sol in zip(pools, singles):
         groups.append([p])
         sols.append(sol)
-        # exact level ties count as non-decreasing; a deferred error stands at +inf
-        while len(sols) > 1 and (getattr(sols[-2], "water_level", math.inf)
-                                 > getattr(sols[-1], "water_level", math.inf) * (1.0 + 1e-12)):
+        while len(sols) > 1 and _falls(sols[-2], sols[-1]):
             groups[-2:] = [groups[-2] + groups[-1]]
-            sols[-2:] = [solve(groups[-1])]
-    for sol in sols:
-        if isinstance(sol, TableRangeError):
-            raise sol
+            sols[-2:] = [_solve_group(scenario, tables, groups[-1], stats)]
     return _assemble(scenario, pools, groups, sols, stats)
 
 
@@ -247,19 +258,24 @@ def fsa_solve(
     slack = 1e-9 * max(scenario.total_energy, 1.0)
     stats = RunStats()
     groups: list[list[Pool]] = []
-    sols: list[EpochSolution] = []
+    sols: list[_Solved] = []
+    dropped: list[TableRangeError] = []
     start = 0
     while start < n_pools:
         end = n_pools
         while True:
             group = pools[start:end]
             sol = _solve_group(scenario, tables, group, stats)
-            if _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack):
+            if isinstance(sol, TableRangeError) and len(group) > 1:
+                dropped.append(sol)
+            elif _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack):
                 break
             end -= 1  # drop the last pool and retry
         groups.append(group)
         sols.append(sol)
         start = end
+    if dropped and any(map(_falls, sols, sols[1:])):
+        raise dropped[0]
     return _assemble(scenario, pools, groups, sols, stats)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .offline import Allocation, RunStats, _ledger, build_pools
+from .offline import Allocation, RunStats, _ledger, build_pools, stream_tables
 from .scenario import Scenario
 from .tables import MmseTable
 from .waterfill import EpochProblem, solve_epoch
@@ -43,8 +43,6 @@ def online_solve(
     if not isinstance(f_w, (int, np.integer)) or f_w < 1:
         raise InvalidInputError(f"flowing window must be an integer >= 1, got {f_w!r}")
     if tables is None:
-        from .offline import stream_tables
-
         tables = stream_tables(scenario)
     events = detect_events(scenario)
     arrivals = dict(scenario.arrivals)
@@ -67,7 +65,7 @@ def online_solve(
                 ts=scenario.ts,
             )
         )
-        stats.hg_calls += sol.hg_calls
+        stats.hg_calls += 1
         stats.spent_evals += sol.evals
         commit_end = events[t + 1] - 1 if t + 1 < len(events) else n
         upto = min(w_end, commit_end)

@@ -24,6 +24,7 @@ inverse = 1/psi - 1, mercury factor identically 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,28 @@ DEFAULT_N_POINTS = 2048
 MMSE_FLOOR = 1.0e-250
 
 _LN2 = math.log(2.0)
+
+# the arrays of a table record; .npz snapshots store them under these keys
+_ARRAYS = ("snr_grid", "mmse_values", "mi_values", "log_mmse", "dlog_mmse")
+
+
+def _query(name: str, strict: bool):
+    """Decorate a map of ``(obj, x, ...)`` with the one query check.
+
+    ``x`` must be finite and > 0 (``strict``) or >= 0, else
+    :class:`InvalidInputError` names it; the map gets it as a 1-d float
+    array, and a scalar ``x`` gets a float back.
+    """
+    def deco(fn):
+        @functools.wraps(fn)
+        def checked(obj, x, *rest, **kw):
+            v = np.atleast_1d(np.asarray(x, dtype=float))
+            if not np.all(np.isfinite(v)) or np.any(v <= 0.0 if strict else v < 0.0):
+                raise InvalidInputError(f"{name} must be finite and {'>' if strict else '>='} 0")
+            out = fn(obj, v, *rest, **kw)
+            return float(out[0]) if np.isscalar(x) else out
+        return checked
+    return deco
 
 
 def _hermite_eval(x, xs, ys, ds):
@@ -66,7 +89,8 @@ def _hermite_eval(x, xs, ys, ds):
     )
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, so a tuple of tables keys the bank cache
+@dataclass(frozen=True, eq=False)
 class MmseTable:
     """Monotone (snr -> mmse, mi) grid for one constellation, invertible."""
 
@@ -99,23 +123,18 @@ class MmseTable:
 
     # -- forward maps --------------------------------------------------
 
+    @_query("snr", strict=False)
     def mmse_at(self, snr):
         """Interpolated mmse; scalar in, scalar out (arrays pass through)."""
-        scalar = np.isscalar(snr)
-        s = np.atleast_1d(np.asarray(snr, dtype=float))
-        if np.any(s < 0.0) or not np.all(np.isfinite(s)):
-            raise InvalidInputError("snr must be finite and >= 0")
         if self.is_gaussian:
-            out = 1.0 / (1.0 + s)
-        else:
-            if np.any(self._past_top(s)):
-                raise TableRangeError(
-                    f"snr {float(s.max())!r} beyond the {self.label} table top "
-                    f"{self.snr_top!r}; rebuild with a larger snr_max"
-                )
-            out = np.exp(_hermite_eval(np.minimum(s, self.snr_top),
-                                       self.snr_grid, self.log_mmse, self.dlog_mmse))
-        return float(out[0]) if scalar else out
+            return 1.0 / (1.0 + snr)
+        if np.any(self._past_top(snr)):
+            raise TableRangeError(
+                f"snr {float(snr.max())!r} beyond the {self.label} table top "
+                f"{self.snr_top!r}; rebuild with a larger snr_max"
+            )
+        return np.exp(_hermite_eval(np.minimum(snr, self.snr_top),
+                                    self.snr_grid, self.log_mmse, self.dlog_mmse))
 
     def _past_top(self, s):
         """Mask of finite snr values beyond the modeled range; none for Gaussian."""
@@ -123,54 +142,38 @@ class MmseTable:
             return np.zeros(np.shape(s), dtype=bool)
         return np.isfinite(s) & (s > self.snr_top * (1.0 + 1e-12))
 
+    @_query("snr", strict=False)
     def mi_at(self, snr):
         """Interpolated mutual information in bits; saturates past the grid top."""
-        scalar = np.isscalar(snr)
-        s = np.atleast_1d(np.asarray(snr, dtype=float))
-        if np.any(s < 0.0) or not np.all(np.isfinite(s)):
-            raise InvalidInputError("snr must be finite and >= 0")
         if self.is_gaussian:
-            out = 0.5 * np.log2(1.0 + s)
-        else:
-            # d mi/d snr = mmse/(2 ln 2); beyond the stored tail the residual
-            # integral is below the positivity floor, so clamping is exact
-            # at double precision.
-            dmi = self.mmse_values / (2.0 * _LN2)
-            out = _hermite_eval(np.minimum(s, self.snr_top),
-                                self.snr_grid, self.mi_values, dmi)
-        return float(out[0]) if scalar else out
+            return 0.5 * np.log2(1.0 + snr)
+        # d mi/d snr = mmse/(2 ln 2); beyond the stored tail the residual
+        # integral is below the positivity floor, so clamping is exact
+        # at double precision.
+        dmi = self.mmse_values / (2.0 * _LN2)
+        return _hermite_eval(np.minimum(snr, self.snr_top), self.snr_grid, self.mi_values, dmi)
 
     # -- inverse map ----------------------------------------------------
 
+    @_query("psi", strict=True)
     def mmse_inverse(self, psi):
         """snr such that mmse(snr) = psi; exact inverse of :meth:`mmse_at`.
 
         psi >= 1 maps to 0 (mmse(0) = 1).  psi at or below the table floor
         raises :class:`TableRangeError`.
         """
-        scalar = np.isscalar(psi)
-        p = np.atleast_1d(np.asarray(psi, dtype=float))
-        if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
-            raise InvalidInputError("psi must be finite and > 0")
-        out = _invert(_bank((self,)), 0, p)[0]
-        return float(out[0]) if scalar else out
+        return _invert(_bank((self,)), 0, psi)[0]
 
     # -- mercury factor ---------------------------------------------------
 
+    @_query("psi", strict=True)
     def mercury_factor(self, psi):
-        """G(psi) = 1/psi - mmse_inverse(psi) for psi in (0,1); 1 for psi >= 1."""
-        scalar = np.isscalar(psi)
-        p = np.atleast_1d(np.asarray(psi, dtype=float))
-        if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
-            raise InvalidInputError("psi must be finite and > 0")
-        if self.is_gaussian:
-            out = np.ones_like(p)
-            return float(out[0]) if scalar else out
-        out = np.ones_like(p)
-        active = p < 1.0
+        """G(psi) = 1/psi - mmse_inverse(psi) on (0, 1); 1 for psi >= 1 or a Gaussian table."""
+        out = np.ones_like(psi)
+        active = (psi < 1.0) & (not self.is_gaussian)
         if np.any(active):
-            out[active] = 1.0 / p[active] - self.mmse_inverse(p[active])
-        return float(out[0]) if scalar else out
+            out[active] = 1.0 / psi[active] - self.mmse_inverse(psi[active])
+        return out
 
     # -- persistence ------------------------------------------------------
 
@@ -184,8 +187,11 @@ class MmseTable:
         emit("snr,mmse,mi_bits\n" + rows, path_or_buf)
 
 
-def _pack(tables):
+@functools.lru_cache(maxsize=64)
+def _bank(tables: tuple[MmseTable, ...]) -> tuple:
     """The bank of a tuple of tables: their grids concatenated for one pass.
+
+    Cached per tuple of tables (by identity), so each epoch's bank is packed once.
 
     Returns ``(keys, cells, offset, floor, gaussian, tables)``.  Table k's
     search keys are ``offset[k] - log mmse`` at its nodes (its first key sits
@@ -291,49 +297,27 @@ def build_table(
 
     if c.is_gaussian:
         mmse = 1.0 / (1.0 + grid)
-        mi = 0.5 * np.log2(1.0 + grid)
-        return MmseTable(
-            constellation=c,
-            snr_grid=grid,
-            mmse_values=mmse,
-            mi_values=mi,
-            log_mmse=np.log(mmse),
-            dlog_mmse=-1.0 / (1.0 + grid),
-            snr_max_requested=snr_max,
-        )
-
-    mmse, dmmse = _sweep_mmse(c, grid)
-
-    # truncate the numerically meaningless tail before invariant checks
-    keep = mmse.size
-    while keep > 2 and (
-        mmse[keep - 1] < MMSE_FLOOR
-        or mmse[keep - 1] <= 0.0
-        or mmse[keep - 1] >= mmse[keep - 2]
-    ):
-        keep -= 1
-    grid, mmse, dmmse = grid[:keep], mmse[:keep], dmmse[:keep]
-    _verify_grid(grid, mmse, c.label)
-
-    mi = _integrate_mi(grid, mmse, dmmse)
-    if np.any(np.diff(mi) < -1e-12):
+        mi, dlog = 0.5 * np.log2(1.0 + grid), -mmse
+    else:
+        mmse, dmmse = _sweep_mmse(c, grid)
+        # truncate the numerically meaningless tail before invariant checks
+        keep = mmse.size
+        while keep > 2 and (
+            mmse[keep - 1] < MMSE_FLOOR or mmse[keep - 1] >= mmse[keep - 2]
+        ):
+            keep -= 1
+        grid, mmse, dmmse = grid[:keep], mmse[:keep], dmmse[:keep]
+        _verify_grid(grid, mmse, c.label)
+        mi = _integrate_mi(grid, mmse, dmmse)
         bad = np.nonzero(np.diff(mi) < -1e-12)[0]
-        raise TableBuildError(
-            f"{c.label}: mutual information decreases at indices {bad[:8].tolist()}",
-            indices=bad.tolist(),
-        )
-    cap = c.max_information_bits()
-    mi = np.minimum(np.maximum.accumulate(mi), cap)
-
-    return MmseTable(
-        constellation=c,
-        snr_grid=grid,
-        mmse_values=mmse,
-        mi_values=mi,
-        log_mmse=np.log(mmse),
-        dlog_mmse=dmmse / mmse,
-        snr_max_requested=snr_max,
-    )
+        if bad.size:
+            raise TableBuildError(
+                f"{c.label}: mutual information decreases at indices {bad[:8].tolist()}",
+                indices=bad.tolist(),
+            )
+        mi = np.minimum(np.maximum.accumulate(mi), c.max_information_bits())
+        dlog = dmmse / mmse
+    return MmseTable(c, grid, mmse, mi, np.log(mmse), dlog, snr_max)
 
 
 _SWEEP_ORDERS = (96, 192)
@@ -402,9 +386,6 @@ def _integrate_mi(grid, mmse, dmmse) -> np.ndarray:
 CACHE_ENV_VAR = "MERCURYFLOW_TABLE_CACHE"
 
 _TABLE_CACHE: dict[tuple, MmseTable] = {}
-# banks by the ids of their tables; a bank holds its tables, so no id is reused
-_BANKS: dict[tuple[int, ...], tuple] = {}
-_MAX_BANKS = 64
 
 
 def _disk_path(c: Constellation, snr_max: float, n_points: int):
@@ -423,15 +404,7 @@ def _from_disk(c: Constellation, path, snr_max: float) -> MmseTable | None:
     if path is None or not path.exists():
         return None
     with np.load(path) as z:
-        return MmseTable(
-            constellation=c,
-            snr_grid=z["snr_grid"],
-            mmse_values=z["mmse_values"],
-            mi_values=z["mi_values"],
-            log_mmse=z["log_mmse"],
-            dlog_mmse=z["dlog_mmse"],
-            snr_max_requested=snr_max,
-        )
+        return MmseTable(constellation=c, snr_max_requested=snr_max, **{f: z[f] for f in _ARRAYS})
 
 
 def table_for(
@@ -453,29 +426,12 @@ def table_for(
             tab = build_table(c, snr_max=snr_max, n_points=n_points)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                np.savez(
-                    path,
-                    snr_grid=tab.snr_grid,
-                    mmse_values=tab.mmse_values,
-                    mi_values=tab.mi_values,
-                    log_mmse=tab.log_mmse,
-                    dlog_mmse=tab.dlog_mmse,
-                )
+                np.savez(path, **{f: getattr(tab, f) for f in _ARRAYS})
         _TABLE_CACHE[key] = tab
     return tab
 
 
-def _bank(tables) -> tuple:
-    """The packed bank of a tuple of tables (see :func:`_pack`), built on first use."""
-    key = tuple(map(id, tables))
-    bank = _BANKS.get(key)
-    if bank is None:
-        if len(_BANKS) >= _MAX_BANKS:
-            _BANKS.clear()
-        bank = _BANKS[key] = _pack(tables)
-    return bank
-
-
 def clear_cache() -> None:
+    """Forget every table and bank this process holds (the disk cache stays)."""
     _TABLE_CACHE.clear()
-    _BANKS.clear()
+    _bank.cache_clear()

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, InvalidInputError, TableRangeError
-from .tables import MmseTable, _bank, _invert
+from .tables import MmseTable, _bank, _invert, _query
 
 __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "classical_wf"]
 
@@ -40,7 +40,7 @@ class EpochProblem:
     """One epoch: gains (K x L) over L accesses, a table per stream, a budget."""
 
     gains: NDArray[np.float64]        # (K, L), linear power gains > 0
-    tables: tuple[MmseTable, ...]     # one per stream
+    tables: tuple[MmseTable, ...]     # one per stream; any sequence, kept as a tuple
     budget: float                     # Joules, spent exactly over the epoch
     ts: float                         # symbol duration, seconds
 
@@ -59,6 +59,7 @@ class EpochProblem:
         if not self.ts > 0.0:
             raise InvalidInputError(f"ts must be > 0, got {self.ts!r}")
         object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "tables", tuple(self.tables))
 
 
 @dataclass(frozen=True)
@@ -66,27 +67,21 @@ class EpochSolution:
     water_level: float
     powers: NDArray[np.float64]       # (K, L)
     spent_energy: float
-    hg_calls: int = 1
     evals: int = 0                    # spent-energy evaluations of the level search
 
 
+@_query("gain", strict=True)
 def power_at_level(table: MmseTable, lam, level):
     """Power of one stream at water level ``level``: zero once level*lam <= 1.
 
     Accepts scalar or vector ``lam``; strictly increasing in ``level`` once
     positive, which is what makes the epoch level search valid.
     """
-    scalar = np.isscalar(lam)
-    lam_v = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_v <= 0.0) or not np.all(np.isfinite(lam_v)):
-        raise InvalidInputError("gain must be finite and > 0")
     if not (math.isfinite(level) and level >= 0.0):
         raise InvalidInputError(f"water level must be finite and >= 0, got {level!r}")
-    out = np.zeros_like(lam_v)
-    if level > 0.0:
-        psi = np.minimum(1.0 / (level * lam_v), 1.0)
-        out = table.mmse_inverse(psi) / lam_v
-    return float(out[0]) if scalar else out
+    if level == 0.0:
+        return np.zeros_like(lam)
+    return table.mmse_inverse(np.minimum(1.0 / (level * lam), 1.0)) / lam
 
 
 def _evaluate(problem: EpochProblem, bank, level: float):
@@ -161,7 +156,7 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
     ConvergenceError with the final bracket.
     """
     if problem.budget == 0.0:
-        return EpochSolution(0.0, np.zeros_like(problem.gains), 0.0, hg_calls=1)
+        return EpochSolution(0.0, np.zeros_like(problem.gains), 0.0)
 
     budget, ts = problem.budget, problem.ts
     bank = _bank(problem.tables)
@@ -210,7 +205,7 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
             f"{abs(spent - budget) / budget:.3e} (relative)",
             bracket=(lo, hi),
         )
-    return EpochSolution(float(level), powers, spent, hg_calls=1, evals=evals)
+    return EpochSolution(float(level), powers, spent, evals=evals)
 
 
 def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
@@ -229,7 +224,7 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     if not ts > 0.0:
         raise InvalidInputError(f"ts must be > 0, got {ts!r}")
     if budget == 0.0:
-        return EpochSolution(0.0, np.zeros_like(g), 0.0, hg_calls=1)
+        return EpochSolution(0.0, np.zeros_like(g), 0.0)
     floors = np.sort(1.0 / g.ravel())
     target = budget / ts
     csum = np.cumsum(floors)
@@ -241,4 +236,4 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     powers = np.maximum(level - 1.0 / g, 0.0)
     if not powers.any():   # below one ulp of the top floor: the strongest entry takes it all
         powers.flat[np.argmax(g)] = target
-    return EpochSolution(level, powers, ts * float(powers.sum()), hg_calls=1)
+    return EpochSolution(level, powers, ts * float(powers.sum()))

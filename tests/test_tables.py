@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mercuryflow import constellations as cons
 from mercuryflow import tables as tb
 from mercuryflow.errors import InvalidInputError, TableBuildError, TableRangeError
+from mercuryflow.waterfill import power_at_level
 
 from conftest import FINITE_BUILTINS
 
@@ -47,6 +49,31 @@ def test_inverse_below_floor_raises_range_error(builtin_tables):
     t = builtin_tables["bpsk"]
     with pytest.raises(TableRangeError, match="snr_max"):
         t.mmse_inverse(t.mmse_floor * 0.5)
+
+
+_MAPS = {
+    "mmse_at": (lambda t, x: t.mmse_at(x), "snr must be finite and >= 0", [-1e-300]),
+    "mi_at": (lambda t, x: t.mi_at(x), "snr must be finite and >= 0", [-1.0]),
+    "mmse_inverse": (lambda t, x: t.mmse_inverse(x), "psi must be finite and > 0", [0.0, -0.5]),
+    "mercury_factor": (lambda t, x: t.mercury_factor(x), "psi must be finite and > 0", [0.0, -2.0]),
+    "power_at_level": (lambda t, x: power_at_level(t, x, 1.5), "gain must be finite and > 0",
+                       [0.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+@pytest.mark.parametrize("label", ["bpsk", "gaussian"])
+def test_query_check_rejects_and_shapes(builtin_tables, name, label):
+    fn, message, out_of_range = _MAPS[name]
+    t = builtin_tables[label]
+    for bad in [math.nan, math.inf, -math.inf, *out_of_range]:
+        for x in (bad, np.array([0.5, bad])):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                fn(t, x)
+    assert type(fn(t, 0.5)) is float
+    out = fn(t, np.array([0.5, 0.7]))
+    assert isinstance(out, np.ndarray) and out.shape == (2,)
+    assert out[0] == fn(t, 0.5)
 
 
 def test_forward_beyond_top_raises(builtin_tables):
@@ -147,9 +174,11 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     tb.clear_cache()
     try:
         small = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
+        small.mmse_inverse(0.5)   # packs the table's bank
         files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
         tb.clear_cache()
+        assert tb._bank.cache_info().currsize == 0
         again = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
         assert np.array_equal(small.snr_grid, again.snr_grid)
         assert np.array_equal(small.mmse_values, again.mmse_values)

@@ -53,7 +53,6 @@ def test_solve_epoch_two_stream_gaussian(gauss):
     sol = solve_epoch(p)
     assert sol.water_level == pytest.approx(3.0, rel=1e-10)
     assert sol.powers.ravel() == pytest.approx([2.0, 1.0], rel=1e-9)
-    assert sol.hg_calls == 1
 
 
 def test_solve_epoch_single_degree_of_freedom(builtin_tables):
