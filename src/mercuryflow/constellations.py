@@ -190,6 +190,17 @@ def _check_args(snr: float) -> float:
     return snr
 
 
+def _halved(c: Constellation, i: np.ndarray, j: np.ndarray):
+    """(i, j, weight) of the index pairs a sum over (i, j) needs.
+
+    On a mirror-symmetric constellation term (i, j) equals term (Q-1-j, Q-1-i),
+    so only i + j <= Q-1 is kept, the terms below with weight 2.
+    """
+    sym = np.array_equal(c.points, -c.points[::-1]) and np.array_equal(c.probs, c.probs[::-1])
+    keep = (i + j <= c.cardinality - 1) | (not sym)
+    return i[keep], j[keep], np.where(sym & (i + j < c.cardinality - 1), 2.0, 1.0)[keep]
+
+
 def _pairwise_mmse(
     c: Constellation,
     snr: float,
@@ -206,7 +217,7 @@ def _pairwise_mmse(
     a = math.sqrt(snr)
     logp = np.log(p)
     q = s.size
-    iu, ju = np.triu_indices(q, k=1)
+    iu, ju, wt = _halved(c, *np.triu_indices(q, k=1))
     dsign = s[iu] - s[ju]
     delta = np.abs(dsign)
     ad = a * delta
@@ -214,7 +225,7 @@ def _pairwise_mmse(
     # peak height of each pair term, including the 1/p(y) boost at the midpoint
     peak = pref + ad * ad / 8.0
     keep = peak > (peak.max() - log_cut)
-    iu, ju = iu[keep], ju[keep]
+    iu, ju, wt = iu[keep], ju[keep], wt[keep]
     dsign, delta, ad, pref = dsign[keep], delta[keep], ad[keep], pref[keep]
     mid = a * (s[iu] + s[ju]) / 2.0
     # scale so the sech-like kernel has unit width and a pi/2 analyticity strip
@@ -227,21 +238,30 @@ def _pairwise_mmse(
     h = tau[1] - tau[0]
     t = cs[:, None] * tau[None, :]
     y = mid[:, None] + t
-    expo = logp[None, None, :] - 0.5 * (y[:, :, None] - a * s[None, None, :]) ** 2
+    # posterior sums over the symbols that can lie within log_cut of the node's top exponent
+    sa = a * s
+    k = sa[1:-1].searchsorted(y) + 1  # the closest symbol is k - 1 or k
+    near = np.minimum(np.abs(y - sa[k - 1]), np.abs(y - sa[k]))
+    r = np.sqrt(near * near + 2.0 * (log_cut + logp.max() - logp.min()))
+    lo = sa.searchsorted(y - r)
+    width = int((sa.searchsorted(y + r, side="right") - lo).max())
+    win = np.minimum(lo, q - width)[:, :, None] + np.arange(width)
+    sw = s[win]
+    expo = logp[win] - 0.5 * (y[:, :, None] - sa[win]) ** 2
     em = expo.max(axis=2)
     w = np.exp(expo - em[:, :, None])
     z = w.sum(axis=2)
     log_density = em + np.log(z) - _LOG_SQRT_2PI
     core = np.exp(pref[:, None] - t * t - math.log(2.0 * math.pi) - log_density)
-    mmse = float((core.sum(axis=1) * cs).sum() * h)
+    mmse = float((core.sum(axis=1) * cs * wt).sum() * h)
     # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a)
     w /= z[:, :, None]
-    xhat = (w * s[None, None, :]).sum(axis=2)
-    x2 = (w * (s * s)[None, None, :]).sum(axis=2)
+    xhat = (w * sw).sum(axis=2)
+    x2 = (w * (sw * sw)).sum(axis=2)
     yi = t - (a * dsign / 2.0)[:, None]
     yj = t + (a * dsign / 2.0)[:, None]
     bracket = yi * s[iu][:, None] + yj * s[ju][:, None] - (y * xhat - a * x2)
-    dmmse = float(((core * bracket).sum(axis=1) * cs).sum() * h) / (2.0 * a)
+    dmmse = float(((core * bracket).sum(axis=1) * cs * wt).sum() * h) / (2.0 * a)
     return min(mmse, 1.0), min(dmmse, 0.0)
 
 
@@ -252,12 +272,13 @@ def _gh_mmse_grid(c: Constellation, snr: np.ndarray, order: int) -> tuple[np.nda
     table builder cross-checks it against the pairwise rule before use.
     """
     s = c.points
-    p = c.probs
-    logp = np.log(p)
+    logp = np.log(c.probs)
     nodes, wq = _gh_nodes(order)
+    # symbol j at node n mirrors symbol Q-1-j at node -n
+    j, _, wt = _halved(c, np.arange(s.size), np.arange(s.size))
     a = np.sqrt(snr)[:, None, None, None]                     # (G,1,1,1)
     # y = a s_j + n given transmitted s_j; posterior over s_i
-    diff = (s[:, None] - s[None, :])[None, :, :, None]        # (1,Q_i,Q_j,1)
+    diff = (s[:, None] - s[None, j])[None, :, :, None]        # (1,Q_i,Q_j,1)
     expo = logp[None, :, None, None] - 0.5 * (nodes[None, None, None, :] + a * diff) ** 2
     em = expo.max(axis=1)
     w = np.exp(expo - em[:, None])
@@ -265,8 +286,8 @@ def _gh_mmse_grid(c: Constellation, snr: np.ndarray, order: int) -> tuple[np.nda
     w /= z[:, None]
     xhat = (w * s[None, :, None, None]).sum(axis=1)           # (G,Q_j,R)
     m2 = (w * (s[None, :, None, None] - xhat[:, None]) ** 2).sum(axis=1)
-    mmse = ((m2 * wq[None, None, :]).sum(axis=2) * p[None, :]).sum(axis=1)
-    d = -((m2 * m2 * wq[None, None, :]).sum(axis=2) * p[None, :]).sum(axis=1)
+    mmse = ((m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
+    d = -((m2 * m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
     return np.minimum(mmse, 1.0), np.minimum(d, 0.0)
 
 

@@ -217,6 +217,7 @@ def sweep_energy(
         for i, E in enumerate(grid)
     ]
     curves = {name: np.zeros(grid.size) for name in strategies}
+    stream_tables(base)  # built once here, so forked workers inherit the table cache
     for i, point in _map(_sweep_point, tasks, jobs):
         for name, mi in point.items():
             curves[name][i] = mi

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TableRangeError
 from .offline import Allocation, RunStats, _ledger, build_pools, stream_tables
 from .scenario import Scenario
 from .tables import MmseTable
@@ -57,14 +57,11 @@ def online_solve(
         available = max(harvested - spent, 0.0)
         w_end = min(s_t + f_w - 1, n)
         frozen = np.repeat(scenario.gains[:, s_t - 1 : s_t], w_end - s_t + 1, axis=1)
-        sol = solve_epoch(
-            EpochProblem(
-                gains=frozen,
-                tables=tables,
-                budget=available,
-                ts=scenario.ts,
-            )
-        )
+        problem = EpochProblem(gains=frozen, tables=tables, budget=available, ts=scenario.ts)
+        try:
+            sol = solve_epoch(problem)
+        except TableRangeError as err:
+            raise TableRangeError(f"accesses {s_t}-{w_end}: {err}") from err
         stats.hg_calls += 1
         stats.spent_evals += sol.evals
         commit_end = events[t + 1] - 1 if t + 1 < len(events) else n

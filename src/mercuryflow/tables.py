@@ -350,8 +350,8 @@ def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndar
     done = grid == 0.0
     for order in _SWEEP_ORDERS:
         sel = np.nonzero(~done & (grid <= trust[order]))[0]
-        # chunk the vectorized sweep to bound the (G, Q, Q, R) workspace
-        chunk = max(1, int(4_000_000 / max(c.cardinality**2 * order, 1)))
+        # chunk the vectorized sweep to a cache-sized (G, Q, Q/2, R) workspace
+        chunk = max(1, 250_000 // (c.cardinality * ((c.cardinality + 1) // 2) * order))
         for k in range(0, sel.size, chunk):
             sub = sel[k : k + chunk]
             mmse[sub], dmmse[sub] = _gh_mmse_grid(c, grid[sub], order=order)

@@ -131,6 +131,74 @@ def test_pairwise_step_mismatch_raises(monkeypatch, fn, what):
     assert fn(c, 2.0, check=False) == sign
 
 
+def _reference_pairwise_mmse(c, snr, step, log_cut):
+    """The pairwise rule summed over every pair and every symbol, as a reference."""
+    s = c.points
+    p = c.probs
+    a = math.sqrt(snr)
+    logp = np.log(p)
+    q = s.size
+    iu, ju = np.triu_indices(q, k=1)
+    dsign = s[iu] - s[ju]
+    delta = np.abs(dsign)
+    ad = a * delta
+    pref = logp[iu] + logp[ju] + 2.0 * np.log(delta) - ad * ad / 4.0
+    peak = pref + ad * ad / 8.0
+    keep = peak > (peak.max() - log_cut)
+    iu, ju = iu[keep], ju[keep]
+    dsign, delta, ad, pref = dsign[keep], delta[keep], ad[keep], pref[keep]
+    mid = a * (s[iu] + s[ju]) / 2.0
+    cs = np.minimum(1.0, 2.0 / np.maximum(ad, 1e-300))
+    decay = np.minimum(ad / 2.0, 1.0)
+    t_half = (-decay + np.sqrt(decay * decay + 2.0 * log_cut * cs * cs)) / (cs * cs)
+    t_max = float(t_half.max())
+    n_nodes = max(int(math.ceil(2.0 * t_max / step)) + 1, 9)
+    tau = np.linspace(-t_max, t_max, n_nodes)
+    h = tau[1] - tau[0]
+    t = cs[:, None] * tau[None, :]
+    y = mid[:, None] + t
+    expo = logp[None, None, :] - 0.5 * (y[:, :, None] - a * s[None, None, :]) ** 2
+    em = expo.max(axis=2)
+    w = np.exp(expo - em[:, :, None])
+    z = w.sum(axis=2)
+    log_density = em + np.log(z) - 0.5 * math.log(2.0 * math.pi)
+    core = np.exp(pref[:, None] - t * t - math.log(2.0 * math.pi) - log_density)
+    mmse = float((core.sum(axis=1) * cs).sum() * h)
+    w /= z[:, :, None]
+    xhat = (w * s[None, None, :]).sum(axis=2)
+    x2 = (w * (s * s)[None, None, :]).sum(axis=2)
+    yi = t - (a * dsign / 2.0)[:, None]
+    yj = t + (a * dsign / 2.0)[:, None]
+    bracket = yi * s[iu][:, None] + yj * s[ju][:, None] - (y * xhat - a * x2)
+    dmmse = float(((core * bracket).sum(axis=1) * cs).sum() * h) / (2.0 * a)
+    return min(mmse, 1.0), min(dmmse, 0.0)
+
+
+# zero mean, unit power, and no mirror symmetry
+_SKEWED = cons.Constellation(
+    "discrete", np.array([-2.0, 0.0, 1.0]) / math.sqrt(1.2), np.array([0.2, 0.4, 0.4]), label="skewed3"
+)
+
+
+@pytest.mark.parametrize("c", [*(cons.by_name(n) for n in FINITE), _SKEWED], ids=lambda c: c.label)
+@pytest.mark.parametrize("step,log_cut", [(cons._PAIR_STEP, cons._PAIR_LOG_CUT), (0.4, 40.0)])
+def test_pairwise_rule_matches_all_pairs_reference(c, step, log_cut):
+    # built-ins take the mirror-halved pair set, the skewed input every pair;
+    # both sum posteriors over a window of symbols only
+    mirrored = np.array_equal(c.points, -c.points[::-1]) and np.array_equal(c.probs, c.probs[::-1])
+    assert mirrored == (c is not _SKEWED)
+    checked = 0
+    for snr in np.geomspace(1e-3, 1e4, 24):
+        m_ref, d_ref = _reference_pairwise_mmse(c, float(snr), step, log_cut)
+        if m_ref < 1e-250:
+            continue
+        m, d = cons._pairwise_mmse(c, float(snr), step=step, log_cut=log_cut)
+        assert abs(m - m_ref) <= 1e-13 * m_ref, (snr, m, m_ref)
+        assert abs(d - d_ref) <= 1e-12 * abs(d_ref), (snr, d, d_ref)
+        checked += 1
+    assert checked >= 12
+
+
 def test_mmse_negative_snr_rejected():
     with pytest.raises(InvalidInputError):
         cons.mmse_exact(cons.bpsk(), -0.5)

@@ -172,6 +172,15 @@ def test_sweep_monotone_in_energy_and_dominant(builtin_tables):
     assert res.dominance_gap() <= 1e-9
 
 
+def test_sweep_worker_pool_matches_serial(builtin_tables):
+    params = dict(n=12, k=2, ts=0.01, j=3, constellations=("bpsk", "4pam"),
+                  gain_model="block_random", block_len=4, seed=7)
+    serial = ev.sweep_energy(params, [0.1, 1.0], strategies=("mwflow", "online"), f_w=4)
+    pooled = ev.sweep_energy(params, [0.1, 1.0], strategies=("mwflow", "online"), f_w=4, jobs=2)
+    for name, curve in serial.curves.items():
+        assert np.array_equal(pooled.curves[name], curve)
+
+
 def test_sweep_csv_format():
     params = dict(n=5, k=1, ts=1.0, j=1, constellations=("gaussian",),
                   gain_model="static", seed=5)

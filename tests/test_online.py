@@ -7,7 +7,7 @@ from mercuryflow import constellations as cons
 from mercuryflow import offline as off
 from mercuryflow import online as onl
 from mercuryflow import scenario as scn
-from mercuryflow.errors import InvalidInputError
+from mercuryflow.errors import InvalidInputError, TableRangeError
 
 
 def static_scenario(arrivals, n, k=1, ts=1.0, names=("gaussian",)):
@@ -111,3 +111,12 @@ def test_online_allocation_has_no_pool_levels():
     assert np.all(np.isnan(a.pool_water_levels))
     assert np.all(a.epoch_of_pool == -1)
     assert a.epochs == ()
+
+
+def test_online_range_error_names_the_access(builtin_tables):
+    # one bpsk stream and a packet that drives it past its table top
+    s = static_scenario([(1, 10.0 * builtin_tables["bpsk"].snr_top)], n=3, names=("bpsk",))
+    with pytest.raises(TableRangeError) as err:
+        onl.online_solve(s, 2, tables=(builtin_tables["bpsk"],))
+    assert str(err.value).startswith("accesses 1-2: ")
+    assert "stream 1 (bpsk)" in str(err.value)
