@@ -32,9 +32,7 @@ from .evaluation import (
 from .offline import (
     Allocation,
     Epoch,
-    Pool,
     RunStats,
-    build_pools,
     dwf_reference,
     fsa_solve,
     kkt_verify,
@@ -42,7 +40,7 @@ from .offline import (
     stream_tables,
 )
 from .online import causal_ecc_check, detect_events, online_solve
-from .scenario import Scenario, generate, rescale_energy
+from .scenario import Pool, Scenario, build_pools, generate, rescale_energy
 from .tables import MmseTable, build_table, table_for
 from .waterfill import EpochProblem, EpochSolution, classical_wf, power_at_level, solve_epoch
 

@@ -379,19 +379,16 @@ def mmse_derivative(c: Constellation, snr: float, check: bool = True) -> float:
 _MI_ORDERS = (96, 192, 384, 768)
 
 
-def mutual_information(c: Constellation, snr: float, order: int | None = None) -> float:
+def mutual_information(c: Constellation, snr: float) -> float:
     """I(x; sqrt(snr) x + n) in bits.
 
     Gaussian inputs: 0.5*log2(1+snr).  Discrete inputs: Gauss-Hermite mixture
     quadrature per transmitted symbol, with order doubling until consecutive
-    estimates agree to 1e-8 relative.  Pass ``order`` to pin a single order
-    (useful for smooth finite differencing).
+    estimates agree to 1e-8 relative.
     """
     snr = _check_args(snr)
     if c.is_gaussian:
         return 0.5 * math.log2(1.0 + snr)
-    if order is not None:
-        return _gh_mi_single(c, snr, order)
     prev = _gh_mi_single(c, snr, _MI_ORDERS[0])
     for o in _MI_ORDERS[1:]:
         cur = _gh_mi_single(c, snr, o)

@@ -33,7 +33,6 @@ from .offline import (
     RunStats,
     _assemble,
     _solve_group,
-    build_pools,
     dwf_reference,
     fsa_solve,
     nda_solve,
@@ -95,15 +94,14 @@ def pbp_solve(
     """
     if inputs not in ("tables", "gaussian"):
         raise InvalidInputError(f"inputs must be 'tables' or 'gaussian', got {inputs!r}")
-    pools = build_pools(scenario.arrivals, scenario.n)
     if inputs == "gaussian":
         tables = None
     elif tables is None:
         tables = stream_tables(scenario)
-    groups = [[p] for p in pools]
+    groups = [[p] for p in scenario.pools]
     stats = RunStats()
     sols = [_solve_group(scenario, tables, g, stats) for g in groups]
-    return _assemble(scenario, pools, groups, sols, stats)
+    return _assemble(scenario, groups, sols, stats)
 
 
 # offline optimum for Gaussian inputs, whatever the scenario's constellations
@@ -274,6 +272,8 @@ def complexity_ensemble(
     j_values = tuple(int(j) for j in j_grid)
     if any(j < 1 for j in j_values):
         raise InvalidInputError("every J must be >= 1")
+    if runs < 1:
+        raise InvalidInputError(f"need runs >= 1, got {runs!r}")
     tasks = []
     for j in j_values:
         p = dict(params) if params is not None else {

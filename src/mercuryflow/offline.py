@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ from numpy.typing import NDArray
 
 from ._textout import emit
 from .errors import InvalidInputError, TableRangeError
-from .scenario import Scenario
+from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
 from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epoch
 
@@ -67,20 +68,6 @@ __all__ = [
     "allocation_csv",
     "allocation_from_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Pool:
-    """Accesses between two consecutive energy arrivals (1-based, inclusive)."""
-
-    index: int
-    start: int
-    end: int
-    energy: float
-
-    @property
-    def arrival_access(self) -> int:
-        return self.start
 
 
 @dataclass(frozen=True)
@@ -114,27 +101,6 @@ class Allocation:
     stats: RunStats = field(default_factory=RunStats)
 
 
-def build_pools(arrivals, n: int) -> list[Pool]:
-    """Partition accesses 1..n into pools at the arrival instants."""
-    arr = [(int(e), float(E)) for e, E in arrivals]
-    if not arr:
-        raise InvalidInputError("need at least one energy arrival")
-    if arr[0][0] != 1:
-        raise InvalidInputError("first arrival must be at access 1 (initial battery)")
-    for (e0, _), (e1, _) in zip(arr, arr[1:]):
-        if e1 <= e0:
-            raise InvalidInputError("arrival accesses must be strictly increasing")
-    if arr[-1][0] > n:
-        raise InvalidInputError(f"arrival at access {arr[-1][0]} exceeds n = {n}")
-    if any(E < 0.0 for _, E in arr):
-        raise InvalidInputError("packet energies must be >= 0")
-    pools = []
-    for j, (e, E) in enumerate(arr):
-        end = arr[j + 1][0] - 1 if j + 1 < len(arr) else n
-        pools.append(Pool(index=j + 1, start=e, end=end, energy=E))
-    return pools
-
-
 def stream_tables(scenario: Scenario) -> tuple[MmseTable, ...]:
     """One cached mmse table per stream of the scenario."""
     return tuple(table_for(c) for c in scenario.constellations)
@@ -143,7 +109,7 @@ def stream_tables(scenario: Scenario) -> tuple[MmseTable, ...]:
 def _solve_group(
     scenario: Scenario,
     tables: tuple[MmseTable, ...] | None,
-    group: list[Pool],
+    group: Sequence[Pool],
     stats: RunStats,
 ) -> _Solved:
     """Solve a run of pools as one epoch and count the call in ``stats``.
@@ -179,8 +145,7 @@ def _falls(first: _Solved, second: _Solved) -> bool:
 
 def _assemble(
     scenario: Scenario,
-    pools: list[Pool],
-    groups: list[list[Pool]],
+    groups: list[Sequence[Pool]],
     sols: list[_Solved],
     stats: RunStats,
 ) -> Allocation:
@@ -188,9 +153,9 @@ def _assemble(
         if isinstance(sol, TableRangeError):
             raise sol
     powers = np.zeros((scenario.k, scenario.n))
-    pool_levels = np.empty(len(pools))
+    pool_levels = np.empty(scenario.n_arrivals)
     access_levels = np.empty(scenario.n)
-    epoch_of_pool = np.empty(len(pools), dtype=np.int64)
+    epoch_of_pool = np.empty(scenario.n_arrivals, dtype=np.int64)
     epochs = []
     for m, (grp, sol) in enumerate(zip(groups, sols)):
         s, e = grp[0].start, grp[-1].end
@@ -212,18 +177,17 @@ def _assemble(
 
 def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Allocation:
     """Merge-on-decrease over the pools as a one-pass stack of epochs."""
-    pools = build_pools(scenario.arrivals, scenario.n)
     stats = RunStats()
-    singles = [_solve_group(scenario, tables, [p], stats) for p in pools]
+    singles = [_solve_group(scenario, tables, [p], stats) for p in scenario.pools]
     groups: list[list[Pool]] = []
     sols: list[_Solved] = []
-    for p, sol in zip(pools, singles):
+    for p, sol in zip(scenario.pools, singles):
         groups.append([p])
         sols.append(sol)
         while len(sols) > 1 and _falls(sols[-2], sols[-1]):
             groups[-2:] = [groups[-2] + groups[-1]]
             sols[-2:] = [_solve_group(scenario, tables, groups[-1], stats)]
-    return _assemble(scenario, pools, groups, sols, stats)
+    return _assemble(scenario, groups, sols, stats)
 
 
 def nda_solve(scenario: Scenario, tables: tuple[MmseTable, ...] | None = None) -> Allocation:
@@ -249,7 +213,7 @@ def fsa_solve(
     returned stats is meaningful.
     """
     tables = tables if tables is not None else stream_tables(scenario)
-    pools = build_pools(scenario.arrivals, scenario.n)
+    pools = scenario.pools
     n_pools = len(pools)
     if ecc_oracle is not None and len(ecc_oracle) != n_pools - 1:
         raise InvalidInputError(
@@ -257,7 +221,7 @@ def fsa_solve(
         )
     slack = 1e-9 * max(scenario.total_energy, 1.0)
     stats = RunStats()
-    groups: list[list[Pool]] = []
+    groups: list[Sequence[Pool]] = []
     sols: list[_Solved] = []
     dropped: list[TableRangeError] = []
     start = 0
@@ -276,7 +240,7 @@ def fsa_solve(
         start = end
     if dropped and any(map(_falls, sols, sols[1:])):
         raise dropped[0]
-    return _assemble(scenario, pools, groups, sols, stats)
+    return _assemble(scenario, groups, sols, stats)
 
 
 def _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack) -> bool:
@@ -290,7 +254,7 @@ def _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack) -> bool:
     return not np.any(spent[ends] > harvested[ends] + slack)
 
 
-def _ledger(scenario: Scenario, pools: list[Pool], powers) -> tuple[NDArray, NDArray]:
+def _ledger(scenario: Scenario, pools: Sequence[Pool], powers) -> tuple[NDArray, NDArray]:
     """Harvested and spent energy summed from the first access of a run of pools.
 
     ``powers`` covers the run's accesses; entry ``i`` of each prefix sum is
@@ -351,7 +315,7 @@ def kkt_verify(
             f"{(scenario.k, scenario.n)}"
         )
     tables = tables if tables is not None else stream_tables(scenario)
-    pools = build_pools(scenario.arrivals, scenario.n)
+    pools = scenario.pools
     if alloc.pool_water_levels.shape != (len(pools),):
         raise InvalidInputError("allocation pool levels do not match the pool count")
     if not np.all(np.isfinite(alloc.pool_water_levels)):
@@ -440,10 +404,10 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
     """
     import csv as _csv
 
-    pools = build_pools(scenario.arrivals, scenario.n)
+    pools, n_pools = scenario.pools, scenario.n_arrivals
     powers = np.full((scenario.k, scenario.n), np.nan)
     access_levels = np.full(scenario.n, np.nan)
-    epoch_of_pool = np.full(len(pools), -1, dtype=np.int64)
+    epoch_of_pool = np.full(n_pools, -1, dtype=np.int64)
     reader = _csv.DictReader(io.StringIO(text))
     need = {"n", "k", "lambda", "sigma2", "water_level", "pool", "epoch"}
     if reader.fieldnames is None or not need.issubset(reader.fieldnames):
@@ -451,13 +415,22 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
             f"allocation CSV must have columns {sorted(need)}, got {reader.fieldnames}"
         )
     for row in reader:
-        n = int(row["n"])
-        k = int(row["k"])
+        try:
+            n, k, pool, epoch = (int(row[c]) for c in ("n", "k", "pool", "epoch"))
+            power, level = float(row["sigma2"]), float(row["water_level"])
+        except (TypeError, ValueError):
+            msg = f"allocation CSV line {reader.line_num} has a non-numeric field"
+            raise InvalidInputError(msg) from None
         if not (1 <= n <= scenario.n and 1 <= k <= scenario.k):
             raise InvalidInputError(f"allocation row ({n}, {k}) outside the scenario")
-        powers[k - 1, n - 1] = float(row["sigma2"])
-        access_levels[n - 1] = float(row["water_level"])
-        epoch_of_pool[int(row["pool"]) - 1] = int(row["epoch"]) - 1
+        if not 1 <= pool <= n_pools:
+            raise InvalidInputError(f"allocation row ({n}, {k}): pool {pool} not in 1..{n_pools}")
+        if not (epoch == -1 or 1 <= epoch <= n_pools):
+            raise InvalidInputError(
+                f"allocation row ({n}, {k}): epoch {epoch} neither -1 nor in 1..{n_pools}")
+        powers[k - 1, n - 1] = power
+        access_levels[n - 1] = level
+        epoch_of_pool[pool - 1] = epoch - 1
     if np.any(np.isnan(powers)):
         raise InvalidInputError("allocation CSV does not cover every (n, k)")
     pool_levels = np.array([access_levels[p.start - 1] for p in pools])
@@ -478,9 +451,8 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
 
 def allocation_csv(scenario: Scenario, alloc: Allocation, path_or_buf=None) -> str | None:
     """Rows (n, k, lambda, sigma2, water_level, pool, epoch); 1-based indices."""
-    pools = build_pools(scenario.arrivals, scenario.n)
     pool_of_access = np.empty(scenario.n, dtype=np.int64)
-    for p in pools:
+    for p in scenario.pools:
         pool_of_access[p.start - 1 : p.end] = p.index
     buf = io.StringIO()
     buf.write("n,k,lambda,sigma2,water_level,pool,epoch\n")

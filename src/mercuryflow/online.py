@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, TableRangeError
-from .offline import Allocation, RunStats, _ledger, build_pools, stream_tables
+from .offline import Allocation, RunStats, _ledger, stream_tables
 from .scenario import Scenario
 from .tables import MmseTable
 from .waterfill import EpochProblem, solve_epoch
@@ -69,12 +69,11 @@ def online_solve(
         powers[:, s_t - 1 : upto] = sol.powers[:, : upto - s_t + 1]
         access_levels[s_t - 1 : upto] = sol.water_level
         spent += scenario.ts * float(powers[:, s_t - 1 : commit_end].sum())
-    n_pools = len(build_pools(scenario.arrivals, n))
     return Allocation(
         powers=powers,
-        pool_water_levels=np.full(n_pools, np.nan),
+        pool_water_levels=np.full(scenario.n_arrivals, np.nan),
         access_water_levels=access_levels,
-        epoch_of_pool=np.full(n_pools, -1, dtype=np.int64),
+        epoch_of_pool=np.full(scenario.n_arrivals, -1, dtype=np.int64),
         epochs=(),
         stats=stats,
     )
@@ -82,6 +81,6 @@ def online_solve(
 
 def causal_ecc_check(scenario: Scenario, alloc: Allocation, tol: float = 1e-9):
     """(ok, worst_violation): prefix spent <= prefix harvested at every access."""
-    harvested, spent = _ledger(scenario, build_pools(scenario.arrivals, scenario.n), alloc.powers)
+    harvested, spent = _ledger(scenario, scenario.pools, alloc.powers)
     viol = float(np.max(spent - harvested, initial=0.0))
     return viol <= tol * max(scenario.total_energy, 1.0), viol

@@ -30,18 +30,54 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtri
 
-from .constellations import Constellation, by_name
+from .constellations import Constellation, by_name, pam
 from .errors import InvalidInputError, SchemaError
 
-__all__ = ["Scenario", "generate", "rescale_energy", "save", "load", "loads", "dumps"]
+__all__ = ["Pool", "Scenario", "build_pools", "generate", "rescale_energy", "save", "load",
+           "loads", "dumps"]
 
 _GAIN_FLOOR = 1e-12  # chi-square draws can round to 0; gains must stay positive
+
+
+@dataclass(frozen=True)
+class Pool:
+    """Accesses between two consecutive energy arrivals (1-based, inclusive)."""
+
+    index: int
+    start: int
+    end: int
+    energy: float
+
+    @property
+    def arrival_access(self) -> int:
+        return self.start
+
+
+def build_pools(arrivals, n: int) -> list[Pool]:
+    """Partition accesses 1..n into pools at the arrival instants."""
+    arr = [(int(e), float(E)) for e, E in arrivals]
+    if not arr:
+        raise InvalidInputError("need at least one energy arrival")
+    if arr[0][0] != 1:
+        raise InvalidInputError("first arrival must be at access 1 (initial battery)")
+    for (e0, _), (e1, _) in zip(arr, arr[1:]):
+        if e1 <= e0:
+            raise InvalidInputError("arrival accesses must be strictly increasing")
+    if arr[-1][0] > n:
+        raise InvalidInputError(f"arrival at access {arr[-1][0]} exceeds n = {n}")
+    if any(E < 0.0 or not math.isfinite(E) for _, E in arr):
+        raise InvalidInputError("packet energies must be finite and >= 0")
+    pools = []
+    for j, (e, E) in enumerate(arr):
+        end = arr[j + 1][0] - 1 if j + 1 < len(arr) else n
+        pools.append(Pool(index=j + 1, start=e, end=end, energy=E))
+    return pools
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +89,13 @@ class Scenario:
     arrivals: tuple[tuple[int, float], ...]     # ((e_j, E_j), ...), e_1 = 1
     constellations: tuple[Constellation, ...]   # one per stream
     seed: int | None = None
+    pools: tuple[Pool, ...] = field(init=False, repr=False)   # cut at the arrivals
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise InvalidInputError("need n >= 1 accesses and k >= 1 streams")
-        if not self.ts > 0.0:
-            raise InvalidInputError(f"ts must be > 0, got {self.ts!r}")
+        if not (math.isfinite(self.ts) and self.ts > 0.0):
+            raise InvalidInputError(f"ts must be finite and > 0, got {self.ts!r}")
         g = np.asarray(self.gains, dtype=float)
         if g.shape != (self.k, self.n):
             raise InvalidInputError(
@@ -67,19 +104,9 @@ class Scenario:
         if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
             raise InvalidInputError("all gains must be finite and > 0")
         object.__setattr__(self, "gains", g)
-        arr = tuple((int(e), float(E)) for e, E in self.arrivals)
-        if not arr:
-            raise InvalidInputError("need at least one energy arrival")
-        if arr[0][0] != 1:
-            raise InvalidInputError("first arrival must be at access 1 (initial battery)")
-        for (e0, _), (e1, _) in zip(arr, arr[1:]):
-            if e1 <= e0:
-                raise InvalidInputError("arrival accesses must be strictly increasing")
-        if arr[-1][0] > self.n:
-            raise InvalidInputError("arrival access beyond the last channel access")
-        if any(E < 0.0 or not math.isfinite(E) for _, E in arr):
-            raise InvalidInputError("packet energies must be finite and >= 0")
-        object.__setattr__(self, "arrivals", arr)
+        pools = tuple(build_pools(self.arrivals, self.n))
+        object.__setattr__(self, "pools", pools)
+        object.__setattr__(self, "arrivals", tuple((p.start, p.energy) for p in pools))
         if len(self.constellations) != self.k:
             raise InvalidInputError("need exactly one constellation per stream")
         object.__setattr__(self, "constellations", tuple(self.constellations))
@@ -102,13 +129,8 @@ class Scenario:
             and np.array_equal(self.gains, other.gains)
             and self.arrivals == other.arrivals
             and self.seed == other.seed
-            and all(
-                a.kind == b.kind
-                and a.label == b.label
-                and (a.is_gaussian or (np.array_equal(a.points, b.points)
-                                       and np.array_equal(a.probs, b.probs)))
-                for a, b in zip(self.constellations, other.constellations)
-            )
+            and [c.cache_key() for c in self.constellations]
+            == [c.cache_key() for c in other.constellations]
         )
 
 
@@ -200,7 +222,10 @@ def rescale_energy(s: Scenario, total_energy: float) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _constellation_to_json(c: Constellation):
-    if c.label in ("bpsk", "gaussian") or c.label.endswith("pam"):
+    """A built-in input by its name, any other by its points and probs."""
+    if c.is_gaussian:
+        return "gaussian"
+    if pam(c.cardinality).cache_key() == c.cache_key():   # every discrete built-in is a PAM
         return c.label
     return {"points": c.points.tolist(), "probs": c.probs.tolist(), "label": c.label}
 

@@ -45,21 +45,27 @@ class EpochProblem:
     ts: float                         # symbol duration, seconds
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
+        g = _checked(self.gains, self.budget, self.ts)
         if g.ndim != 2:
             raise InvalidInputError("gains must be a (streams x accesses) matrix")
-        if g.size == 0:
-            raise InvalidInputError("epoch has no gain entries")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-            raise InvalidInputError("all gains must be finite and > 0")
         if len(self.tables) != g.shape[0]:
             raise InvalidInputError("need exactly one table per stream")
-        if not math.isfinite(self.budget) or self.budget < 0.0:
-            raise InvalidInputError(f"budget must be finite and >= 0, got {self.budget!r}")
-        if not self.ts > 0.0:
-            raise InvalidInputError(f"ts must be > 0, got {self.ts!r}")
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "tables", tuple(self.tables))
+
+
+def _checked(gains, budget: float, ts: float) -> NDArray[np.float64]:
+    """The gains as a float array once gains, budget and ts are inside the model."""
+    g = np.asarray(gains, dtype=float)
+    if g.size == 0:
+        raise InvalidInputError("epoch has no gain entries")
+    if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
+        raise InvalidInputError("all gains must be finite and > 0")
+    if not math.isfinite(budget) or budget < 0.0:
+        raise InvalidInputError(f"budget must be finite and >= 0, got {budget!r}")
+    if not (math.isfinite(ts) and ts > 0.0):
+        raise InvalidInputError(f"ts must be finite and > 0, got {ts!r}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -214,15 +220,7 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     ``gains`` may have any shape; powers come back in the same shape.
     No bisection: the active set is found by scanning the sorted floors.
     """
-    g = np.asarray(gains, dtype=float)
-    if g.size == 0:
-        raise InvalidInputError("empty gain set")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise InvalidInputError("all gains must be finite and > 0")
-    if not math.isfinite(budget) or budget < 0.0:
-        raise InvalidInputError(f"budget must be finite and >= 0, got {budget!r}")
-    if not ts > 0.0:
-        raise InvalidInputError(f"ts must be > 0, got {ts!r}")
+    g = _checked(gains, budget, ts)
     if budget == 0.0:
         return EpochSolution(0.0, np.zeros_like(g), 0.0)
     floors = np.sort(1.0 / g.ravel())

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -174,3 +175,34 @@ def test_verify_prints_plain_float_residual(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[0]
     residual = float(line.split("max_residual=", 1)[1])
     assert 0.0 <= residual <= 1e-7
+
+
+@pytest.mark.parametrize("column, value, where", [
+    (5, "9", "row (1, 1): pool 9"),
+    (5, "0", "row (1, 1): pool 0"),
+    (6, "7", "row (1, 1): epoch 7"),
+    (3, "abc", "line 2"),
+])
+def test_verify_malformed_allocation_exits_2(scenario_config, tmp_path, capsys,
+                                             column, value, where):
+    out = tmp_path / "out"
+    run_cli(["run", "--alg", "nda", "--config", scenario_config, "--out", out])
+    lines = (out / "allocation_nda.csv").read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[column] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], ",".join(parts)] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", scenario_config, "--allocation", bad]) == 2
+    err = capsys.readouterr().err
+    assert "error code=2" in err and where in err
+
+
+def test_infinite_symbol_duration_exits_2(scenario_config, tmp_path, capsys):
+    doc = json.loads(scenario_config.read_text())
+    doc["ts_seconds"] = math.inf
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    assert '"ts_seconds": Infinity' in path.read_text()
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
+    assert "ts must be finite" in capsys.readouterr().err

@@ -202,6 +202,12 @@ def test_complexity_ensemble_bounds_and_fit():
     assert len(lines) == 1 + 2 * 3 * 10
 
 
+@pytest.mark.parametrize("runs", [0, -1])
+def test_complexity_ensemble_needs_a_run(runs):
+    with pytest.raises(InvalidInputError, match="runs"):
+        ev.complexity_ensemble((4, 8), runs=runs)
+
+
 def test_trace_csv_level_identity(builtin_tables):
     # active entries satisfy mercury + power == water level exactly
     s = scn.generate(n=10, k=4, ts=0.01, j=3, total_energy=1.0,

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -46,6 +47,22 @@ def test_build_pools_rejects_disorder():
         off.build_pools([(1, 1.0), (1, 2.0)], n=4)
     with pytest.raises(InvalidInputError):
         off.build_pools([(1, 1.0), (9, 2.0)], n=4)
+
+
+@pytest.mark.parametrize("packet", [math.nan, math.inf])
+def test_build_pools_rejects_nonfinite_packets(packet):
+    with pytest.raises(InvalidInputError, match="finite"):
+        off.build_pools([(1, 1.0), (3, packet)], n=4)
+
+
+def test_scenario_carries_its_pools():
+    s = scn.generate(n=30, k=2, ts=0.01, j=6, total_energy=2.0,
+                     constellations=("bpsk", "4pam"), seed=11)
+    assert s.pools == tuple(off.build_pools(s.arrivals, s.n))
+    r = scn.rescale_energy(s, 6.0)
+    assert r.pools == tuple(off.build_pools(r.arrivals, r.n))
+    assert [p.energy for p in r.pools] == [E for _, E in r.arrivals]
+    assert [p.energy for p in r.pools] != [p.energy for p in s.pools]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,39 @@ def test_round_trip_with_custom_constellation(tmp_path):
     assert scn.load(path) == s
 
 
+@pytest.mark.parametrize("custom", [
+    # a non-uniform input under a built-in's name
+    cons.Constellation("discrete", np.array([-3.0, -1.0, 1.0, 3.0]) / math.sqrt(2.6),
+                       np.array([0.1, 0.4, 0.4, 0.1]), label="4pam"),
+    # uniform 4pam points under a name no built-in has
+    cons.Constellation("discrete", cons.pam(4).points, cons.pam(4).probs, label="mypam"),
+    cons.Constellation("gaussian", label="awgn"),
+])
+def test_round_trip_keeps_custom_inputs(custom):
+    s = scn.Scenario(n=3, k=2, ts=1.0, gains=np.ones((2, 3)),
+                     arrivals=((1, 1.0),), constellations=(custom, cons.bpsk()))
+    doc = json.loads(scn.dumps(s))
+    back = scn.loads(scn.dumps(s))
+    assert back == s
+    assert doc["constellations"][1] == "bpsk"
+    if custom.is_gaussian:
+        assert doc["constellations"][0] == "gaussian"
+        assert back.constellations[0].is_gaussian
+    else:
+        assert np.array_equal(back.constellations[0].points, custom.points)
+        assert np.array_equal(back.constellations[0].probs, custom.probs)
+        assert back.constellations[0].label == custom.label
+
+
+def test_infinite_symbol_duration_rejected():
+    doc = json.loads(scn.dumps(
+        scn.generate(n=4, k=1, ts=1.0, j=1, total_energy=1.0,
+                     constellations=("gaussian",), seed=0)))
+    doc["ts_seconds"] = math.inf
+    with pytest.raises(SchemaError, match="finite"):
+        scn.loads(json.dumps(doc))
+
+
 def test_missing_field_names_it():
     doc = json.loads(scn.dumps(
         scn.generate(n=4, k=1, ts=1.0, j=1, total_energy=1.0,

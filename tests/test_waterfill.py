@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -251,6 +253,8 @@ def test_classical_wf_examples():
     assert z.powers == pytest.approx([0.0])
     with pytest.raises(InvalidInputError):
         classical_wf(np.array([]), 1.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        classical_wf(np.ones(2), 1.0, ts=math.inf)
 
 
 def test_classical_wf_sub_ulp_budget():
@@ -278,6 +282,8 @@ def test_epoch_problem_validation(gauss):
         EpochProblem(gains=np.ones((2, 1)), tables=(gauss,), budget=1.0, ts=1.0)
     with pytest.raises(InvalidInputError):
         EpochProblem(gains=np.ones((1, 1)), tables=(gauss,), budget=1.0, ts=0.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        EpochProblem(gains=np.ones((1, 2)), tables=(gauss,), budget=1.0, ts=math.inf)
 
 
 @settings(max_examples=30, deadline=None)
