@@ -10,9 +10,9 @@ Subcommands::
     trace       per-access inverse-gain / mercury / water levels CSV
     verify      re-check a stored allocation against the KKT conditions
 
-Exit codes: 0 ok, 2 config error, 3 numeric/range error, 4 verification
-failure.  Identical flags and seed produce byte-identical output files.
-Energy is in Joules, the symbol duration in seconds, gains linear.
+Exit codes, read from each error class's ``exit_code``: 0 ok, 2 config
+error, 3 numeric/range error, 4 verification failure.  Identical flags and
+seed produce byte-identical output files.  Energy in J, ts in s, gains linear.
 """
 
 from __future__ import annotations
@@ -26,20 +26,9 @@ import numpy as np
 
 from . import evaluation, offline, online, scenario as scn, tables as tbl
 from .constellations import BUILTIN_NAMES, by_name
-from .errors import (
-    ConvergenceError,
-    InvalidInputError,
-    MercuryflowError,
-    QuadratureAccuracyError,
-    SchemaError,
-    TableBuildError,
-    TableRangeError,
-)
+from .errors import InvalidInputError, MercuryflowError, SchemaError
 
 ALGORITHMS = ("nda", "fsa", "online", "dwf", "pbp-wf", "pbp-hgwf")
-
-_CONFIG_ERRORS = (SchemaError, InvalidInputError)
-_NUMERIC_ERRORS = (TableRangeError, TableBuildError, ConvergenceError, QuadratureAccuracyError)
 
 
 def _fail(code: int, message: str) -> int:
@@ -238,14 +227,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        return _fail(2, str(exc))
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         return _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(3, str(exc))
     except MercuryflowError as exc:
-        return _fail(4, str(exc))
+        return _fail(exc.exit_code, str(exc))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-numeric/range failures exit 3, verification failures exit 4.
+Each class carries the CLI exit code it maps to as ``exit_code``:
+configuration problems exit 2, numeric/range failures exit 3, and any
+other package error exits 4, the code of a failed verification.
 """
 
 
 class MercuryflowError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 4
 
 
 class InvalidInputError(MercuryflowError, ValueError):
     """A caller-supplied value violates a documented precondition."""
+    exit_code = 2
 
 
 class SchemaError(InvalidInputError):
@@ -26,6 +29,7 @@ class QuadratureAccuracyError(MercuryflowError):
 
     Carries both estimates so the caller can judge the disagreement.
     """
+    exit_code = 3
 
     def __init__(self, message: str, coarse: float, fine: float):
         super().__init__(message)
@@ -35,6 +39,7 @@ class QuadratureAccuracyError(MercuryflowError):
 
 class TableBuildError(MercuryflowError):
     """A precomputed mmse table violates its invariants."""
+    exit_code = 3
 
     def __init__(self, message: str, indices: list[int] | None = None):
         super().__init__(message)
@@ -48,10 +53,12 @@ class TableRangeError(MercuryflowError):
     tail corrupts power allocations.  Rebuild with a larger ``snr_max``
     (or accept that the requested water level exceeds the modeled range).
     """
+    exit_code = 3
 
 
 class ConvergenceError(MercuryflowError):
     """An iterative solver ran out of iterations; carries the bracket."""
+    exit_code = 3
 
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)

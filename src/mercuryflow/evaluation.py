@@ -120,8 +120,6 @@ def run_strategy(
     if name == "fsa":
         return fsa_solve(scenario, tables=tables)
     if name == "online":
-        if f_w is None:
-            raise InvalidInputError("the online strategy needs a flowing window")
         return online_solve(scenario, f_w, tables=tables)
     if name == "pbp-hgwf":
         return pbp_solve(scenario, "tables", tables=tables)
@@ -288,6 +286,9 @@ def complexity_ensemble(
             p["n"] = 2 * j
         for r in range(runs):
             tasks.append((j, base_seed + 7919 * j + r, p))
+    if tasks:  # the first scenario's tables, built here so forked workers inherit them
+        j, seed, p = tasks[0]
+        stream_tables(generate(j=j, seed=seed, **p))
     seeds = {j: [] for j in j_values}
     nda_calls = {j: [] for j in j_values}
     fsa_calls = {j: [] for j in j_values}

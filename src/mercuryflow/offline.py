@@ -53,6 +53,9 @@ from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epoch
 # what solving a group gives: its epoch, or the TableRangeError it ran into
 _Solved = EpochSolution | TableRangeError
 
+# the allocation CSV's columns, in the order the writer gives them
+_CSV_COLUMNS = ("n", "k", "lambda", "sigma2", "water_level", "pool", "epoch")
+
 __all__ = [
     "Pool",
     "Epoch",
@@ -154,13 +157,11 @@ def _assemble(
             raise sol
     powers = np.zeros((scenario.k, scenario.n))
     pool_levels = np.empty(scenario.n_arrivals)
-    access_levels = np.empty(scenario.n)
     epoch_of_pool = np.empty(scenario.n_arrivals, dtype=np.int64)
     epochs = []
     for m, (grp, sol) in enumerate(zip(groups, sols)):
         s, e = grp[0].start, grp[-1].end
         powers[:, s - 1 : e] = sol.powers
-        access_levels[s - 1 : e] = sol.water_level
         for p in grp:
             pool_levels[p.index - 1] = sol.water_level
             epoch_of_pool[p.index - 1] = m
@@ -168,7 +169,7 @@ def _assemble(
     return Allocation(
         powers=powers,
         pool_water_levels=pool_levels,
-        access_water_levels=access_levels,
+        access_water_levels=pool_levels[scenario.pool_of_access - 1],
         epoch_of_pool=epoch_of_pool,
         epochs=tuple(epochs),
         stats=stats,
@@ -306,8 +307,8 @@ def kkt_verify(
     (2) cumulative energy causality at every pool boundary, with an empty
     battery at the end; (3) water levels non-decreasing across pools;
     (4) level increases only where the battery emptied.  Pool levels must
-    be finite: an online allocation, which has none, raises
-    InvalidInputError.
+    be finite, and powers finite and >= 0, else InvalidInputError: an
+    online allocation, which has no pool levels, raises it.
     """
     if alloc.powers.shape != (scenario.k, scenario.n):
         raise InvalidInputError(
@@ -322,32 +323,30 @@ def kkt_verify(
         raise InvalidInputError(
             "allocation pool levels must be finite; an online allocation has none"
         )
+    bad = ~(np.isfinite(alloc.powers) & (alloc.powers >= 0.0))
+    if bad.any():
+        n, k = np.argwhere(bad.T)[0].tolist()
+        raise InvalidInputError(f"allocation power of stream {k + 1} access {n + 1} must be "
+                                f"finite and >= 0, got {float(alloc.powers[k, n])!r}")
 
-    # (1) stationarity: one table call per stream, notes in access-major order
-    w_acc = np.repeat(alloc.pool_water_levels, [p.end - p.start + 1 for p in pools])
-    max_resid = 0.0
-    stat_ok = True
-    notes: list[tuple[int, int, str]] = []
+    # (1) stationarity on (K, N) masks: one table call per stream, notes access-major
+    lam, on = scenario.gains, alloc.powers > 0.0
+    w_lam = alloc.pool_water_levels[scenario.pool_of_access - 1] * lam
+    snr = lam * alloc.powers
+    beyond = on & np.array([tab._past_top(row) for tab, row in zip(tables, snr)])
+    fit = on & ~beyond
+    mmse = np.ones(snr.shape)
     for k, tab in enumerate(tables):
-        lam, on = scenario.gains[k], alloc.powers[k] > 0.0
-        active, idle = np.nonzero(on)[0], np.nonzero(~on)[0]
-        snr = lam[active] * alloc.powers[k, active]
-        beyond = tab._past_top(snr)
-        ok = active[~beyond]
-        m = tab.mmse_at(snr[~beyond])
-        resid = np.abs(w_acc[ok] * lam[ok] * m - 1.0)
-        max_resid = float(np.max(resid, initial=max_resid))
-        for n in (active[beyond] + 1).tolist():
-            notes.append((n, k, f"stationarity: stream {k + 1} access {n} beyond table range"))
-        w_lam = w_acc[idle] * lam[idle]
-        high = w_lam > 1.0 + tol
-        for n, v in zip((idle[high] + 1).tolist(), w_lam[high].tolist()):
-            notes.append(
-                (n, k, f"stationarity: inactive stream {k + 1} access {n} has W*lam = {v:.6g} > 1")
-            )
-        if beyond.any() or (resid > tol).any() or high.any():
-            stat_ok = False
-    msgs: list[str] = [msg for _, _, msg in sorted(notes)]
+        mmse[k, fit[k]] = tab.mmse_at(snr[k, fit[k]])
+    resid = np.abs(w_lam[fit] * mmse[fit] - 1.0)
+    max_resid = float(np.max(resid, initial=0.0))
+    high = ~on & (w_lam > 1.0 + tol)
+    stat_ok = not (beyond.any() or (resid > tol).any() or high.any())
+    msgs: list[str] = [
+        f"stationarity: stream {k + 1} access {n + 1} beyond table range" if beyond[k, n] else
+        f"stationarity: inactive stream {k + 1} access {n + 1} has W*lam = {w_lam[k, n]:.6g} > 1"
+        for n, k in zip(*np.nonzero((beyond | high).T))
+    ]
     if not stat_ok and not msgs:
         msgs.append(f"stationarity: max residual {max_resid:.3e} > tol {tol:.1e}")
 
@@ -405,11 +404,12 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
     import csv as _csv
 
     pools, n_pools = scenario.pools, scenario.n_arrivals
-    powers = np.full((scenario.k, scenario.n), np.nan)
+    powers = np.zeros((scenario.k, scenario.n))
+    seen = np.zeros(powers.shape, dtype=bool)
     access_levels = np.full(scenario.n, np.nan)
     epoch_of_pool = np.full(n_pools, -1, dtype=np.int64)
     reader = _csv.DictReader(io.StringIO(text))
-    need = {"n", "k", "lambda", "sigma2", "water_level", "pool", "epoch"}
+    need = set(_CSV_COLUMNS)
     if reader.fieldnames is None or not need.issubset(reader.fieldnames):
         raise InvalidInputError(
             f"allocation CSV must have columns {sorted(need)}, got {reader.fieldnames}"
@@ -423,15 +423,19 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
             raise InvalidInputError(msg) from None
         if not (1 <= n <= scenario.n and 1 <= k <= scenario.k):
             raise InvalidInputError(f"allocation row ({n}, {k}) outside the scenario")
-        if not 1 <= pool <= n_pools:
-            raise InvalidInputError(f"allocation row ({n}, {k}): pool {pool} not in 1..{n_pools}")
+        if pool != scenario.pool_of_access[n - 1]:
+            raise InvalidInputError(f"allocation row ({n}, {k}): pool {pool}, but access {n} "
+                                    f"is in pool {scenario.pool_of_access[n - 1]}")
         if not (epoch == -1 or 1 <= epoch <= n_pools):
             raise InvalidInputError(
                 f"allocation row ({n}, {k}): epoch {epoch} neither -1 nor in 1..{n_pools}")
+        if seen[k - 1, n - 1]:
+            raise InvalidInputError(f"allocation row ({n}, {k}) repeated")
+        seen[k - 1, n - 1] = True
         powers[k - 1, n - 1] = power
         access_levels[n - 1] = level
         epoch_of_pool[pool - 1] = epoch - 1
-    if np.any(np.isnan(powers)):
+    if not seen.all():
         raise InvalidInputError("allocation CSV does not cover every (n, k)")
     pool_levels = np.array([access_levels[p.start - 1] for p in pools])
     epochs = []
@@ -451,13 +455,9 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
 
 def allocation_csv(scenario: Scenario, alloc: Allocation, path_or_buf=None) -> str | None:
     """Rows (n, k, lambda, sigma2, water_level, pool, epoch); 1-based indices."""
-    pool_of_access = np.empty(scenario.n, dtype=np.int64)
-    for p in scenario.pools:
-        pool_of_access[p.start - 1 : p.end] = p.index
     buf = io.StringIO()
-    buf.write("n,k,lambda,sigma2,water_level,pool,epoch\n")
-    for n in range(1, scenario.n + 1):
-        pool_ix = int(pool_of_access[n - 1])
+    buf.write(",".join(_CSV_COLUMNS) + "\n")
+    for n, pool_ix in enumerate(scenario.pool_of_access.tolist(), 1):
         epoch_ix = int(alloc.epoch_of_pool[pool_ix - 1])
         for k in range(1, scenario.k + 1):
             buf.write(

@@ -90,6 +90,7 @@ class Scenario:
     constellations: tuple[Constellation, ...]   # one per stream
     seed: int | None = None
     pools: tuple[Pool, ...] = field(init=False, repr=False)   # cut at the arrivals
+    pool_of_access: NDArray[np.int64] = field(init=False, repr=False)   # (N,), 1-based
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -106,6 +107,8 @@ class Scenario:
         object.__setattr__(self, "gains", g)
         pools = tuple(build_pools(self.arrivals, self.n))
         object.__setattr__(self, "pools", pools)
+        object.__setattr__(self, "pool_of_access", np.repeat(
+            np.arange(1, len(pools) + 1, dtype=np.int64), [p.end - p.start + 1 for p in pools]))
         object.__setattr__(self, "arrivals", tuple((p.start, p.energy) for p in pools))
         if len(self.constellations) != self.k:
             raise InvalidInputError("need exactly one constellation per stream")
@@ -179,16 +182,14 @@ def generate(
     else:
         rows = k
     if gain_model == "static":
-        draws = ndtri(rng.random((rows, 1))) ** 2
-        gains = np.repeat(np.maximum(draws, _GAIN_FLOOR), n, axis=1)
-    elif gain_model == "block_random":
-        if block_len < 1:
-            raise InvalidInputError("block_len must be >= 1")
-        n_blocks = -(-n // block_len)
-        draws = ndtri(rng.random((rows, n_blocks))) ** 2
-        gains = np.repeat(np.maximum(draws, _GAIN_FLOOR), block_len, axis=1)[:, :n]
-    else:
+        block_len = n  # one block spans every access
+    elif gain_model != "block_random":
         raise InvalidInputError(f"unknown gain model {gain_model!r}")
+    if block_len < 1:
+        raise InvalidInputError("block_len must be >= 1")
+    n_blocks = -(-n // block_len)
+    draws = ndtri(rng.random((rows, n_blocks))) ** 2
+    gains = np.repeat(np.maximum(draws, _GAIN_FLOOR), block_len, axis=1)[:, :n]
     if constant_across_streams:
         gains = np.repeat(gains, k, axis=0)
 

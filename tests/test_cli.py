@@ -7,6 +7,15 @@ import pytest
 from mercuryflow import cli
 from mercuryflow import constellations as cons
 from mercuryflow import scenario as scn
+from mercuryflow.errors import (
+    ConvergenceError,
+    InvalidInputError,
+    MercuryflowError,
+    QuadratureAccuracyError,
+    SchemaError,
+    TableBuildError,
+    TableRangeError,
+)
 
 
 @pytest.fixture()
@@ -182,6 +191,8 @@ def test_verify_prints_plain_float_residual(tmp_path, capsys):
     (5, "0", "row (1, 1): pool 0"),
     (6, "7", "row (1, 1): epoch 7"),
     (3, "abc", "line 2"),
+    (3, "-1.0", "power of stream 1 access 1 must be finite and >= 0, got -1.0"),
+    (3, "nan", "power of stream 1 access 1 must be finite and >= 0, got nan"),
 ])
 def test_verify_malformed_allocation_exits_2(scenario_config, tmp_path, capsys,
                                              column, value, where):
@@ -196,6 +207,38 @@ def test_verify_malformed_allocation_exits_2(scenario_config, tmp_path, capsys,
     assert run_cli(["verify", "--config", scenario_config, "--allocation", bad]) == 2
     err = capsys.readouterr().err
     assert "error code=2" in err and where in err
+
+
+def test_verify_relabelled_pool_exits_2(scenario_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli(["run", "--alg", "nda", "--config", scenario_config, "--out", out])
+    lines = (out / "allocation_nda.csv").read_text().splitlines()
+    assert lines[2].startswith("2,1,") and lines[2].split(",")[5] == "2"
+    parts = lines[2].split(",")
+    parts[5] = "1"  # access 2 claimed for pool 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:2] + [",".join(parts)]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", scenario_config, "--allocation", bad]) == 2
+    assert "row (2, 1): pool 1, but access 2 is in pool 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InvalidInputError("bad input"), 2),
+    (SchemaError("bad field", field="n"), 2),
+    (QuadratureAccuracyError("disagree", coarse=1.0, fine=2.0), 3),
+    (TableBuildError("not monotone"), 3),
+    (TableRangeError("beyond the top"), 3),
+    (ConvergenceError("out of iterations"), 3),
+    (MercuryflowError("other"), 4),
+])
+def test_error_classes_map_to_exit_codes(monkeypatch, tmp_path, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_tables", fail)
+    assert run_cli(["tables", "--out", tmp_path]) == code
+    assert f"error code={code} message={json.dumps(str(exc))}" in capsys.readouterr().err
 
 
 def test_infinite_symbol_duration_exits_2(scenario_config, tmp_path, capsys):

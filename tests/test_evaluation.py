@@ -202,6 +202,15 @@ def test_complexity_ensemble_bounds_and_fit():
     assert len(lines) == 1 + 2 * 3 * 10
 
 
+def test_complexity_worker_pool_matches_serial(builtin_tables):
+    params = dict(k=2, ts=0.01, total_energy=1.0, constellations=("bpsk", "4pam"),
+                  gain_model="block_random", block_len=2)
+    serial = ev.complexity_ensemble((2, 4), runs=2, params=params, base_seed=3)
+    pooled = ev.complexity_ensemble((2, 4), runs=2, params=params, base_seed=3, jobs=2)
+    assert pooled.seeds == serial.seeds
+    assert pooled.nda_calls == serial.nda_calls and pooled.fsa_calls == serial.fsa_calls
+
+
 @pytest.mark.parametrize("runs", [0, -1])
 def test_complexity_ensemble_needs_a_run(runs):
     with pytest.raises(InvalidInputError, match="runs"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -63,6 +64,15 @@ def test_scenario_carries_its_pools():
     assert r.pools == tuple(off.build_pools(r.arrivals, r.n))
     assert [p.energy for p in r.pools] == [E for _, E in r.arrivals]
     assert [p.energy for p in r.pools] != [p.energy for p in s.pools]
+
+
+def test_scenario_maps_each_access_to_its_pool():
+    s = gaussian_scenario([(1, 1.0), (3, 1.0), (4, 2.0)], n=6)
+    assert s.pool_of_access.tolist() == [1, 1, 2, 3, 3, 3]
+    assert s.pool_of_access.dtype == np.int64
+    moved = dataclasses.replace(s, arrivals=((1, 1.0), (5, 1.0)))
+    assert moved.pool_of_access.tolist() == [1, 1, 1, 1, 2, 2]
+    assert scn.rescale_energy(s, 8.0).pool_of_access.tolist() == [1, 1, 2, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +396,18 @@ def test_kkt_rejects_allocation_without_pool_levels(builtin_tables):
         off.kkt_verify(s, a)
 
 
+@pytest.mark.parametrize("power", [-1e-12, math.nan, math.inf])
+def test_kkt_rejects_negative_and_nonfinite_powers(power):
+    # stream 2 is idle at access 1 under the optimum; a negative power there
+    # used to read as idle and pass
+    s = gaussian_scenario([(1, 0.5)], n=2, gains=np.array([[1.0, 1.0], [0.01, 0.01]]), k=2)
+    a = off.nda_solve(s)
+    assert a.powers[1, 0] == 0.0 and off.kkt_verify(s, a).passed
+    a.powers[1, 0] = power
+    with pytest.raises(InvalidInputError, match="stream 2 access 1 must be finite and >= 0"):
+        off.kkt_verify(s, a)
+
+
 def test_kkt_detects_banked_energy_level_rise():
     s = gaussian_scenario([(1, 2.0), (2, 2.0)], n=2)
     # underspend pool 1, then raise the level anyway
@@ -488,3 +510,11 @@ def test_allocation_from_csv_rejects_incomplete():
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(InvalidInputError):
         off.allocation_from_csv(s, truncated)
+
+
+def test_allocation_from_csv_reports_a_repeated_row():
+    s = gaussian_scenario([(1, 3.0), (2, 1.0)], n=2)
+    rows = off.allocation_csv(s, off.nda_solve(s)).splitlines()
+    text = "\n".join(rows + [rows[1]]) + "\n"
+    with pytest.raises(InvalidInputError, match=r"row \(1, 1\) repeated"):
+        off.allocation_from_csv(s, text)

@@ -47,6 +47,15 @@ def test_generate_static_gains_constant():
     assert np.all(s.gains == s.gains[:, :1])
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_generate_static_gains_are_one_block(shared):
+    kw = dict(n=9, k=3, ts=1.0, j=2, total_energy=1.0, constellations=("gaussian",) * 3,
+              constant_across_streams=shared, seed=6)
+    static = scn.generate(gain_model="static", block_len=2, **kw)
+    block = scn.generate(gain_model="block_random", block_len=9, **kw)
+    assert np.array_equal(static.gains, block.gains)
+
+
 def test_generate_block_gains_change_at_block_boundaries():
     s = scn.generate(n=10, k=1, ts=1.0, j=1, total_energy=1.0,
                      constellations=("gaussian",), gain_model="block_random",
