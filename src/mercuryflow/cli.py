@@ -18,6 +18,7 @@ seed produce byte-identical output files.  Energy in J, ts in s, gains linear.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -56,6 +57,21 @@ def _load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     return doc
+
+
+def _list_of(doc: dict, key: str, kind) -> list:
+    """A config list field whose every entry is a ``kind``, else SchemaError."""
+    return [scn._require({key: v}, key, kind) for v in scn._require(doc, key, list)]
+
+
+def _params(doc: dict, supplied: tuple[str, ...]) -> dict:
+    """A config's ``params``: generate() arguments other than ``supplied``."""
+    params = dict(scn._require(doc, "params", dict))
+    allowed = set(inspect.signature(scn.generate).parameters) - set(supplied)
+    for key in params:
+        if key not in allowed:
+            raise SchemaError(f"unknown field 'params.{key}'", field=f"params.{key}")
+    return params
 
 
 def cmd_tables(args) -> int:
@@ -101,15 +117,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    for key in ("params", "energy_grid"):
-        if key not in doc:
-            raise SchemaError(f"missing required field {key!r}", field=key)
-    params = dict(doc["params"])
+    params = _params(doc, supplied=("total_energy",))
     if args.seed is not None:
         params["seed"] = args.seed
     result = evaluation.sweep_energy(
         params,
-        doc["energy_grid"],
+        _list_of(doc, "energy_grid", float),
         strategies=tuple(doc.get("strategies", evaluation.SWEEP_STRATEGIES)),
         f_w=doc.get("f_w"),
         jobs=args.jobs,
@@ -123,14 +136,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_complexity(args) -> int:
     doc = _load_json(args.config)
-    for key in ("j_grid", "runs"):
-        if key not in doc:
-            raise SchemaError(f"missing required field {key!r}", field=key)
+    j_grid, runs = _list_of(doc, "j_grid", int), scn._require(doc, "runs", int)
+    base_seed = scn._require(doc, "base_seed", int) if "base_seed" in doc else 1000
     ens = evaluation.complexity_ensemble(
-        doc["j_grid"],
-        int(doc["runs"]),
-        params=doc.get("params"),
-        base_seed=int(doc.get("base_seed", 1000)) if args.seed is None else args.seed,
+        j_grid,
+        runs,
+        params=_params(doc, supplied=("j", "seed")) if "params" in doc else None,
+        base_seed=base_seed if args.seed is None else args.seed,
         jobs=args.jobs,
     )
     out = _out_dir(args)

@@ -75,7 +75,7 @@ def evaluate_mi(
     """
     if alloc.powers.shape != (scenario.k, scenario.n):
         raise InvalidInputError("allocation shape does not match the scenario")
-    tables = tables if tables is not None else stream_tables(scenario)
+    tables = stream_tables(scenario, tables)
     total = 0.0
     for k, tab in enumerate(tables):
         total += float(np.sum(tab.mi_at(scenario.gains[k] * alloc.powers[k])))
@@ -94,10 +94,7 @@ def pbp_solve(
     """
     if inputs not in ("tables", "gaussian"):
         raise InvalidInputError(f"inputs must be 'tables' or 'gaussian', got {inputs!r}")
-    if inputs == "gaussian":
-        tables = None
-    elif tables is None:
-        tables = stream_tables(scenario)
+    tables = None if inputs == "gaussian" else stream_tables(scenario, tables)
     groups = [[p] for p in scenario.pools]
     stats = RunStats()
     sols = [_solve_group(scenario, tables, g, stats) for g in groups]
@@ -140,14 +137,14 @@ def best_window(
     Defaults to every window in 1..N; ties resolve to the smallest window.
     Returns (best_f_w, {f_w: mi_bits}).
     """
-    tables = tables if tables is not None else stream_tables(scenario)
+    tables = stream_tables(scenario, tables)
     cands = list(candidates) if candidates is not None else list(range(1, scenario.n + 1))
-    if not cands or any(f < 1 for f in cands):
-        raise InvalidInputError("window candidates must be integers >= 1")
+    if not cands:
+        raise InvalidInputError("window candidates must not be empty")
     scores = {}
     for f_w in cands:
-        alloc = online_solve(scenario, int(f_w), tables=tables)
-        scores[int(f_w)] = evaluate_mi(scenario, alloc, tables=tables)
+        alloc = online_solve(scenario, f_w, tables=tables)
+        scores[f_w] = evaluate_mi(scenario, alloc, tables=tables)
     best = max(sorted(scores), key=lambda f: scores[f])
     return best, scores
 
@@ -351,7 +348,7 @@ def trace_csv(
     path_or_buf=None,
 ) -> str | None:
     """Per-access levels: (n, k, inv_gain, mercury_level, water_level, power)."""
-    tables = tables if tables is not None else stream_tables(scenario)
+    tables = stream_tables(scenario, tables)
     w = alloc.access_water_levels
     lam = scenario.gains
     psi = np.full(lam.shape, np.inf)

@@ -104,9 +104,46 @@ class Allocation:
     stats: RunStats = field(default_factory=RunStats)
 
 
-def stream_tables(scenario: Scenario) -> tuple[MmseTable, ...]:
-    """One cached mmse table per stream of the scenario."""
-    return tuple(table_for(c) for c in scenario.constellations)
+def stream_tables(scenario: Scenario, tables=None) -> tuple[MmseTable, ...]:
+    """The one place a scenario gets its mmse tables, one per stream.
+
+    With ``tables`` None, the cached default table of each stream's
+    constellation.  Given ``tables``, they come back as a tuple when there
+    is one per stream and each was built for its stream's constellation
+    (equal ``cache_key()``; any ``snr_max`` or grid), else InvalidInputError
+    naming the stream and both labels.
+    """
+    if tables is None:
+        return tuple(table_for(c) for c in scenario.constellations)
+    tables = tuple(tables)
+    count = f"{len(tables)} tables for {scenario.k} streams"
+    for k, c in enumerate(scenario.constellations, 1):
+        if k > len(tables):
+            raise InvalidInputError(f"stream {k} ({c.label}) has no table: {count}")
+        got = tables[k - 1].constellation
+        if got.cache_key() != c.cache_key():
+            raise InvalidInputError(f"stream {k} is {c.label}, but its table is for {got.label}")
+    if len(tables) > scenario.k:
+        raise InvalidInputError(count)
+    return tables
+
+
+def _solve(gains, tables, budget: float, ts: float, start: int, stats: RunStats) -> _Solved:
+    """Solve the accesses from ``start`` on as one epoch and count it in ``stats``.
+
+    ``tables=None`` solves by exact Gaussian water-filling.  A budget beyond
+    the tables' cap returns its TableRangeError (the module's range policy).
+    """
+    stats.hg_calls += 1
+    if tables is None:
+        sol = classical_wf(gains, budget=budget, ts=ts)
+    else:
+        try:
+            sol = solve_epoch(EpochProblem(gains, tables, budget, ts))
+        except TableRangeError as err:
+            return TableRangeError(f"accesses {start}-{start + gains.shape[1] - 1}: {err}")
+    stats.spent_evals += sol.evals
+    return sol
 
 
 def _solve_group(
@@ -115,24 +152,10 @@ def _solve_group(
     group: Sequence[Pool],
     stats: RunStats,
 ) -> _Solved:
-    """Solve a run of pools as one epoch and count the call in ``stats``.
-
-    ``tables=None`` solves by exact Gaussian water-filling.  A group beyond
-    the tables' cap returns its TableRangeError (the module's range policy).
-    """
+    """Solve a run of pools as one epoch with :func:`_solve`."""
     start, end = group[0].start, group[-1].end
-    gains = scenario.gains[:, start - 1 : end]
     budget = sum(p.energy for p in group)
-    stats.hg_calls += 1
-    if tables is None:
-        sol = classical_wf(gains, budget=budget, ts=scenario.ts)
-    else:
-        try:
-            sol = solve_epoch(EpochProblem(gains, tables, budget, scenario.ts))
-        except TableRangeError as err:
-            return TableRangeError(f"accesses {start}-{end}: {err}")
-    stats.spent_evals += sol.evals
-    return sol
+    return _solve(scenario.gains[:, start - 1 : end], tables, budget, scenario.ts, start, stats)
 
 
 def _falls(first: _Solved, second: _Solved) -> bool:
@@ -193,7 +216,7 @@ def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Alloc
 
 def nda_solve(scenario: Scenario, tables: tuple[MmseTable, ...] | None = None) -> Allocation:
     """Optimal offline allocation by the non-decreasing water level algorithm."""
-    return _nda_loop(scenario, tables if tables is not None else stream_tables(scenario))
+    return _nda_loop(scenario, stream_tables(scenario, tables))
 
 
 def dwf_reference(scenario: Scenario) -> Allocation:
@@ -213,7 +236,7 @@ def fsa_solve(
     ``i + 1`` holds.  With an oracle injected only the call count of the
     returned stats is meaningful.
     """
-    tables = tables if tables is not None else stream_tables(scenario)
+    tables = stream_tables(scenario, tables)
     pools = scenario.pools
     n_pools = len(pools)
     if ecc_oracle is not None and len(ecc_oracle) != n_pools - 1:
@@ -315,7 +338,7 @@ def kkt_verify(
             f"allocation shape {alloc.powers.shape} does not match scenario "
             f"{(scenario.k, scenario.n)}"
         )
-    tables = tables if tables is not None else stream_tables(scenario)
+    tables = stream_tables(scenario, tables)
     pools = scenario.pools
     if alloc.pool_water_levels.shape != (len(pools),):
         raise InvalidInputError("allocation pool levels do not match the pool count")
@@ -397,17 +420,19 @@ def kkt_verify(
 def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
     """Rebuild an allocation from its CSV export.
 
-    Pool water levels are taken from each pool's first access, which matches
-    the export for any per-pool-level allocation; epochs are restored from
-    the epoch column.
+    The file must agree with itself and with the scenario: each ``lambda``
+    is the scenario's gain, the rows of one pool carry one epoch, and either
+    every epoch is -1 (an online export: no pool levels, no epochs) or the
+    epochs run 1, 2, ... over consecutive pools and the rows of one epoch
+    carry one water level.  Else InvalidInputError naming the row or pool.
     """
     import csv as _csv
 
     pools, n_pools = scenario.pools, scenario.n_arrivals
     powers = np.zeros((scenario.k, scenario.n))
     seen = np.zeros(powers.shape, dtype=bool)
-    access_levels = np.full(scenario.n, np.nan)
-    epoch_of_pool = np.full(n_pools, -1, dtype=np.int64)
+    levels = np.full(powers.shape, np.nan)
+    epochs = np.full(powers.shape, -1, dtype=np.int64)
     reader = _csv.DictReader(io.StringIO(text))
     need = set(_CSV_COLUMNS)
     if reader.fieldnames is None or not need.issubset(reader.fieldnames):
@@ -417,7 +442,7 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
     for row in reader:
         try:
             n, k, pool, epoch = (int(row[c]) for c in ("n", "k", "pool", "epoch"))
-            power, level = float(row["sigma2"]), float(row["water_level"])
+            lam, power, level = (float(row[c]) for c in ("lambda", "sigma2", "water_level"))
         except (TypeError, ValueError):
             msg = f"allocation CSV line {reader.line_num} has a non-numeric field"
             raise InvalidInputError(msg) from None
@@ -429,27 +454,46 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
         if not (epoch == -1 or 1 <= epoch <= n_pools):
             raise InvalidInputError(
                 f"allocation row ({n}, {k}): epoch {epoch} neither -1 nor in 1..{n_pools}")
+        if lam != scenario.gains[k - 1, n - 1]:
+            raise InvalidInputError(f"allocation row ({n}, {k}): lambda {lam!r}, but the "
+                                    f"scenario's gain is {float(scenario.gains[k - 1, n - 1])!r}")
         if seen[k - 1, n - 1]:
             raise InvalidInputError(f"allocation row ({n}, {k}) repeated")
         seen[k - 1, n - 1] = True
         powers[k - 1, n - 1] = power
-        access_levels[n - 1] = level
-        epoch_of_pool[pool - 1] = epoch - 1
+        levels[k - 1, n - 1] = level
+        epochs[k - 1, n - 1] = epoch
     if not seen.all():
         raise InvalidInputError("allocation CSV does not cover every (n, k)")
-    pool_levels = np.array([access_levels[p.start - 1] for p in pools])
-    epochs = []
-    for m in range(int(epoch_of_pool.max()) + 1 if epoch_of_pool.size else 0):
-        members = tuple(int(p.index) for p in pools if epoch_of_pool[p.index - 1] == m)
-        if members:
-            epochs.append(Epoch(pools=members, water_level=float(pool_levels[members[0] - 1])))
+    for p in pools:
+        pool_epochs, pool_levels = (np.unique(a[:, p.start - 1 : p.end]) for a in (epochs, levels))
+        if pool_epochs.size > 1:
+            raise InvalidInputError(
+                f"allocation pool {p.index}: rows carry epochs {pool_epochs.tolist()}")
+        if pool_epochs[0] != -1 and pool_levels.size > 1:
+            raise InvalidInputError(
+                f"allocation pool {p.index}: rows carry water levels {pool_levels.tolist()}")
+    starts = [p.start - 1 for p in pools]
+    pool_epochs, pool_levels = epochs[0, starts], levels[0, starts]
+    if (pool_epochs == -1).all():  # an online export: no pool levels, no epochs
+        return Allocation(powers, np.full(n_pools, np.nan), levels[0], pool_epochs, ())
+    steps = np.diff(pool_epochs, prepend=0)
+    bad = np.flatnonzero((steps < 0) | (steps > 1))
+    if bad.size:
+        raise InvalidInputError(f"allocation pool {bad[0] + 1}: epoch {pool_epochs[bad[0]]}, but "
+                                f"epochs must all be -1 or run 1, 2, ... over consecutive pools")
+    moved = np.flatnonzero((steps[1:] == 0) & (pool_levels[1:] != pool_levels[:-1]))
+    if moved.size:
+        j = moved[0] + 1  # the 0-based pool whose level differs from the pool before it
+        raise InvalidInputError(f"allocation pool {j + 1}: water level {float(pool_levels[j])!r}, "
+                                f"but pool {j} of its epoch has {float(pool_levels[j - 1])!r}")
+    runs = np.split(np.arange(1, n_pools + 1), np.flatnonzero(steps[1:]) + 1)
     return Allocation(
         powers=powers,
         pool_water_levels=pool_levels,
-        access_water_levels=access_levels,
-        epoch_of_pool=epoch_of_pool,
-        epochs=tuple(epochs),
-        stats=RunStats(),
+        access_water_levels=levels[0],
+        epoch_of_pool=pool_epochs - 1,
+        epochs=tuple(Epoch(tuple(m.tolist()), float(pool_levels[m[0] - 1])) for m in runs),
     )
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, TableRangeError
-from .offline import Allocation, RunStats, _ledger, stream_tables
+from .offline import Allocation, RunStats, _ledger, _solve, stream_tables
 from .scenario import Scenario
 from .tables import MmseTable
-from .waterfill import EpochProblem, solve_epoch
 
 __all__ = ["detect_events", "online_solve", "causal_ecc_check"]
 
@@ -42,8 +41,7 @@ def online_solve(
     """Causal allocation with flowing window ``f_w`` (accesses, >= 1)."""
     if not isinstance(f_w, (int, np.integer)) or f_w < 1:
         raise InvalidInputError(f"flowing window must be an integer >= 1, got {f_w!r}")
-    if tables is None:
-        tables = stream_tables(scenario)
+    tables = stream_tables(scenario, tables)
     events = detect_events(scenario)
     arrivals = dict(scenario.arrivals)
     n = scenario.n
@@ -57,13 +55,9 @@ def online_solve(
         available = max(harvested - spent, 0.0)
         w_end = min(s_t + f_w - 1, n)
         frozen = np.repeat(scenario.gains[:, s_t - 1 : s_t], w_end - s_t + 1, axis=1)
-        problem = EpochProblem(gains=frozen, tables=tables, budget=available, ts=scenario.ts)
-        try:
-            sol = solve_epoch(problem)
-        except TableRangeError as err:
-            raise TableRangeError(f"accesses {s_t}-{w_end}: {err}") from err
-        stats.hg_calls += 1
-        stats.spent_evals += sol.evals
+        sol = _solve(frozen, tables, available, scenario.ts, s_t, stats)
+        if isinstance(sol, TableRangeError):
+            raise sol
         commit_end = events[t + 1] - 1 if t + 1 < len(events) else n
         upto = min(w_end, commit_end)
         powers[:, s_t - 1 : upto] = sol.powers[:, : upto - s_t + 1]

@@ -135,6 +135,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run_cli(["run", "--alg", "nda", "--config", incomplete, "--out", tmp_path]) == 2
 
 
+_SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaussian"],
+                     "gain_model": "static", "seed": 4},
+          "energy_grid": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize("command, cfg, where", [
+    ("complexity", {"j_grid": [3, 5], "runs": "x"}, "'runs'"),
+    ("complexity", {"j_grid": [3, 5], "runs": 2.9}, "'runs'"),
+    ("complexity", {"j_grid": [3, 5], "runs": 2, "base_seed": "abc"}, "'base_seed'"),
+    ("complexity", {"j_grid": "ab", "runs": 2}, "'j_grid'"),
+    ("complexity", {"j_grid": [3], "runs": 2, "params": {"j": 4}}, "'params.j'"),
+    ("sweep", {**_SWEEP, "energy_grid": "abc"}, "'energy_grid'"),
+    ("sweep", {**_SWEEP, "energy_grid": ["abc"]}, "'energy_grid'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "bogus": 1}}, "'params.bogus'"),
+])
+def test_experiment_config_errors_exit_2(tmp_path, capsys, command, cfg, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "error code=2" in err and where in err
+
+
 def test_numeric_error_exit_3(tmp_path, capsys):
     # enough energy to push BPSK past its table range on one access
     s = scn.Scenario(n=1, k=1, ts=1.0, gains=np.ones((1, 1)),
@@ -221,6 +244,50 @@ def test_verify_relabelled_pool_exits_2(scenario_config, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["verify", "--config", scenario_config, "--allocation", bad]) == 2
     assert "row (2, 1): pool 1, but access 2 is in pool 2" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def one_pool_config(tmp_path):
+    s = scn.Scenario(n=3, k=1, ts=1.0, gains=np.ones((1, 3)), arrivals=((1, 3.0),),
+                     constellations=(cons.gaussian(),))
+    path = tmp_path / "one_pool.json"
+    scn.save(s, path)
+    return path
+
+
+@pytest.mark.parametrize("config, line, column, value, where", [
+    ("scenario_config", 1, 2, "1000000.0",
+     "row (1, 1): lambda 1000000.0, but the scenario's gain is 1.0"),
+    ("one_pool_config", 2, 6, "-1", "pool 1: rows carry epochs [-1, 1]"),
+    ("one_pool_config", 2, 4, "99", "pool 1: rows carry water levels [2.0, 99.0]"),
+    ("scenario_config", 1, 6, "2", "pool 1: epoch 2, but epochs must all be -1 or run 1, 2"),
+    ("scenario_config", 2, 4, "5.0", "pool 2: water level 5.0, but pool 1 of its epoch has 3.0"),
+    ("scenario_config", 2, 6, "-1", "pool 2: epoch -1, but epochs must all be -1 or run 1, 2"),
+], ids=["lambda", "pool-epoch", "pool-level", "epoch-order", "epoch-level", "some-online"])
+def test_verify_inconsistent_allocation_exits_2(request, tmp_path, capsys,
+                                                config, line, column, value, where):
+    path = request.getfixturevalue(config)
+    out = tmp_path / "out"
+    run_cli(["run", "--alg", "nda", "--config", path, "--out", out])
+    lines = (out / "allocation_nda.csv").read_text().splitlines()
+    parts = lines[line].split(",")
+    parts[column] = value
+    lines[line] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", path, "--allocation", bad]) == 2
+    err = capsys.readouterr().err
+    assert "error code=2" in err and where in err
+
+
+def test_verify_online_allocation_exits_2(scenario_config, tmp_path, capsys):
+    run_cli(["run", "--alg", "online", "--window", "2", "--config", scenario_config,
+             "--out", tmp_path])
+    capsys.readouterr()
+    path = tmp_path / "allocation_online.csv"
+    assert run_cli(["verify", "--config", scenario_config, "--allocation", path]) == 2
+    assert "an online allocation has none" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -276,6 +276,8 @@ def test_best_window_rejects_bad_candidates():
     s = gaussian_scenario([(1, 1.0)], n=3)
     with pytest.raises(InvalidInputError):
         ev.best_window(s, candidates=[0, 1])
+    with pytest.raises(InvalidInputError):
+        ev.best_window(s, candidates=[1.5, 2.9])
 
 
 def test_sweep_static_channel_keeps_ordering(builtin_tables):

@@ -138,7 +138,6 @@ def test_run_stats_count_spent_evaluations(monkeypatch):
         return sol
 
     monkeypatch.setattr(off, "solve_epoch", counted)
-    monkeypatch.setattr(onl, "solve_epoch", counted)
     for run in (off.nda_solve, off.fsa_solve, lambda sc: onl.online_solve(sc, 3)):
         evals.clear()
         a = run(s)

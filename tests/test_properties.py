@@ -1,0 +1,96 @@
+"""Property layer over drawn scenarios: CSV round trips, tamper detection, NDA == FSA.
+
+Only built-in constellations are drawn, so every table comes from the
+session's table cache.  The draws are derandomized: a run is reproducible.
+"""
+
+import re
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mercuryflow import constellations as cons
+from mercuryflow import offline as off
+from mercuryflow import scenario as scn
+from mercuryflow.errors import InvalidInputError, TableRangeError
+
+from conftest import FINITE_BUILTINS
+
+KKT_TOL = 1e-7
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+SOLVERS = {"nda": off.nda_solve, "fsa": off.fsa_solve}
+
+
+@st.composite
+def scenarios(draw, log_gain=1.0, energy=st.floats(1e-3, 1.0), ts=st.just(1.0)):
+    """Scenarios with log-uniform gains in 10**(+-log_gain) and drawn packets.
+
+    The defaults keep every snr below 100, inside every built-in table.
+    """
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    later = draw(st.lists(st.integers(2, n), unique=True, max_size=n - 1)) if n > 1 else []
+    accesses = [1, *sorted(later)]
+    packets = draw(st.lists(energy, min_size=len(accesses), max_size=len(accesses)))
+    exps = draw(st.lists(st.floats(-log_gain, log_gain), min_size=k * n, max_size=k * n))
+    names = draw(st.lists(st.sampled_from((*FINITE_BUILTINS, "gaussian")), min_size=k, max_size=k))
+    return scn.Scenario(
+        n=n, k=k, ts=draw(ts), gains=10.0 ** np.array(exps).reshape(k, n),
+        arrivals=tuple(zip(accesses, packets)), constellations=tuple(map(cons.by_name, names)),
+    )
+
+
+@PROPERTY
+@given(s=scenarios(), alg=st.sampled_from(sorted(SOLVERS)))
+def test_exported_allocation_reads_back_exactly(s, alg):
+    a = SOLVERS[alg](s)
+    text = off.allocation_csv(s, a)
+    b = off.allocation_from_csv(s, text)
+    assert np.array_equal(a.powers, b.powers)
+    assert np.array_equal(a.pool_water_levels, b.pool_water_levels)
+    assert np.array_equal(a.access_water_levels, b.access_water_levels)
+    assert np.array_equal(a.epoch_of_pool, b.epoch_of_pool)
+    assert a.epochs == b.epochs
+    assert off.allocation_csv(s, b) == text
+
+
+@PROPERTY
+@given(s=scenarios(), alg=st.sampled_from(sorted(SOLVERS)), data=st.data(),
+       column=st.sampled_from(["lambda", "sigma2", "water_level"]),
+       step=st.floats(1e-3, 1.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_tampered_export_fails_to_load_or_verify(s, alg, data, column, step, sign):
+    # every packet is positive, so each epoch spends on an active stream
+    lines = off.allocation_csv(s, SOLVERS[alg](s)).splitlines()
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    col = lines[0].split(",").index(column)
+    parts = lines[row].split(",")
+    value = float(parts[col])
+    parts[col] = repr(value + sign * step * max(1.0, abs(value)))
+    lines[row] = ",".join(parts)
+    try:
+        report = off.kkt_verify(s, off.allocation_from_csv(s, "\n".join(lines) + "\n"), tol=KKT_TOL)
+    except InvalidInputError:
+        return
+    assert not report.passed
+
+
+def _solve_or_range_error(solve, s):
+    try:
+        return solve(s)
+    except TableRangeError as err:
+        assert re.match(r"accesses \d+-\d+: ", str(err)), str(err)
+        return None
+
+
+@PROPERTY
+@given(s=scenarios(log_gain=6.0, energy=st.floats(0.0, 1e3), ts=st.floats(1e-3, 1.0)))
+def test_nda_equals_fsa_and_passes_kkt(s):
+    a = _solve_or_range_error(off.nda_solve, s)
+    f = _solve_or_range_error(off.fsa_solve, s)
+    assert (a is None) == (f is None)
+    if a is None:
+        return
+    scale = max(float(a.powers.max()), 1e-12)
+    assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale
+    assert off.kkt_verify(s, a, tol=KKT_TOL).passed
+    assert off.kkt_verify(s, f, tol=KKT_TOL).passed
