@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import numpy as np
 
-def emit(text: str, path_or_buf=None) -> str | None:
-    """Return ``text`` when no target is given; else write it to a path or file object.
 
-    A path is opened and closed here; a file object is written and left open.
+def emit(header, columns, path_or_buf=None) -> str | None:
+    """CSV text: one ``header`` line, then one row per entry of equal-length ``columns``.
+
+    Comma-separated with no quoting and LF line endings.  Each column is read
+    by ``tolist()``, so integers print in plain form, floats by ``repr`` (which
+    reads back to the same double) and strings as they are.  The text is
+    returned when no target is given; else it is written to a path (opened and
+    closed here) or to a file object (left open).
     """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]  # str(float) is repr(float)
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
     if path_or_buf is None:
         return text
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", encoding="utf-8") as fh:
+        with open(path_or_buf, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         path_or_buf.write(text)

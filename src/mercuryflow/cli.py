@@ -59,19 +59,28 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _list_of(doc: dict, key: str, kind) -> list:
+def _list_of(doc: dict, key: str, kind, where: str = "") -> list:
     """A config list field whose every entry is a ``kind``, else SchemaError."""
-    return [scn._require({key: v}, key, kind) for v in scn._require(doc, key, list)]
+    return [scn._require({key: v}, key, kind, where) for v in scn._require(doc, key, list, where)]
 
 
-def _params(doc: dict, supplied: tuple[str, ...]) -> dict:
-    """A config's ``params``: generate() arguments other than ``supplied``."""
-    params = dict(scn._require(doc, "params", dict))
-    allowed = set(inspect.signature(scn.generate).parameters) - set(supplied)
+def _params(doc: dict, supplied: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """A config's ``params``: generate() arguments other than ``supplied``.
+
+    Each has generate()'s annotated type (``constellations``: a list of names), and each
+    without a default is given unless ``optional``; else SchemaError naming ``params.<key>``.
+    """
+    params = scn._require(doc, "params", dict)
+    args = inspect.signature(scn.generate, eval_str=True).parameters
     for key in params:
-        if key not in allowed:
+        if key not in args or key in supplied:
             raise SchemaError(f"unknown field 'params.{key}'", field=f"params.{key}")
-    return params
+    return {
+        name: _list_of(params, name, str, "params") if name == "constellations"
+        else scn._require(params, name, arg.annotation, "params")
+        for name, arg in args.items()
+        if name in params or (arg.default is arg.empty and name not in supplied + optional)
+    }
 
 
 def cmd_tables(args) -> int:
@@ -123,8 +132,8 @@ def cmd_sweep(args) -> int:
     result = evaluation.sweep_energy(
         params,
         _list_of(doc, "energy_grid", float),
-        strategies=tuple(doc.get("strategies", evaluation.SWEEP_STRATEGIES)),
-        f_w=doc.get("f_w"),
+        _list_of(doc, "strategies", str) if "strategies" in doc else evaluation.SWEEP_STRATEGIES,
+        f_w=scn._require(doc, "f_w", int) if "f_w" in doc else None,
         jobs=args.jobs,
     )
     out = _out_dir(args)
@@ -141,7 +150,7 @@ def cmd_complexity(args) -> int:
     ens = evaluation.complexity_ensemble(
         j_grid,
         runs,
-        params=_params(doc, supplied=("j", "seed")) if "params" in doc else None,
+        params=_params(doc, supplied=("j", "seed"), optional=("n",)) if "params" in doc else None,
         base_seed=base_seed if args.seed is None else args.seed,
         jobs=args.jobs,
     )

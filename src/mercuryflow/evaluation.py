@@ -19,7 +19,6 @@ streams and accesses.
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -322,23 +321,16 @@ def complexity_ensemble(
 # ---------------------------------------------------------------------------
 
 def sweep_csv(result: SweepResult, path_or_buf=None) -> str | None:
-    buf = io.StringIO()
-    buf.write("energy,strategy,mi_bits\n")
-    for name, curve in result.curves.items():
-        for e, mi in zip(result.energies, curve):
-            buf.write(f"{float(e)!r},{name},{float(mi)!r}\n")
-    return emit(buf.getvalue(), path_or_buf)
+    rows = [(e, name, mi) for name, curve in result.curves.items()
+            for e, mi in zip(result.energies, curve)]
+    return emit(("energy", "strategy", "mi_bits"), zip(*rows), path_or_buf)
 
 
 def complexity_csv(ens: ComplexityEnsemble, path_or_buf=None) -> str | None:
-    buf = io.StringIO()
-    buf.write("J,seed,alg,calls\n")
-    for j in ens.j_values:
-        for seed, c in zip(ens.seeds[j], ens.nda_calls[j]):
-            buf.write(f"{j},{seed},nda,{c}\n")
-        for seed, c in zip(ens.seeds[j], ens.fsa_calls[j]):
-            buf.write(f"{j},{seed},fsa,{c}\n")
-    return emit(buf.getvalue(), path_or_buf)
+    rows = [(j, seed, alg, c) for j in ens.j_values
+            for alg, calls in (("nda", ens.nda_calls), ("fsa", ens.fsa_calls))
+            for seed, c in zip(ens.seeds[j], calls[j])]
+    return emit(("J", "seed", "alg", "calls"), zip(*rows), path_or_buf)
 
 
 def trace_csv(
@@ -357,10 +349,7 @@ def trace_csv(
     mercury = np.array(
         [tab.mercury_factor(np.minimum(psi[k], 1.0)) for k, tab in enumerate(tables)]
     ) / lam
-    buf = io.StringIO()
-    buf.write("n,k,inv_gain,mercury_level,water_level,power\n")
-    rows = zip(w.tolist(), (1.0 / lam).T.tolist(), mercury.T.tolist(), alloc.powers.T.tolist())
-    for n, (w_n, inv_gains, mercuries, powers) in enumerate(rows, 1):
-        for k, (inv_g, mer, pw) in enumerate(zip(inv_gains, mercuries, powers), 1):
-            buf.write(f"{n},{k},{inv_g!r},{mer!r},{w_n!r},{pw!r}\n")
-    return emit(buf.getvalue(), path_or_buf)
+    n, k = np.indices((scenario.n, scenario.k)).reshape(2, -1) + 1   # rows n-major
+    return emit(("n", "k", "inv_gain", "mercury_level", "water_level", "power"),
+                (n, k, (1.0 / lam).T.ravel(), mercury.T.ravel(), w[n - 1],
+                 alloc.powers.T.ravel()), path_or_buf)

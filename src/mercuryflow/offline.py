@@ -331,8 +331,11 @@ def kkt_verify(
     battery at the end; (3) water levels non-decreasing across pools;
     (4) level increases only where the battery emptied.  Pool levels must
     be finite, and powers finite and >= 0, else InvalidInputError: an
-    online allocation, which has no pool levels, raises it.
+    online allocation, which has no pool levels, raises it; so does a ``tol``
+    that is not finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"tol must be finite and > 0, got {tol!r}")
     if alloc.powers.shape != (scenario.k, scenario.n):
         raise InvalidInputError(
             f"allocation shape {alloc.powers.shape} does not match scenario "
@@ -499,15 +502,9 @@ def allocation_from_csv(scenario: Scenario, text: str) -> Allocation:
 
 def allocation_csv(scenario: Scenario, alloc: Allocation, path_or_buf=None) -> str | None:
     """Rows (n, k, lambda, sigma2, water_level, pool, epoch); 1-based indices."""
-    buf = io.StringIO()
-    buf.write(",".join(_CSV_COLUMNS) + "\n")
-    for n, pool_ix in enumerate(scenario.pool_of_access.tolist(), 1):
-        epoch_ix = int(alloc.epoch_of_pool[pool_ix - 1])
-        for k in range(1, scenario.k + 1):
-            buf.write(
-                f"{n},{k},{float(scenario.gains[k - 1, n - 1])!r},"
-                f"{float(alloc.powers[k - 1, n - 1])!r},"
-                f"{float(alloc.access_water_levels[n - 1])!r},{pool_ix},"
-                f"{epoch_ix + 1 if epoch_ix >= 0 else -1}\n"
-            )
-    return emit(buf.getvalue(), path_or_buf)
+    n, k = np.indices((scenario.n, scenario.k)).reshape(2, -1) + 1   # rows n-major
+    pool = scenario.pool_of_access[n - 1]
+    epoch = alloc.epoch_of_pool[pool - 1]
+    return emit(_CSV_COLUMNS, (n, k, scenario.gains.T.ravel(), alloc.powers.T.ravel(),
+                               alloc.access_water_levels[n - 1], pool,
+                               np.where(epoch >= 0, epoch + 1, -1)), path_or_buf)

@@ -165,6 +165,8 @@ def generate(
         raise InvalidInputError(f"need 1 <= j <= n, got j={j}, n={n}")
     if total_energy < 0.0:
         raise InvalidInputError("total_energy must be >= 0")
+    if not 0 <= seed < 2**128:   # the Philox key range
+        raise InvalidInputError(f"seed must be in 0 <= seed < 2**128, got {seed}")
     rng = _uniform_stream(seed)
 
     # draw order is part of the reproducibility contract: arrivals, energies, gains
@@ -274,6 +276,7 @@ def save(s: Scenario, path) -> None:
 
 
 def _require(doc: dict, key: str, kind, where: str = ""):
+    """``doc[key]`` if it is a ``kind`` (a bool is not an int or a number), else SchemaError."""
     path = f"{where}.{key}" if where else key
     if key not in doc:
         raise SchemaError(f"missing required field {path!r}", field=path)
@@ -282,7 +285,7 @@ def _require(doc: dict, key: str, kind, where: str = ""):
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"field {path!r} must be a number", field=path)
         return float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {path!r} has the wrong type", field=path)
     return val
 
@@ -310,9 +313,7 @@ def loads(text: str) -> Scenario:
         _constellation_from_json(obj, f"constellations[{i}]")
         for i, obj in enumerate(cons_doc)
     )
-    seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise SchemaError("field 'seed' must be an integer", field="seed")
+    seed = _require(doc, "seed", int) if doc.get("seed") is not None else None
 
     gains_doc = _require(doc, "gains", (list, dict))
     if isinstance(gains_doc, dict):
@@ -320,7 +321,7 @@ def loads(text: str) -> Scenario:
             raise SchemaError(
                 "a gains generator spec requires 'seed'", field="gains"
             )
-        model = _require(gains_doc, "model", str, where="gains")
+        spec = {"block_len": 10, "constant_across_streams": False, **gains_doc}
         gen = generate(
             n=n,
             k=k,
@@ -328,9 +329,9 @@ def loads(text: str) -> Scenario:
             j=len(arrivals),
             total_energy=1.0,
             constellations=cons,
-            gain_model=model,
-            block_len=int(gains_doc.get("block_len", 10)),
-            constant_across_streams=bool(gains_doc.get("constant_across_streams", False)),
+            gain_model=_require(spec, "model", str, where="gains"),
+            block_len=_require(spec, "block_len", int, where="gains"),
+            constant_across_streams=_require(spec, "constant_across_streams", bool, where="gains"),
             seed=seed,
         )
         gains = gen.gains

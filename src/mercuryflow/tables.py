@@ -179,12 +179,8 @@ class MmseTable:
 
     def to_csv(self, path_or_buf) -> None:
         """Write the (snr, mmse, mi) grid as CSV for inspection."""
-        rows = "".join(
-            f"{s!r},{m!r},{i!r}\n"
-            for s, m, i in zip(self.snr_grid.tolist(), self.mmse_values.tolist(),
-                               self.mi_values.tolist())
-        )
-        emit("snr,mmse,mi_bits\n" + rows, path_or_buf)
+        emit(("snr", "mmse", "mi_bits"), (self.snr_grid, self.mmse_values, self.mi_values),
+             path_or_buf)
 
 
 @functools.lru_cache(maxsize=64)
@@ -289,8 +285,8 @@ def build_table(
     impossible past it); the requested ``snr_max`` is kept for reference.
     """
     snr_max = float(snr_max)
-    if not snr_max > 0.0:
-        raise InvalidInputError(f"snr_max must be > 0, got {snr_max!r}")
+    if not (math.isfinite(snr_max) and snr_max > 0.0):
+        raise InvalidInputError(f"snr_max must be finite and > 0, got {snr_max!r}")
     if n_points < 64:
         raise InvalidInputError(f"n_points must be >= 64, got {n_points!r}")
     grid = np.concatenate([[0.0], np.geomspace(1e-3, snr_max, n_points - 1)])

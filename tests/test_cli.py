@@ -6,7 +6,9 @@ import pytest
 
 from mercuryflow import cli
 from mercuryflow import constellations as cons
+from mercuryflow import offline as off
 from mercuryflow import scenario as scn
+from mercuryflow import tables as tbl
 from mercuryflow.errors import (
     ConvergenceError,
     InvalidInputError,
@@ -133,6 +135,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     incomplete = tmp_path / "inc.json"
     incomplete.write_text(json.dumps({"n": 2}))
     assert run_cli(["run", "--alg", "nda", "--config", incomplete, "--out", tmp_path]) == 2
+    capsys.readouterr()
+    spec = {"n": 4, "k": 1, "ts_seconds": 1.0, "arrivals": [{"access": 1, "joules": 1.0}],
+            "constellations": ["gaussian"], "seed": 1}
+    for field, value in (("block_len", "x"), ("block_len", 2.5), ("constant_across_streams", "no")):
+        bad_spec = tmp_path / "spec.json"
+        bad_spec.write_text(json.dumps({**spec, "gains": {"model": "block_random", field: value}}))
+        assert run_cli(["run", "--alg", "nda", "--config", bad_spec, "--out", tmp_path]) == 2
+        assert f"'gains.{field}'" in capsys.readouterr().err
 
 
 _SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaussian"],
@@ -149,6 +159,26 @@ _SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaus
     ("sweep", {**_SWEEP, "energy_grid": "abc"}, "'energy_grid'"),
     ("sweep", {**_SWEEP, "energy_grid": ["abc"]}, "'energy_grid'"),
     ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "bogus": 1}}, "'params.bogus'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "n": "x"}}, "'params.n'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "n": True}}, "'params.n'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "seed": "a"}}, "'params.seed'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "ts": "x"}}, "'params.ts'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "block_len": 2.5}}, "'params.block_len'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "constant_across_streams": "no"}},
+     "'params.constant_across_streams'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "constellations": "gaussian"}},
+     "'params.constellations'"),
+    ("sweep", {**_SWEEP, "params": {**_SWEEP["params"], "constellations": [5]}},
+     "'params.constellations'"),
+    ("sweep", {**_SWEEP, "params": {k: v for k, v in _SWEEP["params"].items() if k != "j"}},
+     "'params.j'"),
+    ("sweep", {**_SWEEP, "strategies": 5}, "'strategies'"),
+    ("sweep", {**_SWEEP, "strategies": "mwflow"}, "'strategies'"),
+    ("sweep", {**_SWEEP, "f_w": 2.5}, "'f_w'"),
+    ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": "x"}}, "'params.k'"),
+    ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": 1, "ts": 1.0}},
+     "'params.total_energy'"),
+    ("complexity", {"j_grid": [3, 5], "runs": True}, "'runs'"),
 ])
 def test_experiment_config_errors_exit_2(tmp_path, capsys, command, cfg, where):
     path = tmp_path / "cfg.json"
@@ -316,3 +346,41 @@ def test_infinite_symbol_duration_exits_2(scenario_config, tmp_path, capsys):
     assert '"ts_seconds": Infinity' in path.read_text()
     assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
     assert "ts must be finite" in capsys.readouterr().err
+
+
+def test_infinite_snr_max_exits_2(tmp_path, capsys):
+    with pytest.raises(InvalidInputError, match="snr_max must be finite and > 0, got inf"):
+        tbl.build_table(cons.bpsk(), snr_max=math.inf)
+    assert run_cli(["tables", "--constellations", "bpsk", "--snr-max", "inf",
+                    "--out", tmp_path]) == 2
+    assert "snr_max must be finite and > 0, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-3, 2**128], ids=["negative", "2**128"])
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, seed):
+    with pytest.raises(InvalidInputError, match="seed must be in 0 <= seed < 2"):
+        scn.generate(n=4, k=1, ts=1.0, j=1, total_energy=1.0, constellations=("gaussian",),
+                     seed=seed)
+    cfg = {"n": 4, "k": 1, "ts_seconds": 1.0, "arrivals": [{"access": 1, "joules": 1.0}],
+           "gains": {"model": "static"}, "constellations": ["gaussian"], "seed": 1}
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--seed", seed,
+                    "--out", tmp_path]) == 2
+    path.write_text(json.dumps({**cfg, "seed": seed}))
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"seed must be in 0 <= seed < 2**128, got {seed}") == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_verify_tolerance_must_be_finite_and_positive(scenario_config, tmp_path, capsys, tol):
+    s = scn.load(scenario_config)
+    with pytest.raises(InvalidInputError, match="tol must be finite and > 0"):
+        off.kkt_verify(s, off.nda_solve(s), tol=float(tol))
+    run_cli(["run", "--alg", "nda", "--config", scenario_config, "--out", tmp_path])
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", scenario_config, "--allocation",
+                    tmp_path / "allocation_nda.csv", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"tol must be finite and > 0, got {float(tol)!r}" in captured.err

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -192,6 +193,20 @@ def test_sweep_csv_format():
     assert lines[1].split(",")[1] == "mwflow"
 
 
+def test_sweep_csv_matches_per_entry_reference(tmp_path):
+    params = dict(n=6, k=2, ts=0.01, j=2, constellations=("bpsk", "gaussian"),
+                  gain_model="static", seed=5)
+    res = ev.sweep_energy(params, [0.25, 1, 3.5], strategies=("pbp-wf", "mwflow"))
+    rows = ["energy,strategy,mi_bits\n"]
+    for name in ("pbp-wf", "mwflow"):
+        for e, mi in zip(res.energies, res.curves[name]):
+            rows.append(f"{float(e)!r},{name},{float(mi)!r}\n")
+    path = tmp_path / "sweep.csv"
+    ev.sweep_csv(res, path)
+    assert path.read_bytes() == "".join(rows).encode()
+    assert ev.sweep_csv(res) == "".join(rows)
+
+
 def test_complexity_ensemble_bounds_and_fit():
     ens = ev.complexity_ensemble((4, 8, 12), runs=10, base_seed=55)
     assert ens.bounds_ok()
@@ -200,6 +215,19 @@ def test_complexity_ensemble_bounds_and_fit():
     lines = text.splitlines()
     assert lines[0] == "J,seed,alg,calls"
     assert len(lines) == 1 + 2 * 3 * 10
+
+
+def test_complexity_csv_matches_per_entry_reference():
+    ens = ev.complexity_ensemble((2, 5), runs=3, base_seed=7)
+    rows = ["J,seed,alg,calls\n"]
+    for j in ens.j_values:
+        for seed, c in zip(ens.seeds[j], ens.nda_calls[j]):
+            rows.append(f"{j},{seed},nda,{c}\n")
+        for seed, c in zip(ens.seeds[j], ens.fsa_calls[j]):
+            rows.append(f"{j},{seed},fsa,{c}\n")
+    buf = io.StringIO()
+    assert ev.complexity_csv(ens, buf) is None
+    assert buf.getvalue() == "".join(rows)
 
 
 def test_complexity_worker_pool_matches_serial(builtin_tables):

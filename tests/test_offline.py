@@ -502,6 +502,24 @@ def test_allocation_csv_round_trip():
     assert off.kkt_verify(s, back).passed
 
 
+@pytest.mark.parametrize("alg", ["nda", "online"])
+def test_allocation_csv_matches_per_entry_reference(builtin_tables, alg):
+    s = scn.generate(n=16, k=3, ts=0.01, j=4, total_energy=0.6,
+                     constellations=("bpsk", "16pam", "gaussian"), gain_model="block_random",
+                     block_len=3, seed=13)
+    a = ev.run_strategy(s, alg, f_w=3)
+    assert (a.epoch_of_pool >= 0).all() if alg == "nda" else (a.epoch_of_pool == -1).all()
+    rows = ["n,k,lambda,sigma2,water_level,pool,epoch\n"]
+    for n in range(s.n):
+        pool = int(s.pool_of_access[n])
+        epoch = int(a.epoch_of_pool[pool - 1])
+        for k in range(s.k):
+            rows.append(f"{n + 1},{k + 1},{float(s.gains[k, n])!r},{float(a.powers[k, n])!r},"
+                        f"{float(a.access_water_levels[n])!r},{pool},"
+                        f"{epoch + 1 if epoch >= 0 else -1}\n")
+    assert off.allocation_csv(s, a) == "".join(rows)
+
+
 def test_allocation_from_csv_rejects_incomplete():
     s = gaussian_scenario([(1, 1.0)], n=2)
     a = off.nda_solve(s)

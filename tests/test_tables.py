@@ -169,6 +169,17 @@ def test_csv_export(builtin_tables, tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["4pam", "gaussian"])
+def test_csv_export_matches_per_entry_reference(builtin_tables, tmp_path, name):
+    t = builtin_tables[name]
+    rows = ["snr,mmse,mi_bits\n"]
+    for snr, mmse, mi in zip(t.snr_grid, t.mmse_values, t.mi_values):
+        rows.append(f"{float(snr)!r},{float(mmse)!r},{float(mi)!r}\n")
+    path = tmp_path / "t.csv"
+    t.to_csv(path)
+    assert path.read_bytes() == "".join(rows).encode()
+
+
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv(tb.CACHE_ENV_VAR, str(tmp_path))
     tb.clear_cache()
