@@ -44,8 +44,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_scenario(args) -> scn.Scenario:
-    with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
     return scn.loads(json.dumps(doc))
@@ -178,8 +177,7 @@ def cmd_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     s = _load_scenario(args)
-    with open(args.allocation, encoding="utf-8") as fh:
-        alloc = offline.allocation_from_csv(s, fh.read())
+    alloc = offline.allocation_from_csv(s, Path(args.allocation).read_text(encoding="utf-8"))
     report = offline.kkt_verify(s, alloc, tol=args.tol)
     print(
         f"verify stationarity={'pass' if report.stationarity_ok else 'fail'} "
@@ -202,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required, help="JSON config path")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=".", help="output directory")
 
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--constellations", default=",".join(BUILTIN_NAMES))
     sp.add_argument("--snr-max", type=float, default=tbl.DEFAULT_SNR_MAX)
     sp.add_argument("--n-points", type=int, default=tbl.DEFAULT_N_POINTS)
-    common(sp, config_required=False)
+    sp.add_argument("--out", default=".", help="output directory")
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("run", help="solve one scenario")
@@ -248,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(2, str(exc))
     except MercuryflowError as exc:
         return _fail(exc.exit_code, str(exc))

@@ -148,8 +148,11 @@ def best_window(
     return best, scores
 
 
-def _map(fn, tasks: list, jobs: int) -> list:
-    """``fn`` over ``tasks`` in order, on ``jobs`` worker processes when jobs > 1."""
+def _map(fn, tasks: list, jobs: int, first: Scenario) -> list:
+    """``fn`` over ``tasks`` in order on ``jobs`` processes, which inherit ``first``'s tables."""
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
+    stream_tables(first)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
@@ -203,14 +206,15 @@ def sweep_energy(
     grid = np.asarray(list(energy_grid), dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0):
         raise InvalidInputError("energy grid must be non-empty and positive")
+    if not strategies:
+        raise InvalidInputError("strategies must not be empty")
     base = generate(total_energy=1.0, **base_params)
     tasks = [
         (i, rescale_energy(base, float(E)), tuple(strategies), f_w)
         for i, E in enumerate(grid)
     ]
     curves = {name: np.zeros(grid.size) for name in strategies}
-    stream_tables(base)  # built once here, so forked workers inherit the table cache
-    for i, point in _map(_sweep_point, tasks, jobs):
+    for i, point in _map(_sweep_point, tasks, jobs, base):
         for name, mi in point.items():
             curves[name][i] = mi
     return SweepResult(energies=grid, curves=curves)
@@ -264,6 +268,8 @@ def complexity_ensemble(
     pool and uniformly random packet energies.
     """
     j_values = tuple(int(j) for j in j_grid)
+    if not j_values:
+        raise InvalidInputError("j_grid must not be empty")
     if any(j < 1 for j in j_values):
         raise InvalidInputError("every J must be >= 1")
     if runs < 1:
@@ -282,13 +288,11 @@ def complexity_ensemble(
             p["n"] = 2 * j
         for r in range(runs):
             tasks.append((j, base_seed + 7919 * j + r, p))
-    if tasks:  # the first scenario's tables, built here so forked workers inherit them
-        j, seed, p = tasks[0]
-        stream_tables(generate(j=j, seed=seed, **p))
+    first = generate(j=tasks[0][0], seed=tasks[0][1], **tasks[0][2])
     seeds = {j: [] for j in j_values}
     nda_calls = {j: [] for j in j_values}
     fsa_calls = {j: [] for j in j_values}
-    for j, seed, cn, cf in _map(_complexity_run, tasks, jobs):
+    for j, seed, cn, cf in _map(_complexity_run, tasks, jobs, first):
         seeds[j].append(seed)
         nda_calls[j].append(cn)
         fsa_calls[j].append(cf)

@@ -178,23 +178,16 @@ def _assemble(
     for sol in sols:
         if isinstance(sol, TableRangeError):
             raise sol
-    powers = np.zeros((scenario.k, scenario.n))
-    pool_levels = np.empty(scenario.n_arrivals)
-    epoch_of_pool = np.empty(scenario.n_arrivals, dtype=np.int64)
-    epochs = []
-    for m, (grp, sol) in enumerate(zip(groups, sols)):
-        s, e = grp[0].start, grp[-1].end
-        powers[:, s - 1 : e] = sol.powers
-        for p in grp:
-            pool_levels[p.index - 1] = sol.water_level
-            epoch_of_pool[p.index - 1] = m
-        epochs.append(Epoch(pools=tuple(p.index for p in grp), water_level=sol.water_level))
+    # the groups are consecutive and cover every pool, so each array is one pass
+    sizes = [len(grp) for grp in groups]
+    pool_levels = np.repeat([sol.water_level for sol in sols], sizes)
     return Allocation(
-        powers=powers,
+        powers=np.hstack([sol.powers for sol in sols]),
         pool_water_levels=pool_levels,
         access_water_levels=pool_levels[scenario.pool_of_access - 1],
-        epoch_of_pool=epoch_of_pool,
-        epochs=tuple(epochs),
+        epoch_of_pool=np.repeat(np.arange(len(groups), dtype=np.int64), sizes),
+        epochs=tuple(Epoch(pools=tuple(p.index for p in grp), water_level=sol.water_level)
+                     for grp, sol in zip(groups, sols)),
         stats=stats,
     )
 

@@ -38,6 +38,7 @@ from scipy.special import ndtri
 
 from .constellations import Constellation, by_name, pam
 from .errors import InvalidInputError, SchemaError
+from .waterfill import _normal_gains
 
 __all__ = ["Pool", "Scenario", "build_pools", "generate", "rescale_energy", "save", "load",
            "loads", "dumps"]
@@ -102,9 +103,7 @@ class Scenario:
             raise InvalidInputError(
                 f"gains shape {g.shape} does not match (k, n) = {(self.k, self.n)}"
             )
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-            raise InvalidInputError("all gains must be finite and > 0")
-        object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "gains", _normal_gains(g))
         pools = tuple(build_pools(self.arrivals, self.n))
         object.__setattr__(self, "pools", pools)
         object.__setattr__(self, "pool_of_access", np.repeat(

@@ -33,6 +33,7 @@ __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "cl
 
 ENERGY_RTOL = 1e-9
 MAX_ITER = 200
+_GAIN_MIN = float(np.finfo(float).tiny)   # the smallest normal double, so 1/gain is finite
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,21 @@ class EpochProblem:
 
 def _checked(gains, budget: float, ts: float) -> NDArray[np.float64]:
     """The gains as a float array once gains, budget and ts are inside the model."""
-    g = np.asarray(gains, dtype=float)
+    g = _normal_gains(gains)
     if g.size == 0:
         raise InvalidInputError("epoch has no gain entries")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise InvalidInputError("all gains must be finite and > 0")
     if not math.isfinite(budget) or budget < 0.0:
         raise InvalidInputError(f"budget must be finite and >= 0, got {budget!r}")
     if not (math.isfinite(ts) and ts > 0.0):
         raise InvalidInputError(f"ts must be finite and > 0, got {ts!r}")
+    return g
+
+
+def _normal_gains(gains) -> NDArray[np.float64]:
+    """The gains as a float array once each is finite and normal; Scenario applies it too."""
+    g = np.asarray(gains, dtype=float)
+    if not (np.isfinite(g) & (g >= _GAIN_MIN)).all():
+        raise InvalidInputError(f"all gains must be finite and >= {_GAIN_MIN!r} (normal doubles)")
     return g
 
 
@@ -106,20 +113,17 @@ def _evaluate(problem: EpochProblem, bank, level: float):
 def _level_cap(problem: EpochProblem) -> tuple[float, int]:
     """Largest level the tables can model, and the stream that sets it.
 
-    inf (stream -1) when all streams are Gaussian.  Stepped down until no
-    entry's 1/(W * lam) rounds below its table floor.
+    inf (stream -1) when all streams are Gaussian (bank floor 0).  Each stream
+    starts at 1/(lam_max * floor), +inf if that underflows, and all step down
+    together until no entry's 1/(W * lam) rounds below its floor.
     """
-    cap, k_cap = math.inf, -1
-    for k, tab in enumerate(problem.tables):
-        if tab.is_gaussian:
-            continue
-        lam_max = float(problem.gains[k].max())
-        level = 1.0 / (lam_max * tab.mmse_floor)
-        while 1.0 / (level * lam_max) < tab.mmse_floor:
-            level = math.nextafter(level, 0.0)
-        if level < cap:
-            cap, k_cap = level, k
-    return cap, k_cap
+    floor, lam_max = _bank(problem.tables)[3], problem.gains.max(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        level = 1.0 / (lam_max * floor)
+        while (low := 1.0 / (level * lam_max) < floor).any():
+            level = np.where(low, np.nextafter(level, 0.0), level)
+    k = int(np.argmin(level))
+    return (float(level[k]), k) if level[k] < math.inf else (math.inf, -1)
 
 
 def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
@@ -172,7 +176,7 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
     lo, hi = 1.0 / float(problem.gains.max()), cap
     spent_lo, spent_hi = 0.0, math.inf
     powers_lo = rates_lo = rates_hi = np.zeros_like(problem.gains)
-    x = min(classical_wf(problem.gains, budget, ts).water_level, cap)
+    x = min(_wf_level(problem.gains, budget / ts), cap)
     for evals in range(1, MAX_ITER + 1):
         powers, rates = _evaluate(problem, bank, x)
         spent, slope = ts * float(powers.sum()), ts * float(rates.sum())
@@ -223,15 +227,17 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     g = _checked(gains, budget, ts)
     if budget == 0.0:
         return EpochSolution(0.0, np.zeros_like(g), 0.0)
-    floors = np.sort(1.0 / g.ravel())
     target = budget / ts
-    csum = np.cumsum(floors)
-    m_range = np.arange(1, floors.size + 1)
-    levels = (target + csum) / m_range
-    feasible = levels > floors  # level must sit above the last active floor
-    m = int(np.nonzero(feasible)[0].max(initial=0)) + 1
-    level = float((target + csum[m - 1]) / m)
+    level = _wf_level(g, target)
     powers = np.maximum(level - 1.0 / g, 0.0)
     if not powers.any():   # below one ulp of the top floor: the strongest entry takes it all
         powers.flat[np.argmax(g)] = target
     return EpochSolution(level, powers, ts * float(powers.sum()))
+
+
+def _wf_level(g: NDArray[np.float64], target: float) -> float:
+    """Gaussian level spending ``target`` above the floors 1/g, over the most floors it clears."""
+    floors = np.sort(1.0 / g.ravel())
+    csum = np.cumsum(floors)
+    levels = (target + csum) / np.arange(1, floors.size + 1)
+    return float(levels[np.nonzero(levels > floors)[0].max(initial=0)])

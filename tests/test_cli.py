@@ -6,6 +6,7 @@ import pytest
 
 from mercuryflow import cli
 from mercuryflow import constellations as cons
+from mercuryflow import evaluation as ev
 from mercuryflow import offline as off
 from mercuryflow import scenario as scn
 from mercuryflow import tables as tbl
@@ -143,6 +144,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
         bad_spec.write_text(json.dumps({**spec, "gains": {"model": "block_random", field: value}}))
         assert run_cli(["run", "--alg", "nda", "--config", bad_spec, "--out", tmp_path]) == 2
         assert f"'gains.{field}'" in capsys.readouterr().err
+    good, tiny, latin1 = tmp_path / "good.json", tmp_path / "tiny.json", tmp_path / "latin1.json"
+    good.write_text(json.dumps({**spec, "gains": [[1.0] * 4]}))
+    tiny.write_text(json.dumps({**spec, "gains": [[1.0, 1e-310, 1.0, 1.0]]}))
+    latin1.write_bytes(b'{"n": "\xe9"}')
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (["run", "--alg", "nda", "--config", tmp_path],   # a directory
+                 ["run", "--alg", "nda", "--config", good, "--out", taken],   # a file
+                 ["run", "--alg", "nda", "--config", latin1],
+                 ["run", "--alg", "dwf", "--config", tiny],
+                 ["verify", "--config", good, "--allocation", tmp_path]):
+        assert run_cli([*argv, *(() if "--out" in argv else ("--out", tmp_path))]) == 2, argv
+        assert "error code=2" in capsys.readouterr().err
 
 
 _SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaussian"],
@@ -179,6 +193,8 @@ _SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaus
     ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": 1, "ts": 1.0}},
      "'params.total_energy'"),
     ("complexity", {"j_grid": [3, 5], "runs": True}, "'runs'"),
+    ("complexity", {"j_grid": [], "runs": 2}, "j_grid must not be empty"),
+    ("sweep", {**_SWEEP, "strategies": []}, "strategies must not be empty"),
 ])
 def test_experiment_config_errors_exit_2(tmp_path, capsys, command, cfg, where):
     path = tmp_path / "cfg.json"
@@ -186,6 +202,27 @@ def test_experiment_config_errors_exit_2(tmp_path, capsys, command, cfg, where):
     assert run_cli([command, "--config", path, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "error code=2" in err and where in err
+
+
+@pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.json"), ("--seed", "5")])
+def test_tables_takes_no_config_or_seed(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["tables", "--constellations", "gaussian", flag, value, "--out", tmp_path])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, cfg", [("sweep", _SWEEP),
+                                          ("complexity", {"j_grid": [2], "runs": 1})])
+def test_jobs_below_one_exits_2_before_any_table_is_built(tmp_path, capsys, monkeypatch,
+                                                          command, cfg):
+    monkeypatch.setattr(ev, "stream_tables", lambda *a: pytest.fail("tables were built"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", path, "--jobs", "-3", "--out", tmp_path]) == 2
+    assert "jobs must be >= 1, got -3" in capsys.readouterr().err
+    with pytest.raises(InvalidInputError, match="jobs must be >= 1, got 0"):
+        ev.sweep_energy(_SWEEP["params"], [1.0], jobs=0)
 
 
 def test_numeric_error_exit_3(tmp_path, capsys):

@@ -280,6 +280,27 @@ def test_wide_range_fuzz_gate():
     assert solved >= 250
 
 
+@pytest.mark.parametrize("gains, arrivals, name", [
+    ([[1e-80, 1e-80]], ((1, 0.5),), "bpsk"),
+    ([[1e-80, 1e-80]], ((1, 0.5),), "32pam"),
+    ([[1e-80, 1.0, 2.0]], ((1, 0.5), (2, 0.2)), "bpsk"),
+], ids=["one-pool-bpsk", "one-pool-32pam", "two-pools-bpsk"])
+def test_gains_whose_cap_start_underflows_solve(builtin_tables, gains, arrivals, name):
+    # gain * bpsk's floor (5e-249) underflows to 0: the level cap starts at +inf
+    g = np.array(gains)
+    s = scn.Scenario(n=g.shape[1], k=1, ts=1.0, gains=g, arrivals=arrivals,
+                     constellations=(cons.by_name(name),))
+    tabs = (builtin_tables[name],)
+    allocs = {alg: ev.run_strategy(s, alg, f_w=1, tables=tabs)
+              for alg in ("nda", "fsa", "online", "pbp-hgwf")}
+    for alg in ("nda", "fsa"):
+        assert off.kkt_verify(s, allocs[alg], tables=tabs).passed, alg
+    for alg in ("online", "pbp-hgwf"):
+        assert onl.causal_ecc_check(s, allocs[alg])[0], alg
+    a, f = allocs["nda"].powers, allocs["fsa"].powers
+    assert np.max(np.abs(a - f)) <= 1e-6 * max(float(a.max()), 1e-12)
+
+
 def test_fixture_from_spec_kkt_and_water_level():
     # seed-42 style shape: N=20, J=6, K=4, the four PAM sizes
     s = scn.generate(n=20, k=4, ts=0.01, j=6, total_energy=1.0,

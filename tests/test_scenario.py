@@ -160,9 +160,10 @@ def test_negative_gain_rejected():
     doc = json.loads(scn.dumps(
         scn.generate(n=2, k=1, ts=1.0, j=1, total_energy=1.0,
                      constellations=("gaussian",), seed=0)))
-    doc["gains"][0][0] = -1.0
-    with pytest.raises(SchemaError, match="gains"):
-        scn.loads(json.dumps(doc))
+    for bad in (-1.0, 1e-310, 5e-324):   # subnormal gains too: 1/gain must stay finite
+        doc["gains"][0][0] = bad
+        with pytest.raises(SchemaError, match="gains"):
+            scn.loads(json.dumps(doc))
 
 
 def test_gains_generator_spec():

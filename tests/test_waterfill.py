@@ -219,6 +219,25 @@ def test_solve_epoch_counts_evaluations(builtin_tables):
 _MIXED = st.lists(st.sampled_from((*FINITE_BUILTINS, "gaussian")), min_size=1, max_size=4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(names=_MIXED, n_access=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_level_cap_is_the_top_level_inside_every_floor(builtin_tables, names, n_access, seed):
+    tabs = tuple(builtin_tables[n] for n in names)
+    gains = 10.0 ** np.random.default_rng(seed).uniform(-300.0, 300.0, (len(tabs), n_access))
+    cap, k = wf._level_cap(EpochProblem(gains=gains, tables=tabs, budget=1.0, ts=1.0))
+    if k == -1:
+        assert cap == math.inf and all(t.is_gaussian for t in tabs)
+        return
+    floor, lam_max = tb._bank(tabs)[3], gains.max(axis=1)
+    up = math.nextafter(cap, math.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert floor[k] > 0.0 and not np.any(1.0 / (cap * lam_max) < floor)
+        # the next double up trips a floor, unless the cap is the largest finite
+        # double or the setting stream's start 1/(lam_max * floor), not stepped
+        assert (up == math.inf or cap == 1.0 / (lam_max[k] * floor[k])
+                or np.any(1.0 / (up * lam_max) < floor))
+
+
 @settings(max_examples=60, deadline=None)
 @given(names=_MIXED, n_access=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        u=st.floats(0.0, 1.0))
@@ -255,6 +274,8 @@ def test_classical_wf_examples():
         classical_wf(np.array([]), 1.0)
     with pytest.raises(InvalidInputError, match="finite"):
         classical_wf(np.ones(2), 1.0, ts=math.inf)
+    with pytest.raises(InvalidInputError, match="normal doubles"):   # 1/1e-310 overflows
+        classical_wf(np.array([1e-310, 1e-310]), 1.0)
 
 
 def test_classical_wf_sub_ulp_budget():
@@ -284,6 +305,9 @@ def test_epoch_problem_validation(gauss):
         EpochProblem(gains=np.ones((1, 1)), tables=(gauss,), budget=1.0, ts=0.0)
     with pytest.raises(InvalidInputError, match="finite"):
         EpochProblem(gains=np.ones((1, 2)), tables=(gauss,), budget=1.0, ts=math.inf)
+    for bad in (1e-310, math.nan, math.inf):   # a subnormal gain's 1/gain overflows
+        with pytest.raises(InvalidInputError, match="normal doubles"):
+            EpochProblem(gains=np.array([[1.0, bad]]), tables=(gauss,), budget=1.0, ts=1.0)
 
 
 @settings(max_examples=30, deadline=None)
