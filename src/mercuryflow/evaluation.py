@@ -31,7 +31,7 @@ from .offline import (
     Allocation,
     RunStats,
     _assemble,
-    _solve_group,
+    _solve_groups,
     dwf_reference,
     fsa_solve,
     nda_solve,
@@ -96,7 +96,7 @@ def pbp_solve(
     tables = None if inputs == "gaussian" else stream_tables(scenario, tables)
     groups = [[p] for p in scenario.pools]
     stats = RunStats()
-    sols = [_solve_group(scenario, tables, g, stats) for g in groups]
+    sols = _solve_groups(scenario, tables, groups, stats)
     return _assemble(scenario, groups, sols, stats)
 
 

@@ -1,13 +1,14 @@
 """Offline mercury/water-flowing allocation over all channel accesses.
 
 Every pool-based scheduler here cuts the pools into epochs and solves each
-epoch for one water level with :func:`_solve_group`; that call is what
-``RunStats.hg_calls`` counts.  Two optimal algorithms compute the same
+epoch for one water level with :func:`_solve_groups`; ``RunStats.hg_calls``
+counts the epochs it solves.  Two optimal algorithms compute the same
 allocation:
 
-* :func:`nda_solve` solves every pool alone, then pushes the pools onto a
-  stack in order; while the top two groups have decreasing water levels it
-  merges them and re-solves the merged group (pool-adjacent violators).
+* :func:`nda_solve` solves every pool alone, all in one batch, then pushes
+  the pools onto a stack in order; while the top two groups have decreasing
+  water levels it merges them and re-solves the merged group
+  (pool-adjacent violators).
   NDA's scan form rescans from the first pair after each merge and merges
   the first decreasing pair it finds.  Below the stack top the levels are
   already non-decreasing, so that pair is always the stack's top pair: both
@@ -19,7 +20,7 @@ allocation:
   next epoch starts at the first excluded pool.
 
 Range policy: a group whose budget needs a water level beyond the tables'
-cap comes back from :func:`_solve_group` as a :class:`TableRangeError` whose
+cap comes back from :func:`_solve_groups` as a :class:`TableRangeError` whose
 message starts ``accesses s-e:``, the group's first and last access.  NDA
 places it at level +inf, so it merges with the next group; FSA drops such a
 multi-pool candidate like one that breaks causality.  An error left among
@@ -48,7 +49,7 @@ from ._textout import emit
 from .errors import InvalidInputError, TableRangeError
 from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
-from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epoch
+from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epochs
 
 # what solving a group gives: its epoch, or the TableRangeError it ran into
 _Solved = EpochSolution | TableRangeError
@@ -128,34 +129,36 @@ def stream_tables(scenario: Scenario, tables=None) -> tuple[MmseTable, ...]:
     return tables
 
 
-def _solve(gains, tables, budget: float, ts: float, start: int, stats: RunStats) -> _Solved:
-    """Solve the accesses from ``start`` on as one epoch and count it in ``stats``.
+def _solve(tables, ts: float, stats: RunStats, epochs) -> list[_Solved]:
+    """Solve each ``(gains, budget, first access)`` as one epoch, counted in ``stats``.
 
-    ``tables=None`` solves by exact Gaussian water-filling.  A budget beyond
-    the tables' cap returns its TableRangeError (the module's range policy).
+    ``tables=None`` solves each by exact Gaussian water-filling; otherwise
+    all go through one :func:`solve_epochs` batch.  A budget beyond the
+    tables' cap returns its TableRangeError (the module's range policy).
     """
-    stats.hg_calls += 1
+    stats.hg_calls += len(epochs)
     if tables is None:
-        sol = classical_wf(gains, budget=budget, ts=ts)
+        sols = [classical_wf(gains, budget=budget, ts=ts) for gains, budget, _ in epochs]
     else:
-        try:
-            sol = solve_epoch(EpochProblem(gains, tables, budget, ts))
-        except TableRangeError as err:
-            return TableRangeError(f"accesses {start}-{start + gains.shape[1] - 1}: {err}")
-    stats.spent_evals += sol.evals
-    return sol
+        sols = solve_epochs([EpochProblem(g, tables, budget, ts) for g, budget, _ in epochs])
+    for i, ((gains, _, start), sol) in enumerate(zip(epochs, sols)):
+        if isinstance(sol, TableRangeError):
+            sols[i] = TableRangeError(f"accesses {start}-{start + gains.shape[1] - 1}: {sol}")
+        else:
+            stats.spent_evals += sol.evals
+    return sols
 
 
-def _solve_group(
+def _solve_groups(
     scenario: Scenario,
     tables: tuple[MmseTable, ...] | None,
-    group: Sequence[Pool],
+    groups: Sequence[Sequence[Pool]],
     stats: RunStats,
-) -> _Solved:
-    """Solve a run of pools as one epoch with :func:`_solve`."""
-    start, end = group[0].start, group[-1].end
-    budget = sum(p.energy for p in group)
-    return _solve(scenario.gains[:, start - 1 : end], tables, budget, scenario.ts, start, stats)
+) -> list[_Solved]:
+    """Solve each run of pools as its own epoch with :func:`_solve`."""
+    return _solve(tables, scenario.ts, stats, [
+        (scenario.gains[:, g[0].start - 1 : g[-1].end], sum(p.energy for p in g), g[0].start)
+        for g in groups])
 
 
 def _falls(first: _Solved, second: _Solved) -> bool:
@@ -195,7 +198,7 @@ def _assemble(
 def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Allocation:
     """Merge-on-decrease over the pools as a one-pass stack of epochs."""
     stats = RunStats()
-    singles = [_solve_group(scenario, tables, [p], stats) for p in scenario.pools]
+    singles = _solve_groups(scenario, tables, [[p] for p in scenario.pools], stats)
     groups: list[list[Pool]] = []
     sols: list[_Solved] = []
     for p, sol in zip(scenario.pools, singles):
@@ -203,7 +206,7 @@ def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Alloc
         sols.append(sol)
         while len(sols) > 1 and _falls(sols[-2], sols[-1]):
             groups[-2:] = [groups[-2] + groups[-1]]
-            sols[-2:] = [_solve_group(scenario, tables, groups[-1], stats)]
+            sols[-2:] = _solve_groups(scenario, tables, groups[-1:], stats)
     return _assemble(scenario, groups, sols, stats)
 
 
@@ -246,7 +249,7 @@ def fsa_solve(
         end = n_pools
         while True:
             group = pools[start:end]
-            sol = _solve_group(scenario, tables, group, stats)
+            sol, = _solve_groups(scenario, tables, [group], stats)
             if isinstance(sol, TableRangeError) and len(group) > 1:
                 dropped.append(sol)
             elif _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack):

@@ -55,7 +55,7 @@ def online_solve(
         available = max(harvested - spent, 0.0)
         w_end = min(s_t + f_w - 1, n)
         frozen = np.repeat(scenario.gains[:, s_t - 1 : s_t], w_end - s_t + 1, axis=1)
-        sol = _solve(frozen, tables, available, scenario.ts, s_t, stats)
+        sol, = _solve(tables, scenario.ts, stats, [(frozen, available, s_t)])
         if isinstance(sol, TableRangeError):
             raise sol
         commit_end = events[t + 1] - 1 if t + 1 < len(events) else n

@@ -13,14 +13,19 @@ form, sum over active entries of -1/(W * lam * dlog mmse/dsnr).  One packed
 evaluation gives the spent energy and that slope for every stream at once,
 and W is located by a bracketed Newton search on the energy residual, with
 a single evaluation at the level cap to detect budgets beyond the tables'
-range.  Gaussian inputs reduce to the classical (W - 1/lam)^+
-water-filling, for which :func:`classical_wf` also provides the exact
-sorted-gain solution with no iteration.
+range.  Independent epochs that share their tables are solved as one batch
+(:func:`solve_epochs`): each keeps its own bracket, and each Newton step
+makes one packed inverse over every epoch still searching;
+:func:`solve_epoch` is the one-epoch case.  Gaussian inputs reduce to the
+classical (W - 1/lam)^+ water-filling, for which :func:`classical_wf` also
+provides the exact sorted-gain solution with no iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +34,8 @@ from numpy.typing import NDArray
 from .errors import ConvergenceError, InvalidInputError, TableRangeError
 from .tables import MmseTable, _bank, _invert, _query
 
-__all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "classical_wf"]
+__all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "solve_epochs",
+           "classical_wf"]
 
 ENERGY_RTOL = 1e-9
 MAX_ITER = 200
@@ -87,26 +93,28 @@ class EpochSolution:
 def power_at_level(table: MmseTable, lam, level):
     """Power of one stream at water level ``level``: zero once level*lam <= 1.
 
-    Accepts scalar or vector ``lam``; strictly increasing in ``level`` once
+    Accepts scalar or vector ``lam``, and one level or an array of levels
+    that broadcasts against it; strictly increasing in ``level`` once
     positive, which is what makes the epoch level search valid.
     """
-    if not (math.isfinite(level) and level >= 0.0):
+    if not ((np.isfinite(level) & (level >= 0.0)).all() if isinstance(level, np.ndarray)
+            else math.isfinite(level) and level >= 0.0):
         raise InvalidInputError(f"water level must be finite and >= 0, got {level!r}")
-    if level == 0.0:
-        return np.zeros_like(lam)
-    return table.mmse_inverse(np.minimum(1.0 / (level * lam), 1.0)) / lam
+    # min(1/(level*lam), 1) to the bit, with no division by a zero level
+    return table.mmse_inverse(1.0 / np.maximum(level * lam, 1.0)) / lam
 
 
-def _evaluate(problem: EpochProblem, bank, level: float):
-    """Powers and their slopes dP/dW at water level ``level > 0``, per entry.
+def _evaluate(bank, rows, lam, level):
+    """Powers and their slopes dP/dW at water levels ``level > 0``, per entry.
 
-    Every stream goes through one packed inverse.  The slope is closed form
-    by I-MMSE: an active entry's power moves as -1/(W * lam * dlog mmse/dsnr).
-    An entry exactly at its activation level counts with its right slope.
+    ``rows`` names each entry's table in ``bank``; ``rows``, ``lam`` and
+    ``level`` broadcast, so one packed inverse covers every stream of every
+    epoch in a batch.  The slope is closed form by I-MMSE: an active entry's
+    power moves as -1/(W * lam * dlog mmse/dsnr).  An entry exactly at its
+    activation level counts with its right slope.
     """
-    lam = problem.gains
     psi = 1.0 / (level * lam)
-    snr, dlog = _invert(bank, np.arange(lam.shape[0])[:, None], psi)
+    snr, dlog = _invert(bank, rows, psi)
     return snr / lam, np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
 
 
@@ -152,6 +160,152 @@ def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
     return 0.5 * (lo + hi) if hi <= 4.0 * lo else math.sqrt(lo) * math.sqrt(hi)
 
 
+class _Search:
+    """One epoch's bracketed Newton search on its energy residual, one evaluation at a time.
+
+    spent(lo) < budget <= spent(hi) once hi is evaluated; below the strongest
+    entry's activation level nothing is spent.  ``x`` is the level to
+    evaluate next; evaluations come flat, in the C order of the gains.
+    """
+
+    def __init__(self, problem: EpochProblem):
+        self.problem = problem
+        self.cap, self.k_cap = _level_cap(problem)
+        self.lo, self.hi = 1.0 / float(problem.gains.max()), self.cap
+        self.spent_lo, self.spent_hi = 0.0, math.inf
+        self.powers_lo = self.rates_lo = self.rates_hi = np.zeros(problem.gains.size)
+        self.x = min(_wf_level(problem.gains, problem.budget / problem.ts), self.cap)
+        self.evals = 0
+
+    def feed(self, powers, rates):
+        """Take the evaluation at ``x``: None while the search goes on.
+
+        Once it settles: the level ``x`` itself when it spends the budget (the
+        final pass gives its powers), else the solution that the tangent step
+        finishes, or the error the search ran into.
+        """
+        self.evals += 1
+        p, x, lo, hi = self.problem, self.x, self.lo, self.hi
+        budget, ts = p.budget, p.ts
+        spent, slope = ts * float(powers.sum()), ts * float(rates.sum())
+        if spent < budget and x == self.cap:
+            return TableRangeError(
+                f"budget {budget!r} J needs a water level beyond the modeled snr range of "
+                f"stream {self.k_cap + 1} ({p.tables[self.k_cap].label}), which caps it at "
+                f"{self.cap!r}; rebuild with larger snr_max")
+        if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # this level spends the budget
+            return x
+        if spent < budget:
+            lo = self.lo = x
+            self.spent_lo, self.powers_lo, self.rates_lo = spent, powers, rates
+        else:
+            hi = self.hi = x
+            self.spent_hi, self.rates_hi = spent, rates
+        hi_open = self.spent_hi == math.inf
+        self.x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
+        if not (lo < self.x < hi or (self.x == hi and hi_open)):
+            # the bracket holds no double between its ends: report the end
+            # with active entries nearest the budget, and step the powers
+            # at lo along their slopes (those at hi if none is active at lo)
+            spent_lo, spent_hi = self.spent_lo, self.spent_hi
+            level = lo if 0.0 < spent_lo and budget - spent_lo < spent_hi - budget else hi
+            rates = self.rates_lo if self.rates_lo.any() else self.rates_hi
+            powers = self.powers_lo + (budget - spent_lo) / ts * (rates / rates.sum())
+            return self.finish(level, powers.reshape(p.gains.shape))
+        if self.evals == MAX_ITER:
+            return ConvergenceError(
+                f"epoch solve did not converge in {MAX_ITER} evaluations", bracket=(lo, hi))
+        return None
+
+    def finish(self, level: float, powers) -> EpochSolution | ConvergenceError:
+        """The solution at ``level`` with ``powers``, or the error naming its energy residual."""
+        budget, ts = self.problem.budget, self.problem.ts
+        spent = ts * float(powers.sum())
+        if not abs(spent - budget) <= ENERGY_RTOL * budget:
+            return ConvergenceError(
+                f"epoch solve left an energy residual of "
+                f"{abs(spent - budget) / budget:.3e} (relative)",
+                bracket=(self.lo, self.hi),
+            )
+        return EpochSolution(float(level), powers, spent, evals=self.evals)
+
+
+def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | TableRangeError]:
+    """Solve epochs that share one tables tuple as one batch, in order.
+
+    Every problem runs the search :func:`solve_epoch` describes, with its own
+    bracket and evaluation count; each Newton step evaluates every unsettled
+    problem with one packed inverse, and one :func:`power_at_level` call per
+    stream gives the powers of every problem whose level spends its budget.
+    Each problem gets the bytes it gets alone.  A TableRangeError comes back
+    in its problem's slot; the first ConvergenceError, in order, is raised
+    once every problem has settled.
+    """
+    if any(p.tables != problems[0].tables for p in problems):
+        raise InvalidInputError("a batch of epochs must share one tables tuple")
+    out: list = [EpochSolution(0.0, np.zeros_like(p.gains), 0.0) if p.budget == 0.0 else None
+                 for p in problems]
+    live = [(i, _Search(p)) for i, p in enumerate(problems) if p.budget > 0.0]
+    if live:
+        # every live entry, problem by problem, each problem's (K, L) in C order
+        tables = problems[0].tables
+        bank, k = _bank(tables), len(tables)
+        lam = np.concatenate([s.problem.gains.ravel() for _, s in live])
+        widths = tuple(s.problem.gains.shape[1] for _, s in live)
+        rows = _rows(k, widths)
+        sizes = [k * w for w in widths]
+    done = []   # (slot, search, level) of each problem whose level spends its budget
+    while live:
+        xs = [s.x for _, s in live]
+        powers, rates = _evaluate(bank, rows, lam, _per_entry(xs, sizes))
+        going, keep, b = [], [], 0
+        for (i, s), n in zip(live, sizes):
+            a, b = b, b + n
+            outcome = s.feed(powers[a:b], rates[a:b])
+            keep.append(outcome is None)
+            if outcome is None:
+                going.append((i, s))
+            elif isinstance(outcome, float):
+                done.append((i, s, outcome))
+            else:
+                out[i] = outcome
+        if len(going) < len(live):
+            kept = np.repeat(keep, sizes)
+            lam, rows = lam[kept], rows[kept]
+            sizes = [n for n, alive in zip(sizes, keep) if alive]
+        live = going
+    if done:
+        slots, searches, levels = zip(*done)
+        widths = [s.problem.gains.shape[1] for s in searches]
+        level = _per_entry(levels, widths)
+        gains = np.concatenate([s.problem.gains for s in searches], axis=1)
+        powers = np.array([power_at_level(t, g, level) for t, g in zip(tables, gains)])
+        b = 0
+        for i, s, w, x in zip(slots, searches, widths, levels):
+            a, b = b, b + w
+            out[i] = s.finish(x, np.ascontiguousarray(powers[:, a:b]))
+    for sol in out:
+        if isinstance(sol, ConvergenceError):
+            raise sol
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _rows(k: int, widths: tuple[int, ...]) -> NDArray[np.int64]:
+    """The stream of every entry of (K, L) blocks of these widths, each in C order.
+
+    Cached, so the array is read-only: every batch of these shapes shares it.
+    """
+    rows = np.repeat(np.arange(k * len(widths)) % k, np.repeat(widths, k))
+    rows.flags.writeable = False
+    return rows
+
+
+def _per_entry(levels, sizes):
+    """Each problem's level repeated over its entries; one problem's level as it is."""
+    return levels[0] if len(levels) == 1 else np.repeat(levels, sizes)
+
+
 def solve_epoch(problem: EpochProblem) -> EpochSolution:
     """Find the water level spending the budget exactly (relative 1e-9).
 
@@ -163,59 +317,13 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
     their slopes dP/dW: one tangent step of W.  A budget that even the
     level cap under-spends raises TableRangeError naming the stream
     (counted from 1) and the cap; failure to converge raises
-    ConvergenceError with the final bracket.
+    ConvergenceError with the final bracket.  This is the one-problem case
+    of :func:`solve_epochs`.
     """
-    if problem.budget == 0.0:
-        return EpochSolution(0.0, np.zeros_like(problem.gains), 0.0)
-
-    budget, ts = problem.budget, problem.ts
-    bank = _bank(problem.tables)
-    cap, k_cap = _level_cap(problem)
-    # spent(lo) < budget <= spent(hi) once hi is evaluated; below the
-    # strongest entry's activation level nothing is spent
-    lo, hi = 1.0 / float(problem.gains.max()), cap
-    spent_lo, spent_hi = 0.0, math.inf
-    powers_lo = rates_lo = rates_hi = np.zeros_like(problem.gains)
-    x = min(_wf_level(problem.gains, budget / ts), cap)
-    for evals in range(1, MAX_ITER + 1):
-        powers, rates = _evaluate(problem, bank, x)
-        spent, slope = ts * float(powers.sum()), ts * float(rates.sum())
-        if spent < budget and x == cap:
-            raise TableRangeError(
-                f"budget {budget!r} J needs a water level beyond the modeled snr range of "
-                f"stream {k_cap + 1} ({problem.tables[k_cap].label}), which caps it at "
-                f"{cap!r}; rebuild with larger snr_max")
-        if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # this level spends the budget
-            level = x
-            powers = np.array([power_at_level(t, g, level)
-                               for t, g in zip(problem.tables, problem.gains)])
-            break
-        if spent < budget:
-            lo, spent_lo, powers_lo, rates_lo = x, spent, powers, rates
-        else:
-            hi, spent_hi, rates_hi = x, spent, rates
-        hi_open = spent_hi == math.inf
-        x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
-        if not (lo < x < hi or (x == hi and hi_open)):
-            # the bracket holds no double between its ends: report the end
-            # with active entries nearest the budget, and step the powers
-            # at lo along their slopes (those at hi if none is active at lo)
-            level = lo if 0.0 < spent_lo and budget - spent_lo < spent_hi - budget else hi
-            rates = rates_lo if rates_lo.any() else rates_hi
-            powers = powers_lo + (budget - spent_lo) / ts * (rates / rates.sum())
-            break
-    else:
-        raise ConvergenceError(
-            f"epoch solve did not converge in {MAX_ITER} evaluations", bracket=(lo, hi)
-        )
-    spent = ts * float(powers.sum())
-    if not abs(spent - budget) <= ENERGY_RTOL * budget:
-        raise ConvergenceError(
-            f"epoch solve left an energy residual of "
-            f"{abs(spent - budget) / budget:.3e} (relative)",
-            bracket=(lo, hi),
-        )
-    return EpochSolution(float(level), powers, spent, evals=evals)
+    sol, = solve_epochs([problem])
+    if isinstance(sol, TableRangeError):
+        raise sol
+    return sol
 
 
 def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
@@ -223,16 +331,28 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
 
     ``gains`` may have any shape; powers come back in the same shape.
     No bisection: the active set is found by scanning the sorted floors.
+    A budget below about one ulp of the floors leaves the level off by that
+    ulp, so, like :func:`solve_epoch`'s, the solve ends with tangent steps:
+    the shortfall goes to the active entries along their slopes dP/dW, 1
+    each (to the strongest entry if none is active), and a power that would
+    go negative stops at 0 and leaves the rest to the next step.  Energy
+    still off after one step per entry raises ConvergenceError.
     """
     g = _checked(gains, budget, ts)
     if budget == 0.0:
         return EpochSolution(0.0, np.zeros_like(g), 0.0)
-    target = budget / ts
-    level = _wf_level(g, target)
+    level = _wf_level(g, budget / ts)
     powers = np.maximum(level - 1.0 / g, 0.0)
-    if not powers.any():   # below one ulp of the top floor: the strongest entry takes it all
-        powers.flat[np.argmax(g)] = target
-    return EpochSolution(level, powers, ts * float(powers.sum()))
+    for _ in range(g.size + 1):
+        spent = ts * float(powers.sum())
+        if abs(spent - budget) <= ENERGY_RTOL * budget:
+            return EpochSolution(level, powers, spent)
+        rates = (powers > 0.0).astype(float)
+        if not rates.any():
+            rates.flat[np.argmax(g)] = 1.0
+        powers = np.maximum(powers + (budget - spent) / ts * (rates / rates.sum()), 0.0)
+    raise ConvergenceError(f"water-filling left an energy residual of "
+                           f"{abs(spent - budget) / budget:.3e} (relative)")
 
 
 def _wf_level(g: NDArray[np.float64], target: float) -> float:

@@ -130,14 +130,14 @@ def test_run_stats_count_spent_evaluations(monkeypatch):
     s = scn.generate(n=12, k=2, ts=0.01, j=3, total_energy=1.0, constellations=("bpsk", "16pam"),
                      gain_model="block_random", block_len=2, seed=9)
     evals = []
-    solve = off.solve_epoch
+    solve = off.solve_epochs
 
-    def counted(problem):
-        sol = solve(problem)
-        evals.append(sol.evals)
-        return sol
+    def counted(problems):
+        sols = solve(problems)
+        evals.extend(sol.evals for sol in sols)
+        return sols
 
-    monkeypatch.setattr(off, "solve_epoch", counted)
+    monkeypatch.setattr(off, "solve_epochs", counted)
     for run in (off.nda_solve, off.fsa_solve, lambda sc: onl.online_solve(sc, 3)):
         evals.clear()
         a = run(s)

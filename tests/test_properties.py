@@ -1,5 +1,7 @@
 """Property layer over drawn scenarios: CSV round trips, tamper detection, NDA == FSA.
 
+It also checks that a batch of epoch solves gives each epoch what it gets alone.
+
 Only built-in constellations are drawn, so every table comes from the
 session's table cache.  The draws are derandomized: a run is reproducible.
 """
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from mercuryflow import constellations as cons
 from mercuryflow import offline as off
 from mercuryflow import scenario as scn
-from mercuryflow.errors import InvalidInputError, TableRangeError
+from mercuryflow import waterfill as wf
+from mercuryflow.errors import ConvergenceError, InvalidInputError, TableRangeError
+from mercuryflow.tables import table_for
 
 from conftest import FINITE_BUILTINS
 
@@ -94,3 +98,52 @@ def test_nda_equals_fsa_and_passes_kkt(s):
     assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale
     assert off.kkt_verify(s, a, tol=KKT_TOL).passed
     assert off.kkt_verify(s, f, tol=KKT_TOL).passed
+
+
+@st.composite
+def epoch_batches(draw):
+    """1-12 epochs over one drawn tables tuple (K 1-4, finite and Gaussian mixed).
+
+    Each epoch has 1-12 accesses, gains in 10**(+-1), and a budget that is
+    zero, ordinary, or past the level cap of every all-finite tuple.
+    """
+    names = draw(st.lists(st.sampled_from((*FINITE_BUILTINS, "gaussian")), min_size=1, max_size=4))
+    tables = tuple(table_for(cons.by_name(n)) for n in names)
+    budgets = st.one_of(st.floats(1e-3, 10.0), st.floats(1e7, 1e9), st.just(0.0))
+    problems = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 12))
+        exps = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(names) * n,
+                             max_size=len(names) * n))
+        gains = 10.0 ** np.array(exps).reshape(len(names), n)
+        problems.append(wf.EpochProblem(gains, tables, draw(budgets), draw(st.floats(1e-3, 1.0))))
+    return problems
+
+
+def _outcome(solve, arg):
+    try:
+        return solve(arg)
+    except (TableRangeError, ConvergenceError) as err:
+        return err
+
+
+@PROPERTY
+@given(problems=epoch_batches())
+def test_a_batch_of_epochs_solves_each_as_alone(problems):
+    batch = _outcome(wf.solve_epochs, problems)
+    alone = [_outcome(wf.solve_epoch, p) for p in problems]
+    failed = [e for e in alone if isinstance(e, ConvergenceError)]
+    if failed or isinstance(batch, ConvergenceError):   # the first one in order is raised
+        assert failed and isinstance(batch, ConvergenceError) and str(batch) == str(failed[0])
+        return
+    assert len(batch) == len(alone)
+    for b, a in zip(batch, alone):
+        assert type(b) is type(a)
+        if isinstance(a, TableRangeError):
+            assert str(b) == str(a)
+            continue
+        assert b.water_level == a.water_level
+        assert b.powers.shape == a.powers.shape
+        assert b.powers.tobytes() == a.powers.tobytes()
+        assert b.spent_energy == a.spent_energy
+        assert b.evals == a.evals

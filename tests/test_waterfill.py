@@ -123,9 +123,9 @@ def _counting_evaluate(monkeypatch):
     calls = []
     evaluate = wf._evaluate
 
-    def counted(*args):
-        calls.append(args[2])
-        return evaluate(*args)
+    def counted(bank, rows, lam, level):
+        calls.append(level)
+        return evaluate(bank, rows, lam, level)
 
     monkeypatch.setattr(wf, "_evaluate", counted)
     return calls
@@ -141,7 +141,7 @@ def test_solve_epoch_range_error_in_one_evaluation(builtin_tables, monkeypatch):
         with pytest.raises(TableRangeError, match=rf"stream 1 \({name}\)"):
             solve_epoch(EpochProblem(gains=np.array([[1.0, 0.5]]), tables=(t,),
                                      budget=10.0 * t.snr_top, ts=1.0))
-        assert calls[-1] == cap
+        assert np.all(calls[-1] == cap)
         assert len(calls) <= 2
 
 
@@ -249,7 +249,8 @@ def test_evaluator_matches_per_stream_powers_and_slope(builtin_tables, names, n_
     cap = min(wf._level_cap(problem)[0], 1e6 / gains.min())
     lo = 0.5 / gains.max()
     level = float(lo * (cap / lo) ** u)
-    powers, rates = wf._evaluate(problem, tb._bank(tabs), level)
+    rows = np.arange(len(tabs))[:, None]
+    powers, rates = wf._evaluate(tb._bank(tabs), rows, gains, level)
     spent, slope = 0.01 * float(powers.sum()), 0.01 * float(rates.sum())
     for k, t in enumerate(tabs):
         ref = power_at_level(t, gains[k], level)
@@ -259,8 +260,8 @@ def test_evaluator_matches_per_stream_powers_and_slope(builtin_tables, names, n_
     # central difference, away from activation kinks and the cap
     h = 1e-5 * level
     assume(level + h < cap and np.all(np.abs(level * gains - 1.0) > 4e-5 * level * gains))
-    diff = 0.01 * (wf._evaluate(problem, tb._bank(tabs), level + h)[0].sum()
-                   - wf._evaluate(problem, tb._bank(tabs), level - h)[0].sum()) / (2.0 * h)
+    diff = 0.01 * (wf._evaluate(tb._bank(tabs), rows, gains, level + h)[0].sum()
+                   - wf._evaluate(tb._bank(tabs), rows, gains, level - h)[0].sum()) / (2.0 * h)
     assert slope == pytest.approx(diff, rel=1e-6, abs=1e-300)
 
 
@@ -285,6 +286,29 @@ def test_classical_wf_sub_ulp_budget():
     assert sol.water_level == 1.0
     assert sol.powers.tolist() == [1e-18, 0.0]
     assert sol.spent_energy == 1e-18
+
+
+def test_classical_wf_spends_a_budget_below_one_ulp_of_equal_floors():
+    # each active entry's power is one ulp (6.1e-5) of its floor 1/g ~ 3.3e11:
+    # five of them spent 9.1 times the budget before the tangent finish
+    budget = 3.3485e-5
+    sol = classical_wf(np.full(5, 3.0000000000000034e-12), budget, ts=1.0)
+    assert abs(sol.spent_energy - budget) <= wf.ENERGY_RTOL * budget
+    assert np.all(sol.powers >= 0.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_classical_wf_spends_sub_ulp_budgets_over_near_equal_gains(seed):
+    # 2-5 gains a few ulps apart, budgets log-uniform in [1e-20, 1] J
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        base = rng.choice([1e-12, 3e-12, 1.0])
+        g = base + rng.integers(0, 9, rng.integers(2, 6)) * np.spacing(base)
+        budget = 10.0 ** rng.uniform(-20.0, 0.0)
+        sol = classical_wf(g, budget, ts=1.0)
+        assert abs(sol.spent_energy - budget) <= wf.ENERGY_RTOL * budget, (g.tolist(), budget)
+        assert np.all(sol.powers >= 0.0)
+        assert sol.spent_energy == float(sol.powers.sum())
 
 
 def test_classical_wf_preserves_shape():
