@@ -258,22 +258,20 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
     while live:
         xs = [s.x for _, s in live]
         powers, rates = _evaluate(bank, rows, lam, _per_entry(xs, sizes))
-        going, keep, b = [], [], 0
+        keep, b = [], 0
         for (i, s), n in zip(live, sizes):
             a, b = b, b + n
             outcome = s.feed(powers[a:b], rates[a:b])
             keep.append(outcome is None)
-            if outcome is None:
-                going.append((i, s))
-            elif isinstance(outcome, float):
+            if isinstance(outcome, float):
                 done.append((i, s, outcome))
-            else:
+            elif outcome is not None:
                 out[i] = outcome
-        if len(going) < len(live):
+        if not all(keep):
             kept = np.repeat(keep, sizes)
             lam, rows = lam[kept], rows[kept]
+            live = [e for e, alive in zip(live, keep) if alive]
             sizes = [n for n, alive in zip(sizes, keep) if alive]
-        live = going
     if done:
         slots, searches, levels = zip(*done)
         widths = [s.problem.gains.shape[1] for s in searches]

@@ -48,6 +48,24 @@ def test_power_at_level_monotone_in_level(builtin_tables):
             prev = cur
 
 
+def test_power_at_level_takes_a_level_per_entry(builtin_tables):
+    t = builtin_tables["16pam"]
+    lam, levels = np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.0, 0.9, 3.0, 40.0])
+    each = [power_at_level(t, g, w) for g, w in zip(lam, levels)]
+    assert power_at_level(t, lam, levels).tolist() == each
+    with pytest.raises(InvalidInputError, match="water level"):
+        power_at_level(t, lam, np.array([1.0, -1.0, 1.0, math.nan]))
+
+
+def test_solve_epochs_needs_one_tables_tuple(builtin_tables, gauss):
+    g = np.ones((1, 2))
+    problems = [EpochProblem(g, (builtin_tables["bpsk"],), 1.0, 1.0),
+                EpochProblem(g, (gauss,), 1.0, 1.0)]
+    with pytest.raises(InvalidInputError, match="one tables tuple"):
+        wf.solve_epochs(problems)
+    assert wf.solve_epochs([]) == []
+
+
 def test_solve_epoch_two_stream_gaussian(gauss):
     p = EpochProblem(
         gains=np.array([[1.0], [0.5]]), tables=(gauss, gauss), budget=3.0, ts=1.0
