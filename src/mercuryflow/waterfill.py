@@ -23,7 +23,6 @@ provides the exact sorted-gain solution with no iteration.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -97,8 +96,7 @@ def power_at_level(table: MmseTable, lam, level):
     that broadcasts against it; strictly increasing in ``level`` once
     positive, which is what makes the epoch level search valid.
     """
-    if not ((np.isfinite(level) & (level >= 0.0)).all() if isinstance(level, np.ndarray)
-            else math.isfinite(level) and level >= 0.0):
+    if not np.all(np.isfinite(level) & (np.asarray(level) >= 0.0)):
         raise InvalidInputError(f"water level must be finite and >= 0, got {level!r}")
     # min(1/(level*lam), 1) to the bit, with no division by a zero level
     return table.mmse_inverse(1.0 / np.maximum(level * lam, 1.0)) / lam
@@ -251,13 +249,13 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
         tables = problems[0].tables
         bank, k = _bank(tables), len(tables)
         lam = np.concatenate([s.problem.gains.ravel() for _, s in live])
-        widths = tuple(s.problem.gains.shape[1] for _, s in live)
-        rows = _rows(k, widths)
+        widths = [s.problem.gains.shape[1] for _, s in live]
+        rows = np.repeat(np.arange(k * len(widths)) % k, np.repeat(widths, k))
         sizes = [k * w for w in widths]
     done = []   # (slot, search, level) of each problem whose level spends its budget
     while live:
         xs = [s.x for _, s in live]
-        powers, rates = _evaluate(bank, rows, lam, _per_entry(xs, sizes))
+        powers, rates = _evaluate(bank, rows, lam, np.repeat(xs, sizes))
         keep, b = [], 0
         for (i, s), n in zip(live, sizes):
             a, b = b, b + n
@@ -275,7 +273,7 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
     if done:
         slots, searches, levels = zip(*done)
         widths = [s.problem.gains.shape[1] for s in searches]
-        level = _per_entry(levels, widths)
+        level = np.repeat(levels, widths)
         gains = np.concatenate([s.problem.gains for s in searches], axis=1)
         powers = np.array([power_at_level(t, g, level) for t, g in zip(tables, gains)])
         b = 0
@@ -286,22 +284,6 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
         if isinstance(sol, ConvergenceError):
             raise sol
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _rows(k: int, widths: tuple[int, ...]) -> NDArray[np.int64]:
-    """The stream of every entry of (K, L) blocks of these widths, each in C order.
-
-    Cached, so the array is read-only: every batch of these shapes shares it.
-    """
-    rows = np.repeat(np.arange(k * len(widths)) % k, np.repeat(widths, k))
-    rows.flags.writeable = False
-    return rows
-
-
-def _per_entry(levels, sizes):
-    """Each problem's level repeated over its entries; one problem's level as it is."""
-    return levels[0] if len(levels) == 1 else np.repeat(levels, sizes)
 
 
 def solve_epoch(problem: EpochProblem) -> EpochSolution:
