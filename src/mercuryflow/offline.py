@@ -21,11 +21,13 @@ allocation:
 
 Range policy: a group whose budget needs a water level beyond the tables'
 cap comes back from :func:`_solve_groups` as a :class:`TableRangeError` whose
-message starts ``accesses s-e:``, the group's first and last access.  NDA
-places it at level +inf, so it merges with the next group; FSA drops such a
-multi-pool candidate like one that breaks causality.  An error left among
-the final epochs is raised, and so is FSA's first dropped one if any level
-falls from one final epoch to the next.
+message starts ``accesses s-e:``, the group's first and last access.  It
+stands at level +inf, and a level falls whenever the next one is strictly
+lower, with no margin (:func:`_falls`): NDA merges on every fall, so such a
+group merges with the next; FSA drops such a multi-pool candidate like one
+that breaks causality.  An error left among the final epochs is raised, and
+so is FSA's first dropped one if any level falls from one final epoch to the
+next.
 
 Optimality of either output is checked by :func:`kkt_verify`: per-stream
 stationarity, cumulative energy causality with a terminally empty battery,
@@ -162,14 +164,13 @@ def _solve_groups(
 
 
 def _falls(first: _Solved, second: _Solved) -> bool:
-    """Whether the water level falls from one solved group to the next.
+    """Whether the water level falls from one solved group to the next: ``w0 > w1``.
 
-    Exact ties (1e-12 relative) do not fall; a returned TableRangeError
-    stands at level +inf.
+    A returned TableRangeError stands at level +inf.
     """
     w0, w1 = (math.inf if isinstance(s, TableRangeError) else s.water_level
               for s in (first, second))
-    return w0 > w1 * (1.0 + 1e-12)
+    return w0 > w1
 
 
 def _assemble(

@@ -55,10 +55,6 @@ class Pool:
     end: int
     energy: float
 
-    @property
-    def arrival_access(self) -> int:
-        return self.start
-
 
 def build_pools(arrivals, n: int) -> list[Pool]:
     """Partition accesses 1..n into pools at the arrival instants."""

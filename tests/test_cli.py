@@ -421,3 +421,34 @@ def test_verify_tolerance_must_be_finite_and_positive(scenario_config, tmp_path,
                     tmp_path / "allocation_nda.csv", "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"tol must be finite and > 0, got {float(tol)!r}" in captured.err
+
+
+def test_sweep_seed_override_equals_the_config_seed(tmp_path):
+    cfg = {**_SWEEP, "strategies": ["mwflow", "pbp-wf"]}
+    paths = {name: tmp_path / f"{name}.json" for name in ("flag", "config")}
+    paths["flag"].write_text(json.dumps(cfg))
+    paths["config"].write_text(json.dumps({**cfg, "params": {**cfg["params"], "seed": 7}}))
+    outs = {name: tmp_path / name for name in ("flag", "config", "own")}
+    assert run_cli(["sweep", "--config", paths["flag"], "--seed", "7", "--out", outs["flag"]]) == 0
+    assert run_cli(["sweep", "--config", paths["config"], "--out", outs["config"]]) == 0
+    assert run_cli(["sweep", "--config", paths["flag"], "--out", outs["own"]]) == 0
+    flag, config, own = ((outs[k] / "sweep.csv").read_bytes() for k in ("flag", "config", "own"))
+    assert flag == config != own
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["run", "--alg", "nda"], "[1, 2]", "top level must be a JSON object"),
+    (["sweep"], "[]", "top level must be a JSON object"),
+    (["complexity"], '"runs"', "top level must be a JSON object"),
+    (["tables", "--constellations", ","], None, "no constellation names given"),
+], ids=["run-list", "sweep-list", "complexity-string", "tables-no-names"])
+def test_cli_input_checks_exit_2(tmp_path, capsys, argv, text, message):
+    out = tmp_path / "out"
+    if text is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = [*argv, "--config", path]
+    assert run_cli([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error code=2" in err and message in err
+    assert not list(out.glob("*"))   # nothing written

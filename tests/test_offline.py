@@ -35,7 +35,7 @@ def test_build_pools_single():
 def test_build_pools_two():
     pools = off.build_pools([(1, 1.0), (3, 2.0)], n=4)
     assert [(p.start, p.end) for p in pools] == [(1, 2), (3, 4)]
-    assert pools[1].arrival_access == 3
+    assert pools[1].start == 3
 
 
 def test_build_pools_requires_initial_arrival():
@@ -278,6 +278,54 @@ def test_wide_range_fuzz_gate():
             scale = max(float(a.powers.max()), 1e-12)
             assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale, f"seed {seed}"
     assert solved >= 250
+
+
+def test_nda_merges_a_fall_smaller_than_one_part_in_1e12(builtin_tables):
+    # at gain 1e-12 the pools' levels are 1e12 + 0.25 and 1e12 + 0.2: they differ
+    # by 5e-14 relative, and NDA must still merge them, as FSA does
+    s = scn.Scenario(n=3, k=1, ts=1.0, gains=np.full((1, 3), 1e-12),
+                     arrivals=((1, 0.5), (3, 0.2)), constellations=(cons.bpsk(),))
+    tabs = (builtin_tables["bpsk"],)
+    a, f = off.nda_solve(s, tables=tabs), off.fsa_solve(s, tables=tabs)
+    assert [e.pools for e in a.epochs] == [e.pools for e in f.epochs] == [(1, 2)]
+    assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * float(a.powers.max())
+    assert off.kkt_verify(s, a, tables=tabs).passed
+    assert off.kkt_verify(s, f, tables=tabs).passed
+
+
+_TIE_NAMES = ("bpsk", "4pam", "16pam", "32pam")
+
+
+def _tied_levels_scenario(rng):
+    """Static gains in 1e-12..1e-6 (levels near 1/gain), packets U(0.01, 1) J, 2+ pools.
+
+    Half share one gain across every entry (in 1e-12..1e-9), half draw one
+    static gain per stream, so the pool levels tie to many digits.
+    """
+    k, n = int(rng.integers(1, 3)), int(rng.integers(2, 9))
+    j = int(rng.integers(2, n + 1))
+    if rng.random() < 0.5:
+        gains = np.full((k, n), 10.0 ** rng.uniform(-12, -9))
+    else:
+        gains = np.repeat(10.0 ** rng.uniform(-12, -6, size=(k, 1)), n, axis=1)
+    later = rng.choice(np.arange(2, n + 1), size=j - 1, replace=False)
+    accesses = np.sort(np.concatenate(([1], later))).astype(int)
+    packets = rng.uniform(0.01, 1.0, size=j)
+    names = [_TIE_NAMES[i] for i in rng.integers(0, len(_TIE_NAMES), size=k)]
+    return scn.Scenario(
+        n=n, k=k, ts=1.0, gains=gains, arrivals=tuple(zip(accesses.tolist(), packets.tolist())),
+        constellations=tuple(cons.by_name(c) for c in names),
+    )
+
+
+def test_nda_fsa_agree_when_pool_levels_nearly_tie():
+    for seed in range(300):
+        s = _tied_levels_scenario(np.random.default_rng(seed))
+        tabs = off.stream_tables(s)
+        a, f = off.nda_solve(s, tables=tabs), off.fsa_solve(s, tables=tabs)
+        assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * float(a.powers.max()), f"seed {seed}"
+        assert off.kkt_verify(s, a, tol=1e-7, tables=tabs).passed, f"seed {seed}"
+        assert off.kkt_verify(s, f, tol=1e-7, tables=tabs).passed, f"seed {seed}"
 
 
 @pytest.mark.parametrize("gains, arrivals, name", [

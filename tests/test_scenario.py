@@ -212,3 +212,62 @@ def test_generation_structure_property(j, seed):
     assert all(b > a for a, b in zip(accesses, accesses[1:]))
     assert abs(s.total_energy - 1.0) < 1e-12
     assert np.all(s.gains > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# input checks: one typed error per rule
+# ---------------------------------------------------------------------------
+
+_DOC = {"n": 2, "k": 1, "ts_seconds": 1.0, "arrivals": [{"access": 1, "joules": 1.0}],
+        "gains": [[1.0, 1.0]], "constellations": ["gaussian"]}
+
+
+def _loads(**changes):
+    return lambda: scn.loads(json.dumps({**_DOC, **changes}))
+
+
+def _scenario(**changes):
+    args = dict(n=2, k=1, ts=1.0, gains=np.ones((1, 2)), arrivals=((1, 1.0),),
+                constellations=(cons.gaussian(),))
+    return lambda: scn.Scenario(**{**args, **changes})
+
+
+def _generate(**changes):
+    args = dict(n=4, k=1, ts=1.0, j=1, total_energy=1.0, constellations=("gaussian",))
+    return lambda: scn.generate(**{**args, **changes})
+
+
+_ZERO = _scenario(arrivals=((1, 0.0),))()
+
+
+@pytest.mark.parametrize("call, error, field, match", [
+    (lambda: scn.loads("{not json"), SchemaError, None, "not valid JSON"),
+    (lambda: scn.loads("[1, 2]"), SchemaError, None, "top level must be a JSON object"),
+    (_loads(arrivals=[5]), SchemaError, "arrivals[0]", "must be an object"),
+    (_loads(constellations=["8qam"]), SchemaError, "constellations[0]", "unknown constellation"),
+    (_loads(constellations=[{"probs": [0.5, 0.5]}]), SchemaError, "constellations[0].points",
+     "missing"),
+    (_loads(constellations=[{"points": [-1.0, 1.0]}]), SchemaError, "constellations[0].probs",
+     "missing"),
+    (_loads(constellations=[{"points": [-1.0, 1.0], "probs": [0.5, 0.25]}]), SchemaError,
+     "constellations[0]", "probabilities sum to"),
+    (_loads(constellations=[5]), SchemaError, "constellations[0]", "name or points/probs"),
+    (_loads(gains=[["a", 1.0]]), SchemaError, "gains", "number array"),
+    (_scenario(n=0, gains=np.ones((1, 0))), InvalidInputError, None, "n >= 1"),
+    (_scenario(gains=np.ones((1, 3))), InvalidInputError, None, "gains shape"),
+    (_scenario(constellations=(cons.gaussian(),) * 2), InvalidInputError, None,
+     "one constellation per stream"),
+    (_generate(gain_model="rayleigh"), InvalidInputError, None, "unknown gain model"),
+    (_generate(block_len=0), InvalidInputError, None, "block_len must be >= 1"),
+    (lambda: scn.rescale_energy(_ZERO, -1.0), InvalidInputError, None, "must be >= 0"),
+    (lambda: scn.rescale_energy(_ZERO, 1.0), InvalidInputError, None, "zero-energy"),
+    (lambda: scn.build_pools([], n=3), InvalidInputError, None, "at least one energy arrival"),
+], ids=["invalid-json", "top-level-list", "arrival-not-object", "unknown-constellation",
+        "custom-no-points", "custom-no-probs", "custom-invalid", "constellation-number",
+        "non-numeric-gains", "n-below-1", "gains-shape", "constellation-count",
+        "unknown-gain-model", "block-len-0", "rescale-negative", "rescale-zero-energy",
+        "no-arrivals"])
+def test_scenario_input_checks_raise_typed_errors(call, error, field, match):
+    with pytest.raises(error, match=match) as err:
+        call()
+    assert getattr(err.value, "field", None) == field
