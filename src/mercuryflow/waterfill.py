@@ -13,9 +13,10 @@ form, sum over active entries of -1/(W * lam * dlog mmse/dsnr).  One packed
 evaluation gives the spent energy and that slope for every stream at once,
 and W is located by a bracketed Newton search on the energy residual, with
 a single evaluation at the level cap to detect budgets beyond the tables'
-range.  Independent epochs that share their tables are solved as one batch
-(:func:`solve_epochs`): each keeps its own bracket, and each Newton step
-makes one packed inverse over every epoch still searching;
+range.  An epoch whose level spends its budget keeps the powers of the
+evaluation that settles it.  Independent epochs that share their tables are
+solved as one batch (:func:`solve_epochs`): each keeps its own bracket, and
+each Newton step makes one packed inverse over every epoch still searching;
 :func:`solve_epoch` is the one-epoch case.  Gaussian inputs reduce to the
 classical (W - 1/lam)^+ water-filling, for which :func:`classical_wf` also
 provides the exact sorted-gain solution with no iteration.
@@ -94,7 +95,9 @@ def power_at_level(table: MmseTable, lam, level):
 
     Accepts scalar or vector ``lam``, and one level or an array of levels
     that broadcasts against it; strictly increasing in ``level`` once
-    positive, which is what makes the epoch level search valid.
+    positive, which is what makes the epoch level search valid.  The public
+    one-stream map: :func:`solve_epochs` does not call it, but at a level
+    that spends an epoch's budget it gives that solver's powers bit for bit.
     """
     if not np.all(np.isfinite(level) & (np.asarray(level) >= 0.0)):
         raise InvalidInputError(f"water level must be finite and >= 0, got {level!r}")
@@ -178,8 +181,8 @@ class _Search:
     def feed(self, powers, rates):
         """Take the evaluation at ``x``: None while the search goes on.
 
-        Once it settles: the level ``x`` itself when it spends the budget (the
-        final pass gives its powers), else the solution that the tangent step
+        Once it settles: the solution at ``x`` with the powers just fed when
+        they spend the budget, else the solution that the tangent step
         finishes, or the error the search ran into.
         """
         self.evals += 1
@@ -192,7 +195,7 @@ class _Search:
                 f"stream {self.k_cap + 1} ({p.tables[self.k_cap].label}), which caps it at "
                 f"{self.cap!r}; rebuild with larger snr_max")
         if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # this level spends the budget
-            return x
+            return self.finish(x, powers.reshape(p.gains.shape))
         if spent < budget:
             lo = self.lo = x
             self.spent_lo, self.powers_lo, self.rates_lo = spent, powers, rates
@@ -233,9 +236,9 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
 
     Every problem runs the search :func:`solve_epoch` describes, with its own
     bracket and evaluation count; each Newton step evaluates every unsettled
-    problem with one packed inverse, and one :func:`power_at_level` call per
-    stream gives the powers of every problem whose level spends its budget.
-    Each problem gets the bytes it gets alone.  A TableRangeError comes back
+    problem with one packed inverse, and a problem whose level spends its
+    budget keeps the powers of that evaluation and leaves the batch.  Each
+    problem gets the bytes it gets alone.  A TableRangeError comes back
     in its problem's slot; the first ConvergenceError, in order, is raised
     once every problem has settled.
     """
@@ -252,34 +255,19 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
         widths = [s.problem.gains.shape[1] for _, s in live]
         rows = np.repeat(np.arange(k * len(widths)) % k, np.repeat(widths, k))
         sizes = [k * w for w in widths]
-    done = []   # (slot, search, level) of each problem whose level spends its budget
     while live:
         xs = [s.x for _, s in live]
         powers, rates = _evaluate(bank, rows, lam, np.repeat(xs, sizes))
         keep, b = [], 0
         for (i, s), n in zip(live, sizes):
             a, b = b, b + n
-            outcome = s.feed(powers[a:b], rates[a:b])
-            keep.append(outcome is None)
-            if isinstance(outcome, float):
-                done.append((i, s, outcome))
-            elif outcome is not None:
-                out[i] = outcome
+            out[i] = s.feed(powers[a:b], rates[a:b])
+            keep.append(out[i] is None)
         if not all(keep):
             kept = np.repeat(keep, sizes)
             lam, rows = lam[kept], rows[kept]
             live = [e for e, alive in zip(live, keep) if alive]
             sizes = [n for n, alive in zip(sizes, keep) if alive]
-    if done:
-        slots, searches, levels = zip(*done)
-        widths = [s.problem.gains.shape[1] for s in searches]
-        level = np.repeat(levels, widths)
-        gains = np.concatenate([s.problem.gains for s in searches], axis=1)
-        powers = np.array([power_at_level(t, g, level) for t, g in zip(tables, gains)])
-        b = 0
-        for i, s, w, x in zip(slots, searches, widths, levels):
-            a, b = b, b + w
-            out[i] = s.finish(x, np.ascontiguousarray(powers[:, a:b]))
     for sol in out:
         if isinstance(sol, ConvergenceError):
             raise sol

@@ -1,6 +1,7 @@
 """Property layer over drawn scenarios: CSV round trips, tamper detection, NDA == FSA.
 
-It also checks that a batch of epoch solves gives each epoch what it gets alone.
+It also checks that a batch of epoch solves gives each epoch what it gets
+alone, and the bytes of ``power_at_level`` at every level that spends its budget.
 
 Only built-in constellations are drawn, so every table comes from the
 session's table cache.  The draws are derandomized: a run is reproducible.
@@ -147,3 +148,22 @@ def test_a_batch_of_epochs_solves_each_as_alone(problems):
         assert b.powers.tobytes() == a.powers.tobytes()
         assert b.spent_energy == a.spent_energy
         assert b.evals == a.evals
+
+
+@PROPERTY
+@given(problems=epoch_batches())
+def test_a_settled_level_gives_power_at_level_bytes(problems):
+    # the search inverts through the K-table bank, power_at_level through a
+    # one-table bank with other key offsets; a level whose per-stream powers
+    # spend the budget must get the same cells, so the same bytes (a
+    # tangent-step finish does not spend it at its level and is left out)
+    batch = _outcome(wf.solve_epochs, problems)
+    if isinstance(batch, ConvergenceError):
+        return
+    for p, sol in zip(problems, batch):
+        if isinstance(sol, TableRangeError):
+            continue
+        each = np.array([wf.power_at_level(t, g, sol.water_level)
+                         for t, g in zip(p.tables, p.gains)])
+        if abs(p.ts * float(each.sum()) - p.budget) <= 0.5 * wf.ENERGY_RTOL * p.budget:
+            assert sol.powers.tobytes() == each.tobytes()

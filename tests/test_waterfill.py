@@ -66,6 +66,24 @@ def test_solve_epochs_needs_one_tables_tuple(builtin_tables, gauss):
     assert wf.solve_epochs([]) == []
 
 
+def test_solve_epochs_makes_no_one_stream_inverse(builtin_tables, monkeypatch):
+    # every power comes from the batch's packed evaluations; a second pass
+    # through the one-table inverse would raise here
+    def refuse(*args, **kwargs):
+        raise AssertionError("one-stream inverse called")
+
+    monkeypatch.setattr(tb.MmseTable, "mmse_inverse", refuse)
+    monkeypatch.setattr(wf, "power_at_level", refuse)
+    tabs = tuple(builtin_tables[n] for n in ("bpsk", "32pam", "gaussian"))
+    gains = np.random.default_rng(5).uniform(0.2, 5.0, size=(3, 4))
+    problems = [EpochProblem(gains[:, :w], tabs, budget, 0.1)
+                for w, budget in ((4, 1.0), (2, 0.3), (3, 0.0))]
+    sols = wf.solve_epochs(problems)
+    assert [s.evals > 0 for s in sols] == [True, True, False]
+    for p, s in zip(problems, sols):
+        assert abs(s.spent_energy - p.budget) <= 1e-9 * p.budget
+
+
 def test_solve_epoch_two_stream_gaussian(gauss):
     p = EpochProblem(
         gains=np.array([[1.0], [0.5]]), tables=(gauss, gauss), budget=3.0, ts=1.0
