@@ -5,15 +5,11 @@ epoch for one water level with :func:`_solve_groups`; ``RunStats.hg_calls``
 counts the epochs it solves.  Two optimal algorithms compute the same
 allocation:
 
-* :func:`nda_solve` solves every pool alone, all in one batch, then pushes
-  the pools onto a stack in order; while the top two groups have decreasing
-  water levels it merges them and re-solves the merged group
-  (pool-adjacent violators).
-  NDA's scan form rescans from the first pair after each merge and merges
-  the first decreasing pair it finds.  Below the stack top the levels are
-  already non-decreasing, so that pair is always the stack's top pair: both
-  make the same merges in the same order and the same solver calls,
-  ``2 J - #epochs`` of them.
+* :func:`nda_solve` solves every pool alone in one batch, then works in
+  rounds: each merges every disjoint pair of neighbouring groups whose water
+  level decreases and re-solves them in one batch, until none decreases
+  (pool-adjacent violators).  The epochs and the ``2 J - #epochs`` solver
+  calls are the paper's NDA; the merge order and ``spent_evals`` are not.
 * :func:`fsa_solve` searches forward for transition pools: the candidate
   first epoch spans all remaining pools; while any energy-causality
   constraint inside it is violated, the last pool is dropped; on success the
@@ -51,7 +47,7 @@ from ._textout import emit
 from .errors import InvalidInputError, TableRangeError
 from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
-from .waterfill import EpochProblem, EpochSolution, classical_wf, solve_epochs
+from .waterfill import EpochProblem, EpochSolution, _classical_wfs, solve_epochs
 
 # what solving a group gives: its epoch, or the TableRangeError it ran into
 _Solved = EpochSolution | TableRangeError
@@ -134,15 +130,14 @@ def stream_tables(scenario: Scenario, tables=None) -> tuple[MmseTable, ...]:
 def _solve(tables, ts: float, stats: RunStats, epochs) -> list[_Solved]:
     """Solve each ``(gains, budget, first access)`` as one epoch, counted in ``stats``.
 
-    ``tables=None`` solves each by exact Gaussian water-filling; otherwise
-    all go through one :func:`solve_epochs` batch.  A budget beyond the
+    All go through one batch: exact Gaussian water-filling with
+    ``tables=None``, else :func:`solve_epochs`.  A budget beyond the
     tables' cap returns its TableRangeError (the module's range policy).
     """
     stats.hg_calls += len(epochs)
-    if tables is None:
-        sols = [classical_wf(gains, budget=budget, ts=ts) for gains, budget, _ in epochs]
-    else:
-        sols = solve_epochs([EpochProblem(g, tables, budget, ts) for g, budget, _ in epochs])
+    sols = (list(_classical_wfs([g for g, _, _ in epochs], [b for _, b, _ in epochs], ts))
+            if tables is None else
+            solve_epochs([EpochProblem(g, tables, b, ts) for g, b, _ in epochs]))
     for i, ((gains, _, start), sol) in enumerate(zip(epochs, sols)):
         if isinstance(sol, TableRangeError):
             sols[i] = TableRangeError(f"accesses {start}-{start + gains.shape[1] - 1}: {sol}")
@@ -197,18 +192,21 @@ def _assemble(
 
 
 def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Allocation:
-    """Merge-on-decrease over the pools as a one-pass stack of epochs."""
+    """NDA in rounds of disjoint merges: the paper's epochs and calls, not its merge order."""
     stats = RunStats()
-    singles = _solve_groups(scenario, tables, [[p] for p in scenario.pools], stats)
-    groups: list[list[Pool]] = []
-    sols: list[_Solved] = []
-    for p, sol in zip(scenario.pools, singles):
-        groups.append([p])
-        sols.append(sol)
-        while len(sols) > 1 and _falls(sols[-2], sols[-1]):
-            groups[-2:] = [groups[-2] + groups[-1]]
-            sols[-2:] = _solve_groups(scenario, tables, groups[-1:], stats)
-    return _assemble(scenario, groups, sols, stats)
+    groups: list[list[Pool]] = [[p] for p in scenario.pools]
+    sols = _solve_groups(scenario, tables, groups, stats)
+    while True:
+        pairs: list[int] = []
+        for i, fell in enumerate(map(_falls, sols, sols[1:])):
+            if fell and not (pairs and pairs[-1] == i - 1):
+                pairs.append(i)
+        if not pairs:
+            return _assemble(scenario, groups, sols, stats)
+        merged = _solve_groups(scenario, tables, [groups[i] + groups[i + 1] for i in pairs], stats)
+        for i, sol in zip(reversed(pairs), reversed(merged)):
+            groups[i : i + 2] = [groups[i] + groups[i + 1]]
+            sols[i : i + 2] = [sol]
 
 
 def nda_solve(scenario: Scenario, tables: tuple[MmseTable, ...] | None = None) -> Allocation:

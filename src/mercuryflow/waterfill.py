@@ -15,17 +15,17 @@ and W is located by a bracketed Newton search on the energy residual, with
 a single evaluation at the level cap to detect budgets beyond the tables'
 range.  An epoch whose level spends its budget keeps the powers of the
 evaluation that settles it.  Independent epochs that share their tables are
-solved as one batch (:func:`solve_epochs`): each keeps its own bracket, and
-each Newton step makes one packed inverse over every epoch still searching;
-:func:`solve_epoch` is the one-epoch case.  Gaussian inputs reduce to the
-classical (W - 1/lam)^+ water-filling, for which :func:`classical_wf` also
-provides the exact sorted-gain solution with no iteration.
+solved as one batch (:func:`solve_epochs`), set up in one array pass: each
+keeps its own bracket, and each Newton step makes one packed inverse over
+every epoch still searching; :func:`solve_epoch` is the one-epoch case.
+Gaussian inputs reduce to the classical (W - 1/lam)^+ water-filling, whose
+exact sorted-gain solution :func:`classical_wf` gives with no iteration.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,20 +119,20 @@ def _evaluate(bank, rows, lam, level):
     return snr / lam, np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
 
 
-def _level_cap(problem: EpochProblem) -> tuple[float, int]:
-    """Largest level the tables can model, and the stream that sets it.
+def _searches(problems, lam, sizes: list[int], row, floor) -> list[_Search]:
+    """Each problem's search, set up in one array pass over ``lam``, its (K, L) gains in C order.
 
-    inf (stream -1) when all streams are Gaussian (bank floor 0).  Each stream
-    starts at 1/(lam_max * floor), +inf if that underflows, and all step down
-    together until no entry's 1/(W * lam) rounds below its floor.
+    ``sizes`` are their K*L and ``row`` each stream row's L.  A stream's cap starts at
+    1/(lam_max * floor), +inf if that underflows or the stream is Gaussian, and steps down
+    until no 1/(W * lam) rounds below its floor.  Each search starts at its Gaussian level.
     """
-    floor, lam_max = _bank(problem.tables)[3], problem.gains.max(axis=1)
+    lam_max = np.maximum.reduceat(lam, row.cumsum() - row).reshape(-1, floor.size)
     with np.errstate(divide="ignore", over="ignore"):
         level = 1.0 / (lam_max * floor)
         while (low := 1.0 / (level * lam_max) < floor).any():
             level = np.where(low, np.nextafter(level, 0.0), level)
-    k = int(np.argmin(level))
-    return (float(level[k]), k) if level[k] < math.inf else (math.inf, -1)
+    x, lo = _wf_levels(1.0 / lam, sizes, np.array([p.budget / p.ts for p in problems]))
+    return list(map(_Search, problems, level.tolist(), lo.tolist(), x.tolist()))
 
 
 def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
@@ -169,13 +169,13 @@ class _Search:
     evaluate next; evaluations come flat, in the C order of the gains.
     """
 
-    def __init__(self, problem: EpochProblem):
-        self.problem = problem
-        self.cap, self.k_cap = _level_cap(problem)
-        self.lo, self.hi = 1.0 / float(problem.gains.max()), self.cap
+    def __init__(self, problem: EpochProblem, caps: list[float], lo: float, x: float):
+        self.problem, self.cap = problem, min(caps)
+        self.k_cap = caps.index(self.cap) if self.cap < math.inf else -1   # -1: all Gaussian
+        self.lo, self.hi = lo, self.cap
         self.spent_lo, self.spent_hi = 0.0, math.inf
         self.powers_lo = self.rates_lo = self.rates_hi = np.zeros(problem.gains.size)
-        self.x = min(_wf_level(problem.gains, problem.budget / problem.ts), self.cap)
+        self.x = min(x, self.cap)
         self.evals = 0
 
     def feed(self, powers, rates):
@@ -246,18 +246,19 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
         raise InvalidInputError("a batch of epochs must share one tables tuple")
     out: list = [EpochSolution(0.0, np.zeros_like(p.gains), 0.0) if p.budget == 0.0 else None
                  for p in problems]
-    live = [(i, _Search(p)) for i, p in enumerate(problems) if p.budget > 0.0]
+    live = [(i, p) for i, p in enumerate(problems) if p.budget > 0.0]
     if live:
         # every live entry, problem by problem, each problem's (K, L) in C order
-        tables = problems[0].tables
-        bank, k = _bank(tables), len(tables)
-        lam = np.concatenate([s.problem.gains.ravel() for _, s in live])
-        widths = [s.problem.gains.shape[1] for _, s in live]
-        rows = np.repeat(np.arange(k * len(widths)) % k, np.repeat(widths, k))
-        sizes = [k * w for w in widths]
+        bank, k = _bank(problems[0].tables), len(problems[0].tables)
+        lam = np.concatenate([p.gains.ravel() for _, p in live])
+        row = np.array([p.gains.shape[1] for _, p in live]).repeat(k)   # each stream row's L
+        rows = (np.arange(row.size) % k).repeat(row)
+        sizes = [p.gains.size for _, p in live]
+        searches = _searches([p for _, p in live], lam, sizes, row, bank[3])
+        live = [(i, s) for (i, _), s in zip(live, searches)]
     while live:
         xs = [s.x for _, s in live]
-        powers, rates = _evaluate(bank, rows, lam, np.repeat(xs, sizes))
+        powers, rates = _evaluate(bank, rows, lam, np.array(xs).repeat(sizes))
         keep, b = [], 0
         for (i, s), n in zip(live, sizes):
             a, b = b, b + n
@@ -306,26 +307,42 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     go negative stops at 0 and leaves the rest to the next step.  Energy
     still off after one step per entry raises ConvergenceError.
     """
-    g = _checked(gains, budget, ts)
-    if budget == 0.0:
-        return EpochSolution(0.0, np.zeros_like(g), 0.0)
-    level = _wf_level(g, budget / ts)
-    powers = np.maximum(level - 1.0 / g, 0.0)
-    for _ in range(g.size + 1):
-        spent = ts * float(powers.sum())
-        if abs(spent - budget) <= ENERGY_RTOL * budget:
-            return EpochSolution(level, powers, spent)
-        rates = (powers > 0.0).astype(float)
-        if not rates.any():
-            rates.flat[np.argmax(g)] = 1.0
-        powers = np.maximum(powers + (budget - spent) / ts * (rates / rates.sum()), 0.0)
-    raise ConvergenceError(f"water-filling left an energy residual of "
-                           f"{abs(spent - budget) / budget:.3e} (relative)")
+    return next(_classical_wfs([gains], [budget], ts))
 
 
-def _wf_level(g: NDArray[np.float64], target: float) -> float:
-    """Gaussian level spending ``target`` above the floors 1/g, over the most floors it clears."""
-    floors = np.sort(1.0 / g.ravel())
-    csum = np.cumsum(floors)
-    levels = (target + csum) / np.arange(1, floors.size + 1)
-    return float(levels[np.nonzero(levels > floors)[0].max(initial=0)])
+def _classical_wfs(gains_seq, budgets, ts: float) -> Iterator[EpochSolution]:
+    """:func:`classical_wf` of each ``(gains, budget)`` in order, its levels from one array pass."""
+    gs = [_checked(g, budget, ts) for g, budget in zip(gains_seq, budgets)]
+    levels = _wf_levels(1.0 / np.concatenate([g.ravel() for g in gs]), [g.size for g in gs],
+                        np.array(budgets, dtype=float) / ts)[0].tolist()
+    for g, budget, level in zip(gs, budgets, levels):
+        powers = np.maximum(level - 1.0 / g, 0.0) if budget else np.zeros_like(g)
+        for _ in range(g.size + 1):
+            spent = ts * float(powers.sum())
+            if abs(spent - budget) <= ENERGY_RTOL * budget:
+                break
+            rates = (powers > 0.0).astype(float)
+            if not rates.any():
+                rates.flat[np.argmax(g)] = 1.0
+            powers = np.maximum(powers + (budget - spent) / ts * (rates / rates.sum()), 0.0)
+        else:
+            raise ConvergenceError(f"water-filling left an energy residual of "
+                                   f"{abs(spent - budget) / budget:.3e} (relative)")
+        yield EpochSolution(level if budget else 0.0, powers, spent)
+
+
+def _wf_levels(floors, sizes: list[int], targets):
+    """Each problem's Gaussian level spending its target above its floors 1/g; its least floor."""
+    if len(set(sizes)) > 1:   # one 2-D pass per size
+        out = np.empty((2, len(sizes)))
+        for n in set(sizes):
+            of = np.array(sizes) == n
+            out[0, of], out[1, of] = _wf_levels(floors[of.repeat(sizes)], [n], targets[of])
+        return out
+    # each row sorted in place and summed in order: the bytes of a pass over its problem alone
+    floors = floors.reshape(-1, sizes[0])
+    floors.sort(axis=1)
+    ranks = np.arange(1.0, floors.shape[1] + 1.0)
+    levels = (np.add.accumulate(floors, axis=1) + targets[:, None]) / ranks
+    last = ((levels > floors) * ranks).argmax(axis=1)   # the last level above its floor, else 0
+    return levels.take(last + np.arange(0, levels.size, ranks.size)), floors[:, 0]

@@ -328,6 +328,79 @@ def test_nda_fsa_agree_when_pool_levels_nearly_tie():
         assert off.kkt_verify(s, f, tol=1e-7, tables=tabs).passed, f"seed {seed}"
 
 
+def _stack_nda(scenario, tables):
+    """NDA as a one-pass stack: push each pool alone, merge the top two while their level falls.
+
+    It makes every merge in the paper's order, one solve at a time: the
+    oracle that the batched rounds of ``offline._nda_loop`` must agree with.
+    """
+    stats = off.RunStats()
+    singles = off._solve_groups(scenario, tables, [[p] for p in scenario.pools], stats)
+    groups, sols = [], []
+    for p, sol in zip(scenario.pools, singles):
+        groups.append([p])
+        sols.append(sol)
+        while len(sols) > 1 and off._falls(sols[-2], sols[-1]):
+            groups[-2:] = [groups[-2] + groups[-1]]
+            sols[-2:] = off._solve_groups(scenario, tables, groups[-1:], stats)
+    return off._assemble(scenario, groups, sols, stats)
+
+
+def _nda_outcome(solve):
+    try:
+        a = solve()
+    except TableRangeError as err:
+        return type(err)
+    return (a.powers.tobytes(), a.pool_water_levels.tobytes(), a.epochs, a.stats.hg_calls)
+
+
+def _assert_rounds_equal_the_stack(s, tables, label):
+    # powers, pool levels, epochs and calls; a raise of the same error type
+    got = _nda_outcome(lambda: off._nda_loop(s, tables))
+    assert got == _nda_outcome(lambda: _stack_nda(s, tables)), label
+
+
+def test_nda_rounds_equal_the_stack_on_criterion_08_points(builtin_tables):
+    # two energies per scenario seed, each of the 10 energies four times
+    grid = np.geomspace(0.05, 50.0, 10)
+    for r, seed in enumerate(range(1000, 1020)):
+        base = scn.generate(n=100, k=4, ts=0.01, j=40, total_energy=1.0,
+                            constellations=("bpsk", "4pam", "16pam", "32pam"),
+                            gain_model="block_random", block_len=10, seed=seed)
+        tabs = off.stream_tables(base)
+        for energy in grid[[3 * r % 10, (3 * r + 5) % 10]]:
+            s = scn.rescale_energy(base, float(energy))
+            _assert_rounds_equal_the_stack(s, tabs, f"seed {seed} energy {energy}")
+            _assert_rounds_equal_the_stack(s, None, f"dwf seed {seed} energy {energy}")
+
+
+@pytest.mark.parametrize("scenario_of", [_tied_levels_scenario, _wide_range_scenario])
+def test_nda_rounds_equal_the_stack_on_seeded_scenarios(scenario_of):
+    for seed in range(300):
+        s = scenario_of(np.random.default_rng(seed))
+        _assert_rounds_equal_the_stack(s, off.stream_tables(s), f"seed {seed}")
+
+
+def test_nda_merges_disjoint_falls_in_rounds(monkeypatch):
+    # levels 17, 16, ..., 2 all fall: the rounds merge 8, 4, 2 and 1 pairs,
+    # so 1 + 4 solver batches where a stack makes 1 + 15; every merge is a call
+    s = gaussian_scenario([(i, 17.0 - i) for i in range(1, 17)], n=16)
+    batches = []
+    solve = off._solve
+
+    def counted(tables, ts, stats, epochs):
+        batches.append(len(epochs))
+        return solve(tables, ts, stats, epochs)
+
+    monkeypatch.setattr(off, "_solve", counted)
+    a = off.nda_solve(s)
+    assert batches == [16, 8, 4, 2, 1]
+    assert a.stats.hg_calls == 31 == 2 * 16 - len(a.epochs)
+    assert [e.pools for e in a.epochs] == [tuple(range(1, 17))]
+    batches.clear()
+    assert _stack_nda(s, None).stats.hg_calls == 31 and len(batches) == 16
+
+
 @pytest.mark.parametrize("gains, arrivals, name", [
     ([[1e-80, 1e-80]], ((1, 0.5),), "bpsk"),
     ([[1e-80, 1e-80]], ((1, 0.5),), "32pam"),

@@ -7,6 +7,7 @@ Only built-in constellations are drawn, so every table comes from the
 session's table cache.  The draws are derandomized: a run is reproducible.
 """
 
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from mercuryflow import constellations as cons
 from mercuryflow import offline as off
 from mercuryflow import scenario as scn
+from mercuryflow import tables as tb
 from mercuryflow import waterfill as wf
+from mercuryflow._textout import emit
 from mercuryflow.errors import ConvergenceError, InvalidInputError, TableRangeError
 from mercuryflow.tables import table_for
 
@@ -167,3 +170,92 @@ def test_a_settled_level_gives_power_at_level_bytes(problems):
                          for t, g in zip(p.tables, p.gains)])
         if abs(p.ts * float(each.sum()) - p.budget) <= 0.5 * wf.ENERGY_RTOL * p.budget:
             assert sol.powers.tobytes() == each.tobytes()
+
+
+def _level_cap(problem):
+    """The per-epoch level cap and its stream, as a search set itself up one epoch at a time."""
+    floor, lam_max = tb._bank(problem.tables)[3], problem.gains.max(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        level = 1.0 / (lam_max * floor)
+        while (low := 1.0 / (level * lam_max) < floor).any():
+            level = np.where(low, np.nextafter(level, 0.0), level)
+    k = int(np.argmin(level))
+    return (float(level[k]), k) if level[k] < math.inf else (math.inf, -1)
+
+
+def _wf_level(g, target):
+    """The per-epoch Gaussian start: sort the floors 1/g and scan their prefix sums."""
+    floors = np.sort(1.0 / g.ravel())
+    csum = np.cumsum(floors)
+    levels = (target + csum) / np.arange(1, floors.size + 1)
+    return float(levels[np.nonzero(levels > floors)[0].max(initial=0)])
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(problems=epoch_batches(), tied=st.booleans(), tiny=st.booleans())
+def test_batched_setup_equals_the_per_epoch_cap_and_start(problems, tied, tiny):
+    # tied gains and sub-ulp budgets, whose levels can round above their floors out of order
+    problems = [wf.EpochProblem(np.full_like(p.gains, p.gains[0, 0]) if tied else p.gains,
+                                p.tables, p.budget * 1e-20 if tiny else p.budget, p.ts)
+                for p in problems]
+    lam = np.concatenate([p.gains.ravel() for p in problems])
+    row = np.repeat([p.gains.shape[1] for p in problems], len(problems[0].tables))
+    searches = wf._searches(problems, lam, [p.gains.size for p in problems], row,
+                            tb._bank(problems[0].tables)[3])
+    each = [_level_cap(p) for p in problems]
+    assert _bits([s.cap for s in searches]) == _bits([c for c, _ in each])
+    assert [s.k_cap for s in searches] == [k for _, k in each]
+    assert _bits([s.lo for s in searches]) == _bits([1.0 / float(p.gains.max()) for p in problems])
+    assert _bits([s.x for s in searches]) == _bits([min(_wf_level(p.gains, p.budget / p.ts), c)
+                                                    for p, (c, _) in zip(problems, each)])
+
+
+@PROPERTY
+@given(problems=epoch_batches(), ts=st.floats(1e-3, 1.0),
+       tiny=st.lists(st.booleans(), min_size=12, max_size=12), tied=st.booleans())
+def test_a_gaussian_batch_solves_each_as_classical_wf_alone(problems, ts, tiny, tied):
+    # the drawn budgets, some cut below one ulp of the floors (the tangent finish);
+    # tied gains, whose mean floor can round above the largest
+    gains = [np.full_like(p.gains, p.gains[0, 0]) if tied else p.gains for p in problems]
+    budgets = [p.budget * 1e-20 if t else p.budget for p, t in zip(problems, tiny)]
+    batch = _outcome(lambda _: list(wf._classical_wfs(gains, budgets, ts)), None)
+    alone = [_outcome(lambda g: wf.classical_wf(g, b, ts), g) for g, b in zip(gains, budgets)]
+    failed = [e for e in alone if isinstance(e, ConvergenceError)]
+    if failed or isinstance(batch, ConvergenceError):
+        assert failed and isinstance(batch, ConvergenceError) and str(batch) == str(failed[0])
+        return
+    for b, a, g, budget in zip(batch, alone, gains, budgets, strict=True):
+        assert b.water_level == a.water_level and b.spent_energy == a.spent_energy
+        assert b.powers.shape == a.powers.shape and b.powers.tobytes() == a.powers.tobytes()
+        if budget == 0.0:   # level 0, and every power +0.0
+            assert a.water_level == 0.0 and a.powers.tobytes() == bytes(a.powers.nbytes)
+        else:   # the level of the per-epoch sorted-floor scan
+            assert _bits(a.water_level) == _bits(_wf_level(g, budget / ts))
+
+
+# signed zeros, infinities, nans of three bit patterns, subnormals and their neighbours
+_EDGE_DOUBLES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                          2.2250738585072014e-308, 2.225073858507201e-308, 1.0, 0.1])
+_EDGE_DOUBLES = np.append(_EDGE_DOUBLES, (np.array([math.nan]).view(np.uint64) | 1).view(float))
+
+
+@PROPERTY
+@given(pool=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                     max_size=8),
+       data=st.data(), n=st.integers(0, 40))
+def test_emit_prints_each_entry_as_its_str(pool, data, n):
+    # a few distinct values repeated, as gains over fading blocks and levels over pools
+    values = np.concatenate([np.array(pool, dtype=float), _EDGE_DOUBLES])
+    pick = data.draw(st.lists(st.integers(0, values.size - 1), min_size=n, max_size=n))
+    doubles = values[pick]
+    ints = np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    columns = (doubles, doubles[::-1], ints % 5, ints, np.arange(n) % 3 == 0,
+               np.array(["x", "y"] * n)[:n])
+    rows = zip(*(c.tolist() for c in columns))
+    assert emit("abcdef", columns) == "a,b,c,d,e,f\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)

@@ -217,6 +217,14 @@ def test_solve_epoch_tangent_step_far_below_the_lattice(builtin_tables, names, g
     _assert_sub_lattice_solve(tuple(builtin_tables[n] for n in names), gains, budget, ts)
 
 
+def _level_cap(problem):
+    """The level cap and the stream that sets it, from the batch set-up of one problem."""
+    k, width = problem.gains.shape
+    search, = wf._searches([problem], problem.gains.ravel(), [k * width], np.full(k, width),
+                           tb._bank(problem.tables)[3])
+    return search.cap, search.k_cap
+
+
 def _ulp_gain(t):
     """A gain whose level cap rounds 1/(cap * gain) one ulp below the floor."""
     for lam in np.random.default_rng(1).uniform(0.1, 10.0, 100_000):
@@ -230,7 +238,7 @@ def test_solve_epoch_cap_never_trips_the_table_floor(builtin_tables, name):
     t = builtin_tables[name]
     lam = _ulp_gain(t)
     problem = EpochProblem(gains=np.array([[lam]]), tables=(t,), budget=1.0, ts=1.0)
-    cap, k_cap = wf._level_cap(problem)
+    cap, k_cap = _level_cap(problem)
     assert k_cap == 0 and cap < 1.0 / (lam * t.mmse_floor)
     top = power_at_level(t, lam, cap)   # no raw floor error at the cap itself
     # a budget the cap just covers solves at a level inside the tables
@@ -260,7 +268,7 @@ _MIXED = st.lists(st.sampled_from((*FINITE_BUILTINS, "gaussian")), min_size=1, m
 def test_level_cap_is_the_top_level_inside_every_floor(builtin_tables, names, n_access, seed):
     tabs = tuple(builtin_tables[n] for n in names)
     gains = 10.0 ** np.random.default_rng(seed).uniform(-300.0, 300.0, (len(tabs), n_access))
-    cap, k = wf._level_cap(EpochProblem(gains=gains, tables=tabs, budget=1.0, ts=1.0))
+    cap, k = _level_cap(EpochProblem(gains=gains, tables=tabs, budget=1.0, ts=1.0))
     if k == -1:
         assert cap == math.inf and all(t.is_gaussian for t in tabs)
         return
@@ -282,7 +290,7 @@ def test_evaluator_matches_per_stream_powers_and_slope(builtin_tables, names, n_
     gains = np.exp(np.random.default_rng(seed).uniform(np.log(1e-2), np.log(1e2),
                                                       size=(len(tabs), n_access)))
     problem = EpochProblem(gains=gains, tables=tabs, budget=1.0, ts=0.01)
-    cap = min(wf._level_cap(problem)[0], 1e6 / gains.min())
+    cap = min(_level_cap(problem)[0], 1e6 / gains.min())
     lo = 0.5 / gains.max()
     level = float(lo * (cap / lo) ** u)
     rows = np.arange(len(tabs))[:, None]
