@@ -27,6 +27,7 @@ migrates).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,11 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # relative weight exp(-46) ~ 1e-20.
 _PAIR_STEP = 0.35
 _PAIR_LOG_CUT = 46.0
+
+# Elements of the largest temporary array one mmse evaluation may allocate:
+# the pairwise rule's (pairs, nodes, width) blocks and a Gauss-Hermite sweep's
+# (points, Q, Q/2, order) chunks.  A table build shares it among its workers.
+WORKSPACE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -172,15 +178,17 @@ def by_name(name: str) -> Constellation:
 # quadrature machinery
 # ---------------------------------------------------------------------------
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for E{f(n)}, n ~ N(0,1): sum w_r f(n_r)."""
-    if order not in _GH_CACHE:
-        t, w = roots_hermite(order)
-        _GH_CACHE[order] = (np.sqrt(2.0) * t, w / math.sqrt(math.pi))
-    return _GH_CACHE[order]
+    t, w = roots_hermite(order)
+    return np.sqrt(2.0) * t, w / math.sqrt(math.pi)
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of Q symbols, built once per Q for every pairwise evaluation."""
+    return np.triu_indices(q, k=1)
 
 
 def _check_args(snr: float) -> float:
@@ -206,8 +214,12 @@ def _pairwise_mmse(
     snr: float,
     step: float = _PAIR_STEP,
     log_cut: float = _PAIR_LOG_CUT,
+    workspace: int = WORKSPACE,
 ) -> tuple[float, float]:
-    """Return (mmse, d mmse / d snr) by the pairwise-boundary quadrature."""
+    """Return (mmse, d mmse / d snr) by the pairwise-boundary quadrature.
+
+    ``workspace`` bounds the elements of each (pairs, nodes, width) array.
+    """
     s = c.points
     p = c.probs
     if snr == 0.0:
@@ -217,7 +229,7 @@ def _pairwise_mmse(
     a = math.sqrt(snr)
     logp = np.log(p)
     q = s.size
-    iu, ju, wt = _halved(c, *np.triu_indices(q, k=1))
+    iu, ju, wt = _halved(c, *_pairs(q))
     dsign = s[iu] - s[ju]
     delta = np.abs(dsign)
     ad = a * delta
@@ -245,23 +257,35 @@ def _pairwise_mmse(
     r = np.sqrt(near * near + 2.0 * (log_cut + logp.max() - logp.min()))
     lo = sa.searchsorted(y - r)
     width = int((sa.searchsorted(y + r, side="right") - lo).max())
-    win = np.minimum(lo, q - width)[:, :, None] + np.arange(width)
-    sw = s[win]
-    expo = logp[win] - 0.5 * (y[:, :, None] - sa[win]) ** 2
-    em = expo.max(axis=2)
-    w = np.exp(expo - em[:, :, None])
-    z = w.sum(axis=2)
-    log_density = em + np.log(z) - _LOG_SQRT_2PI
-    core = np.exp(pref[:, None] - t * t - math.log(2.0 * math.pi) - log_density)
-    mmse = float((core.sum(axis=1) * cs * wt).sum() * h)
-    # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a)
-    w /= z[:, :, None]
-    xhat = (w * sw).sum(axis=2)
-    x2 = (w * (sw * sw)).sum(axis=2)
-    yi = t - (a * dsign / 2.0)[:, None]
-    yj = t + (a * dsign / 2.0)[:, None]
-    bracket = yi * s[iu][:, None] + yj * s[ju][:, None] - (y * xhat - a * x2)
-    dmmse = float(((core * bracket).sum(axis=1) * cs * wt).sum() * h) / (2.0 * a)
+    lo = np.minimum(lo, q - width)
+    # each pair's node sums, in blocks of pairs whose (pairs, nodes, width)
+    # arrays fit the workspace; every sum runs along one row, so the bytes
+    # do not depend on the block
+    core_sums, slope_sums = np.empty(iu.size), np.empty(iu.size)
+    rows = max(1, workspace // (n_nodes * width))
+    for b in range(0, iu.size, rows):
+        blk = slice(b, b + rows)
+        win = lo[blk, :, None] + np.arange(width)
+        sw = s[win]
+        expo = logp[win] - 0.5 * (y[blk, :, None] - sa[win]) ** 2
+        em = expo.max(axis=2)
+        expo -= em[:, :, None]
+        w = np.exp(expo, out=expo)
+        z = w.sum(axis=2)
+        log_density = em + np.log(z) - _LOG_SQRT_2PI
+        tb = t[blk]
+        core = np.exp(pref[blk, None] - tb * tb - math.log(2.0 * math.pi) - log_density)
+        core_sums[blk] = core.sum(axis=1)
+        # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a)
+        w /= z[:, :, None]
+        xhat = (w * sw).sum(axis=2)
+        x2 = (w * (sw * sw)).sum(axis=2)
+        yi = tb - (a * dsign[blk] / 2.0)[:, None]
+        yj = tb + (a * dsign[blk] / 2.0)[:, None]
+        bracket = yi * s[iu[blk]][:, None] + yj * s[ju[blk]][:, None] - (y[blk] * xhat - a * x2)
+        slope_sums[blk] = (core * bracket).sum(axis=1)
+    mmse = float((core_sums * cs * wt).sum() * h)
+    dmmse = float((slope_sums * cs * wt).sum() * h) / (2.0 * a)
     return min(mmse, 1.0), min(dmmse, 0.0)
 
 

@@ -12,11 +12,16 @@ machine precision, which is what the downstream water-level solver leans on.
 
 Construction detail: the cheap vectorized Gauss-Hermite sweep is used only on
 the snr prefix where it agrees with the exact pairwise-boundary rule (probed
-at build time); the pairwise rule covers the rest.  The stored grid is
-truncated where mmse falls below a positivity floor -- double precision
-cannot represent the tail of e.g. BPSK anywhere near snr = 1e4 -- and
-inversion below the stored floor raises :class:`TableRangeError` rather than
-extrapolating.
+at build time); the pairwise rule covers the rest.  A build runs on a thread
+pool with one worker per usable CPU: the exact probes and the GH probe sweeps,
+then the pairwise tail and the GH grid sweeps.  The workers share one
+workspace of ``WORKSPACE`` array elements, so peak memory does not grow with
+the CPU count.  Every point is computed alone and every sum runs in order
+along one row, so the tables are the same bytes for any worker count, chunk
+or block size.  The stored grid is truncated where mmse falls below a
+positivity floor -- double precision cannot represent the tail of e.g. BPSK
+anywhere near snr = 1e4 -- and inversion below the stored floor raises
+:class:`TableRangeError` rather than extrapolating.
 
 Gaussian-input tables bypass interpolation entirely: mmse = 1/(1+snr),
 inverse = 1/psi - 1, mercury factor identically 1.
@@ -26,13 +31,15 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .constellations import Constellation, _gh_mmse_grid, _pairwise_mmse
+from .constellations import WORKSPACE, Constellation, _gh_mmse_grid, _pairwise_mmse
 from .errors import InvalidInputError, TableBuildError, TableRangeError
 
 __all__ = ["MmseTable", "build_table", "table_for", "clear_cache"]
@@ -318,42 +325,80 @@ def build_table(
 
 _SWEEP_ORDERS = (96, 192)
 
+# A pairwise tail point's arrays hold about (pairs, nodes, width) =
+# (Q^2/4, 128, Q) = 32 Q^3 elements.  Below this many, numpy calls are too
+# short to run long without the interpreter lock, so slices of the tail on
+# several workers only contend for it: such a tail stays one slice.
+_GIL_BOUND = 65_536
+
+
+def _workers() -> int:
+    """Threads of a table build: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _gh_points(c: Constellation, order: int, room: int) -> int:
+    """Points per GH chunk: its (points, Q, Q/2, order) arrays fit ``room`` elements."""
+    return max(1, room // (c.cardinality * ((c.cardinality + 1) // 2) * order))
+
+
+def _settle(jobs, m, d):
+    """Write each job's (mmse, dmmse) run into ``m`` and ``d``; returns them."""
+    for idx, fut in jobs:
+        m[idx], d[idx] = fut.result()
+    return m, d
+
 
 def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mmse, dmmse) over the grid: GH sweeps where probed-safe, pairwise above."""
-    # probe each GH order against the exact pairwise rule on a log ladder;
-    # trust is a prefix of the grid with a half-decade safety margin
-    probes = grid[1:: max(grid.size // 32, 1)]
-    exact = [_pairwise_mmse(c, float(s)) for s in probes]
-    trust = {}
-    for order in _SWEEP_ORDERS:
-        gh_m, gh_d = _gh_mmse_grid(c, probes, order=order)
-        bound = grid[-1]
-        for i, s in enumerate(probes):
-            em, ed = exact[i]
-            ok = abs(gh_m[i] - em) <= 1e-9 * max(em, 1e-300) and abs(
-                gh_d[i] - ed
-            ) <= 1e-9 * max(abs(ed), 1e-300)
-            if not ok:
-                bound = float(s) * 0.5
-                break
-        trust[order] = bound
+    """(mmse, dmmse) over the grid: GH sweeps where probed-safe, pairwise above.
 
-    mmse = np.empty_like(grid)
-    dmmse = np.empty_like(grid)
-    m0, d0 = _pairwise_mmse(c, 0.0)
-    mmse[0], dmmse[0] = m0, d0
-    done = grid == 0.0
-    for order in _SWEEP_ORDERS:
-        sel = np.nonzero(~done & (grid <= trust[order]))[0]
-        # chunk the vectorized sweep to a cache-sized (G, Q, Q/2, R) workspace
-        chunk = max(1, 250_000 // (c.cardinality * ((c.cardinality + 1) // 2) * order))
-        for k in range(0, sel.size, chunk):
-            sub = sel[k : k + chunk]
-            mmse[sub], dmmse[sub] = _gh_mmse_grid(c, grid[sub], order=order)
-        done[sel] = True
-    for i in np.nonzero(~done)[0]:
-        mmse[i], dmmse[i] = _pairwise_mmse(c, float(grid[i]), step=0.4, log_cut=40.0)
+    The points run as jobs on one thread pool, each within its worker's share
+    of ``WORKSPACE``.
+    """
+    workers = _workers()
+    room = WORKSPACE // workers
+    mmse, dmmse = np.empty_like(grid), np.empty_like(grid)
+    mmse[0], dmmse[0] = _pairwise_mmse(c, 0.0)
+    with ThreadPoolExecutor(workers) as pool:
+
+        def spread(fn, idx, size):
+            """(run, future of fn(run)) for each run of ``size`` of the indices ``idx``."""
+            return [(idx[k : k + size], pool.submit(fn, idx[k : k + size]))
+                    for k in range(0, idx.size, size)]
+
+        def gh(x, idx, order):
+            return spread(lambda run: _gh_mmse_grid(c, x[run], order), idx,
+                          _gh_points(c, order, room))
+
+        def pairwise(x, idx, size, **rule):
+            return spread(lambda run: np.array(
+                [_pairwise_mmse(c, float(x[i]), workspace=room, **rule) for i in run]).T,
+                idx, size)
+
+        # probe each GH order against the exact pairwise rule on a log ladder;
+        # trust is a prefix of the grid with a half-decade safety margin
+        probes = grid[1:: max(grid.size // 32, 1)]
+        every = np.arange(probes.size)
+        exact = pairwise(probes, every, 1)
+        sweeps = [gh(probes, every, order) for order in _SWEEP_ORDERS]
+        em, ed = _settle(exact, np.empty_like(probes), np.empty_like(probes))
+        done, sel = grid == 0.0, []
+        for sweep in sweeps:
+            gm, gd = _settle(sweep, np.empty_like(probes), np.empty_like(probes))
+            ok = (abs(gm - em) <= 1e-9 * np.maximum(em, 1e-300)) & (
+                abs(gd - ed) <= 1e-9 * np.maximum(abs(ed), 1e-300))
+            bound = grid[-1] if ok.all() else float(probes[np.argmin(ok)]) * 0.5
+            sel.append(np.nonzero(~done & (grid <= bound))[0])
+            done[sel[-1]] = True
+
+        tail = np.nonzero(~done)[0]
+        slices = workers if 32 * c.cardinality**3 >= _GIL_BOUND else 1
+        jobs = pairwise(grid, tail, max(1, -(-tail.size // slices)), step=0.4, log_cut=40.0)
+        for order, idx in zip(_SWEEP_ORDERS, sel):
+            jobs += gh(grid, idx, order)
+        _settle(jobs, mmse, dmmse)
     return mmse, dmmse
 
 
@@ -386,7 +431,6 @@ _TABLE_CACHE: dict[tuple, MmseTable] = {}
 
 def _disk_path(c: Constellation, snr_max: float, n_points: int):
     import hashlib
-    import os
     from pathlib import Path
 
     root = os.environ.get(CACHE_ENV_VAR)

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +226,69 @@ def test_bank_is_cached_per_tables_tuple(builtin_tables):
     snr = tb._invert(bank, np.arange(2)[:, None], psi)[0]
     assert np.array_equal(snr[0], tabs[0].mmse_inverse(psi[0]))
     assert np.array_equal(snr[1], tabs[1].mmse_inverse(psi[1]))
+
+
+def _build_bytes(name):
+    t = tb.build_table(cons.by_name(name), n_points=64)
+    return b"".join(getattr(t, f).tobytes() for f in tb._ARRAYS)
+
+
+@pytest.mark.parametrize("name", ["16pam", "32pam"])
+def test_build_bytes_do_not_depend_on_workers_or_workspace(monkeypatch, name):
+    # every point is computed alone and every sum runs along one row, so the
+    # worker count, the pairwise blocks and the GH chunks cannot move a bit
+    default = _build_bytes(name)
+    monkeypatch.setattr(tb, "_workers", lambda: 1)
+    assert _build_bytes(name) == default
+    # one pair per pairwise block and one point per GH chunk, on more workers
+    # than cores, switching threads often, with the GH node cache to fill
+    monkeypatch.setattr(tb, "_workers", lambda: 3)
+    monkeypatch.setattr(tb, "WORKSPACE", 1)
+    cons._gh_nodes.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert _build_bytes(name) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds on the traced peaks.  Before the workspace was bounded, the worst
+# 32pam probe peaked at 70 MB and the unchunked order-192 probe sweep at 75 MB;
+# with WORKSPACE = 1e6 elements they peak at 41 MB and 23 MB, and a small
+# 32pam build on four workers at 50 MB.
+PAIRWISE_PEAK_MB = 48.0
+GH_PROBE_SWEEP_PEAK_MB = 32.0
+BUILD_PEAK_MB = 56.0
+
+
+def test_pairwise_rule_stays_within_its_workspace():
+    # snr 23.9 is the worst of the 32pam build's exact probes
+    assert _traced_peak_mb(lambda: cons._pairwise_mmse(cons.pam(32), 23.9)) < PAIRWISE_PEAK_MB
+
+
+def test_gh_probe_sweep_stays_within_its_workspace():
+    c = cons.pam(32)
+    cons._gh_nodes(192)
+    probes = np.geomspace(1e-3, 1e4, 32)
+    n = tb._gh_points(c, 192, tb.WORKSPACE)
+
+    def sweep():
+        for k in range(0, probes.size, n):
+            cons._gh_mmse_grid(c, probes[k : k + n], 192)
+
+    assert _traced_peak_mb(sweep) < GH_PROBE_SWEEP_PEAK_MB
+
+
+def test_build_workers_share_one_workspace(monkeypatch):
+    monkeypatch.setattr(tb, "_workers", lambda: 4)
+    assert _traced_peak_mb(lambda: tb.build_table(cons.pam(32), n_points=64)) < BUILD_PEAK_MB
