@@ -58,10 +58,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _PAIR_STEP = 0.35
 _PAIR_LOG_CUT = 46.0
 
-# Elements of the largest temporary array one mmse evaluation may allocate:
-# the pairwise rule's (pairs, nodes, width) blocks and a Gauss-Hermite sweep's
-# (points, Q, Q/2, order) chunks.  A table build shares it among its workers.
-WORKSPACE = 1_000_000
+# Elements of one temporary array of an mmse evaluation: a pairwise block of
+# (pairs, nodes, width), three live at once, or a Gauss-Hermite chunk of
+# (points, Q, Q/2, order), two at once.  A table build shares it among its workers.
+WORKSPACE = 250_000
 
 
 @dataclass(frozen=True)
@@ -259,18 +259,27 @@ def _pairwise_mmse(
     width = int((sa.searchsorted(y + r, side="right") - lo).max())
     lo = np.minimum(lo, q - width)
     # each pair's node sums, in blocks of pairs whose (pairs, nodes, width)
-    # arrays fit the workspace; every sum runs along one row, so the bytes
-    # do not depend on the block
+    # arrays fit the workspace; every block reuses the same three such arrays
+    # and every sum runs along one row, so the bytes do not depend on the block
     core_sums, slope_sums = np.empty(iu.size), np.empty(iu.size)
     rows = max(1, workspace // (n_nodes * width))
+    buf = np.empty((3, min(rows, iu.size), n_nodes, width))
+    win = np.arange(q - width + 1)[:, None] + np.arange(width)  # the symbol windows
+    s_win, logp_win = s[win], logp[win]
     for b in range(0, iu.size, rows):
         blk = slice(b, b + rows)
-        win = lo[blk, :, None] + np.arange(width)
-        sw = s[win]
-        expo = logp[win] - 0.5 * (y[blk, :, None] - sa[win]) ** 2
-        em = expo.max(axis=2)
-        expo -= em[:, :, None]
-        w = np.exp(expo, out=expo)
+        sw, scratch, w = buf[:, : lo[blk].shape[0]]
+        np.take(s_win, lo[blk], axis=0, out=sw, mode="clip")
+        np.take(logp_win, lo[blk], axis=0, out=scratch, mode="clip")
+        # w = exp(logp - (y - a s)^2 / 2 - em), the symbols' posterior weights
+        np.multiply(sw, a, out=w)
+        np.subtract(y[blk, :, None], w, out=w)
+        np.square(w, out=w)
+        w *= 0.5
+        np.subtract(scratch, w, out=w)
+        em = w.max(axis=2)
+        w -= em[:, :, None]
+        np.exp(w, out=w)
         z = w.sum(axis=2)
         log_density = em + np.log(z) - _LOG_SQRT_2PI
         tb = t[blk]
@@ -278,8 +287,8 @@ def _pairwise_mmse(
         core_sums[blk] = core.sum(axis=1)
         # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a)
         w /= z[:, :, None]
-        xhat = (w * sw).sum(axis=2)
-        x2 = (w * (sw * sw)).sum(axis=2)
+        xhat = np.multiply(w, sw, out=scratch).sum(axis=2)
+        x2 = np.multiply(w, np.square(sw, out=sw), out=scratch).sum(axis=2)
         yi = tb - (a * dsign[blk] / 2.0)[:, None]
         yj = tb + (a * dsign[blk] / 2.0)[:, None]
         bracket = yi * s[iu[blk]][:, None] + yj * s[ju[blk]][:, None] - (y[blk] * xhat - a * x2)
@@ -303,13 +312,21 @@ def _gh_mmse_grid(c: Constellation, snr: np.ndarray, order: int) -> tuple[np.nda
     a = np.sqrt(snr)[:, None, None, None]                     # (G,1,1,1)
     # y = a s_j + n given transmitted s_j; posterior over s_i
     diff = (s[:, None] - s[None, j])[None, :, :, None]        # (1,Q_i,Q_j,1)
-    expo = logp[None, :, None, None] - 0.5 * (nodes[None, None, None, :] + a * diff) ** 2
-    em = expo.max(axis=1)
-    w = np.exp(expo - em[:, None])
+    # w = exp(logp - (n + a diff)^2 / 2 - em), each step in place in one
+    # (G,Q_i,Q_j,R) buffer; a second one holds the posterior moments' terms
+    w = np.add(nodes[None, None, None, :], a * diff)
+    np.square(w, out=w)
+    w *= 0.5
+    np.subtract(logp[None, :, None, None], w, out=w)
+    em = w.max(axis=1)
+    w -= em[:, None]
+    np.exp(w, out=w)
     z = w.sum(axis=1)
     w /= z[:, None]
-    xhat = (w * s[None, :, None, None]).sum(axis=1)           # (G,Q_j,R)
-    m2 = (w * (s[None, :, None, None] - xhat[:, None]) ** 2).sum(axis=1)
+    scratch = np.multiply(w, s[None, :, None, None])
+    xhat = scratch.sum(axis=1)                                # (G,Q_j,R)
+    np.square(np.subtract(s[None, :, None, None], xhat[:, None], out=scratch), out=scratch)
+    m2 = np.multiply(w, scratch, out=scratch).sum(axis=1)
     mmse = ((m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
     d = -((m2 * m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
     return np.minimum(mmse, 1.0), np.minimum(d, 0.0)

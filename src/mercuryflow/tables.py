@@ -15,13 +15,15 @@ the snr prefix where it agrees with the exact pairwise-boundary rule (probed
 at build time); the pairwise rule covers the rest.  A build runs on a thread
 pool with one worker per usable CPU: the exact probes and the GH probe sweeps,
 then the pairwise tail and the GH grid sweeps.  The workers share one
-workspace of ``WORKSPACE`` array elements, so peak memory does not grow with
-the CPU count.  Every point is computed alone and every sum runs in order
-along one row, so the tables are the same bytes for any worker count, chunk
-or block size.  The stored grid is truncated where mmse falls below a
-positivity floor -- double precision cannot represent the tail of e.g. BPSK
-anywhere near snr = 1e4 -- and inversion below the stored floor raises
-:class:`TableRangeError` rather than extrapolating.
+workspace of ``WORKSPACE`` (2.5e5) array elements and each computes in place
+in at most three block arrays of its share (a GH chunk holds at least one
+point), so block memory does not grow with the CPU count.  Every point is
+computed alone and every sum runs in order along one row, so the tables are
+the same bytes for any worker count, chunk or block size.  The stored grid
+is truncated where mmse falls below a positivity floor -- double precision
+cannot represent the tail of e.g. BPSK anywhere near snr = 1e4 -- so a
+pairwise run stops at its first point below it, and inversion below the
+stored floor raises :class:`TableRangeError` rather than extrapolating.
 
 Gaussian-input tables bypass interpolation entirely: mmse = 1/(1+snr),
 inverse = 1/psi - 1, mercury factor identically 1.
@@ -344,6 +346,16 @@ def _gh_points(c: Constellation, order: int, room: int) -> int:
     return max(1, room // (c.cardinality * ((c.cardinality + 1) // 2) * order))
 
 
+def _pairwise_run(c: Constellation, snr: np.ndarray, room: int, **rule) -> np.ndarray:
+    """(mmse, dmmse) rows along ``snr``, 0 past the first mmse below the floor (dropped later)."""
+    out = np.zeros((2, snr.size))
+    for k, x in enumerate(snr):
+        out[:, k] = _pairwise_mmse(c, float(x), workspace=room, **rule)
+        if out[0, k] < MMSE_FLOOR:
+            break
+    return out
+
+
 def _settle(jobs, m, d):
     """Write each job's (mmse, dmmse) run into ``m`` and ``d``; returns them."""
     for idx, fut in jobs:
@@ -373,9 +385,7 @@ def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndar
                           _gh_points(c, order, room))
 
         def pairwise(x, idx, size, **rule):
-            return spread(lambda run: np.array(
-                [_pairwise_mmse(c, float(x[i]), workspace=room, **rule) for i in run]).T,
-                idx, size)
+            return spread(lambda run: _pairwise_run(c, x[run], room, **rule), idx, size)
 
         # probe each GH order against the exact pairwise rule on a log ladder;
         # trust is a prefix of the grid with a half-decade safety margin

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mercuryflow import constellations as cons
+from mercuryflow import tables
 from mercuryflow.errors import InvalidInputError, QuadratureAccuracyError
 
 FINITE = ("bpsk", "4pam", "16pam", "32pam")
@@ -197,6 +198,114 @@ def test_pairwise_rule_matches_all_pairs_reference(c, step, log_cut):
         assert abs(d - d_ref) <= 1e-12 * abs(d_ref), (snr, d, d_ref)
         checked += 1
     assert checked >= 12
+
+
+def _allocating_pairwise_mmse(c, snr, step, log_cut, workspace=1_000_000):
+    """``cons._pairwise_mmse`` as it was before its blocks ran in place, as a reference."""
+    s = c.points
+    p = c.probs
+    if snr == 0.0:
+        var = min(max(float(np.sum(p * s * s) - np.sum(p * s) ** 2), 0.0), 1.0)
+        return var, -var * var
+    a = math.sqrt(snr)
+    logp = np.log(p)
+    q = s.size
+    iu, ju, wt = cons._halved(c, *cons._pairs(q))
+    dsign = s[iu] - s[ju]
+    delta = np.abs(dsign)
+    ad = a * delta
+    pref = logp[iu] + logp[ju] + 2.0 * np.log(delta) - ad * ad / 4.0
+    peak = pref + ad * ad / 8.0
+    keep = peak > (peak.max() - log_cut)
+    iu, ju, wt = iu[keep], ju[keep], wt[keep]
+    dsign, delta, ad, pref = dsign[keep], delta[keep], ad[keep], pref[keep]
+    mid = a * (s[iu] + s[ju]) / 2.0
+    cs = np.minimum(1.0, 2.0 / np.maximum(ad, 1e-300))
+    decay = np.minimum(ad / 2.0, 1.0)
+    t_half = (-decay + np.sqrt(decay * decay + 2.0 * log_cut * cs * cs)) / (cs * cs)
+    t_max = float(t_half.max())
+    n_nodes = max(int(math.ceil(2.0 * t_max / step)) + 1, 9)
+    tau = np.linspace(-t_max, t_max, n_nodes)
+    h = tau[1] - tau[0]
+    t = cs[:, None] * tau[None, :]
+    y = mid[:, None] + t
+    sa = a * s
+    k = sa[1:-1].searchsorted(y) + 1
+    near = np.minimum(np.abs(y - sa[k - 1]), np.abs(y - sa[k]))
+    r = np.sqrt(near * near + 2.0 * (log_cut + logp.max() - logp.min()))
+    lo = sa.searchsorted(y - r)
+    width = int((sa.searchsorted(y + r, side="right") - lo).max())
+    lo = np.minimum(lo, q - width)
+    core_sums, slope_sums = np.empty(iu.size), np.empty(iu.size)
+    rows = max(1, workspace // (n_nodes * width))
+    for b in range(0, iu.size, rows):
+        blk = slice(b, b + rows)
+        win = lo[blk, :, None] + np.arange(width)
+        sw = s[win]
+        expo = logp[win] - 0.5 * (y[blk, :, None] - sa[win]) ** 2
+        em = expo.max(axis=2)
+        expo -= em[:, :, None]
+        w = np.exp(expo, out=expo)
+        z = w.sum(axis=2)
+        log_density = em + np.log(z) - cons._LOG_SQRT_2PI
+        tb = t[blk]
+        core = np.exp(pref[blk, None] - tb * tb - math.log(2.0 * math.pi) - log_density)
+        core_sums[blk] = core.sum(axis=1)
+        w /= z[:, :, None]
+        xhat = (w * sw).sum(axis=2)
+        x2 = (w * (sw * sw)).sum(axis=2)
+        yi = tb - (a * dsign[blk] / 2.0)[:, None]
+        yj = tb + (a * dsign[blk] / 2.0)[:, None]
+        bracket = yi * s[iu[blk]][:, None] + yj * s[ju[blk]][:, None] - (y[blk] * xhat - a * x2)
+        slope_sums[blk] = (core * bracket).sum(axis=1)
+    mmse = float((core_sums * cs * wt).sum() * h)
+    dmmse = float((slope_sums * cs * wt).sum() * h) / (2.0 * a)
+    return min(mmse, 1.0), min(dmmse, 0.0)
+
+
+def _allocating_gh_mmse_grid(c, snr, order):
+    """``cons._gh_mmse_grid`` as it was before it ran in place, as a reference."""
+    s = c.points
+    logp = np.log(c.probs)
+    nodes, wq = cons._gh_nodes(order)
+    j, _, wt = cons._halved(c, np.arange(s.size), np.arange(s.size))
+    a = np.sqrt(snr)[:, None, None, None]
+    diff = (s[:, None] - s[None, j])[None, :, :, None]
+    expo = logp[None, :, None, None] - 0.5 * (nodes[None, None, None, :] + a * diff) ** 2
+    em = expo.max(axis=1)
+    w = np.exp(expo - em[:, None])
+    z = w.sum(axis=1)
+    w /= z[:, None]
+    xhat = (w * s[None, :, None, None]).sum(axis=1)
+    m2 = (w * (s[None, :, None, None] - xhat[:, None]) ** 2).sum(axis=1)
+    mmse = ((m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
+    d = -((m2 * m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
+    return np.minimum(mmse, 1.0), np.minimum(d, 0.0)
+
+
+def _gh_chunked(kernel, c, snr, order, points):
+    """(mmse, dmmse) bytes of ``kernel`` over ``snr`` in chunks of ``points``."""
+    runs = [kernel(c, snr[k : k + points], order) for k in range(0, snr.size, points)]
+    return np.concatenate([np.stack(r) for r in runs], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", FINITE)
+@pytest.mark.parametrize("workspace", [cons.WORKSPACE, 1], ids=["default", "one-pair"])
+def test_in_place_kernels_equal_the_allocating_ones(name, workspace):
+    # each in-place step is the same IEEE operation on the same operands, and
+    # no sum changes its axis or order, so not one bit may move
+    c = cons.by_name(name)
+    ladder = np.concatenate([[0.0, 23.9], np.geomspace(1e-3, 1e4, 14)])
+    for step, log_cut in ((cons._PAIR_STEP, cons._PAIR_LOG_CUT), (0.4, 40.0)):
+        for snr in ladder:
+            got = cons._pairwise_mmse(c, float(snr), step, log_cut, workspace=workspace)
+            want = _allocating_pairwise_mmse(c, float(snr), step, log_cut)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (snr, step, got, want)
+    for order in (96, 192):
+        points = tables._gh_points(c, order, workspace)
+        reference = tables._gh_points(c, order, cons.WORKSPACE)
+        assert (_gh_chunked(cons._gh_mmse_grid, c, ladder, order, points)
+                == _gh_chunked(_allocating_gh_mmse_grid, c, ladder, order, reference)), order
 
 
 def test_mmse_negative_snr_rejected():

@@ -253,6 +253,25 @@ def test_build_bytes_do_not_depend_on_workers_or_workspace(monkeypatch, name):
         sys.setswitchinterval(interval)
 
 
+def test_pairwise_tail_stops_at_the_floor(builtin_tables, monkeypatch):
+    # the tail evaluates one point below MMSE_FLOOR, where build_table cuts
+    # the grid, and none past it; the table is the same bytes
+    real, tail = tb._pairwise_mmse, []
+
+    def counted(c, snr, **kw):
+        if kw.get("step") == 0.4:
+            tail.append(snr)
+        return real(c, snr, **kw)
+
+    monkeypatch.setattr(tb, "_pairwise_mmse", counted)
+    t = tb.build_table(cons.bpsk())
+    assert t.snr_grid.size < tb.DEFAULT_N_POINTS
+    assert sum(snr > t.snr_top for snr in tail) == 1
+    assert cons.mmse_exact(cons.bpsk(), float(max(tail)), check=False) < tb.MMSE_FLOOR
+    assert all(getattr(t, f).tobytes() == getattr(builtin_tables["bpsk"], f).tobytes()
+               for f in tb._ARRAYS)
+
+
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:
@@ -262,13 +281,14 @@ def _traced_peak_mb(fn):
         tracemalloc.stop()
 
 
-# Bounds on the traced peaks.  Before the workspace was bounded, the worst
-# 32pam probe peaked at 70 MB and the unchunked order-192 probe sweep at 75 MB;
-# with WORKSPACE = 1e6 elements they peak at 41 MB and 23 MB, and a small
-# 32pam build on four workers at 50 MB.
-PAIRWISE_PEAK_MB = 48.0
-GH_PROBE_SWEEP_PEAK_MB = 32.0
-BUILD_PEAK_MB = 56.0
+# Bounds on the traced peaks, a third above what they measure.  With the
+# kernels in place (three block arrays per pairwise block, two per GH chunk)
+# and WORKSPACE = 2.5e5 elements, the worst 32pam probe peaks at 8.9 MB, the
+# order-192 probe sweep at 3.3 MB and a small 32pam build on four workers at
+# 16.2 MB; the allocating kernels with WORKSPACE = 1e6 took 41, 23 and 49 MB.
+PAIRWISE_PEAK_MB = 12.0
+GH_PROBE_SWEEP_PEAK_MB = 4.5
+BUILD_PEAK_MB = 22.0
 
 
 def test_pairwise_rule_stays_within_its_workspace():
