@@ -57,9 +57,5 @@ class TableRangeError(MercuryflowError):
 
 
 class ConvergenceError(MercuryflowError):
-    """An iterative solver ran out of iterations; carries the bracket."""
+    """An iterative solver ran out of iterations or left an energy residual."""
     exit_code = 3
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket

@@ -23,7 +23,7 @@ lower, with no margin (:func:`_falls`): NDA merges on every fall, so such a
 group merges with the next; FSA drops such a multi-pool candidate like one
 that breaks causality.  An error left among the final epochs is raised, and
 so is FSA's first dropped one if any level falls from one final epoch to the
-next.
+next.  A group's ConvergenceError gets the same prefix and is raised at once.
 
 Optimality of either output is checked by :func:`kkt_verify`: per-stream
 stationarity, cumulative energy causality with a terminally empty battery,
@@ -44,7 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import InvalidInputError, TableRangeError
+from .errors import ConvergenceError, InvalidInputError, TableRangeError
 from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
 from .waterfill import EpochProblem, EpochSolution, _classical_wfs, solve_epochs
@@ -131,18 +131,21 @@ def _solve(tables, ts: float, stats: RunStats, epochs) -> list[_Solved]:
     """Solve each ``(gains, budget, first access)`` as one epoch, counted in ``stats``.
 
     All go through one batch: exact Gaussian water-filling with
-    ``tables=None``, else :func:`solve_epochs`.  A budget beyond the
-    tables' cap returns its TableRangeError (the module's range policy).
+    ``tables=None``, else :func:`solve_epochs`.  An epoch's error gets the
+    prefix ``accesses s-e:``; the first ConvergenceError is raised, and a
+    TableRangeError returned (the module's range policy).
     """
     stats.hg_calls += len(epochs)
     sols = (list(_classical_wfs([g for g, _, _ in epochs], [b for _, b, _ in epochs], ts))
             if tables is None else
             solve_epochs([EpochProblem(g, tables, b, ts) for g, b, _ in epochs]))
     for i, ((gains, _, start), sol) in enumerate(zip(epochs, sols)):
-        if isinstance(sol, TableRangeError):
-            sols[i] = TableRangeError(f"accesses {start}-{start + gains.shape[1] - 1}: {sol}")
-        else:
+        if isinstance(sol, EpochSolution):
             stats.spent_evals += sol.evals
+            continue
+        sols[i] = type(sol)(f"accesses {start}-{start + gains.shape[1] - 1}: {sol}")
+        if isinstance(sol, ConvergenceError):
+            raise sols[i]
     return sols
 
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, TableRangeError
+from .errors import InvalidInputError
 from .offline import Allocation, RunStats, _ledger, _solve, stream_tables
 from .scenario import Scenario
 from .tables import MmseTable
+from .waterfill import _raised
 
 __all__ = ["detect_events", "online_solve", "causal_ecc_check"]
 
@@ -55,9 +56,7 @@ def online_solve(
         available = max(harvested - spent, 0.0)
         w_end = min(s_t + f_w - 1, n)
         frozen = np.repeat(scenario.gains[:, s_t - 1 : s_t], w_end - s_t + 1, axis=1)
-        sol, = _solve(tables, scenario.ts, stats, [(frozen, available, s_t)])
-        if isinstance(sol, TableRangeError):
-            raise sol
+        sol = _raised(_solve(tables, scenario.ts, stats, [(frozen, available, s_t)])[0])
         commit_end = events[t + 1] - 1 if t + 1 < len(events) else n
         upto = min(w_end, commit_end)
         powers[:, s_t - 1 : upto] = sol.powers[:, : upto - s_t + 1]

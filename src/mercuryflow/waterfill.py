@@ -16,8 +16,9 @@ a single evaluation at the level cap to detect budgets beyond the tables'
 range.  An epoch whose level spends its budget keeps the powers of the
 evaluation that settles it.  Independent epochs that share their tables are
 solved as one batch (:func:`solve_epochs`), set up in one array pass: each
-keeps its own bracket, and each Newton step makes one packed inverse over
-every epoch still searching; :func:`solve_epoch` is the one-epoch case.
+keeps its own bracket and gets its solution or error in its slot, and each
+Newton step makes one packed inverse over every epoch still searching;
+:func:`solve_epoch` is the one-epoch case, its error raised.
 Gaussian inputs reduce to the classical (W - 1/lam)^+ water-filling, whose
 exact sorted-gain solution :func:`classical_wf` gives with no iteration.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConvergenceError, InvalidInputError, TableRangeError
+from .errors import ConvergenceError, InvalidInputError, MercuryflowError, TableRangeError
 from .tables import MmseTable, _bank, _invert, _query
 
 __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "solve_epochs",
@@ -39,6 +40,7 @@ __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "so
 
 ENERGY_RTOL = 1e-9
 MAX_ITER = 200
+_LATE_EVALS = 165   # evaluations after which steps from above take no log-W step
 _GAIN_MIN = float(np.finfo(float).tiny)   # the smallest normal double, so 1/gain is finite
 
 
@@ -136,20 +138,22 @@ def _searches(problems, lam, sizes: list[int], row, floor) -> list[_Search]:
 
 
 def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
-                hi_open: bool) -> float:
+                hi_open: bool, late: bool) -> float:
     """Newton's next level from ``x``, or a midpoint of [lo, hi] if it leaves it.
 
     Of the Newton steps in log W and in W, the farther goes first (log W from
     below, W from above).  A log-W step past a finite cap not yet evaluated
     (``hi_open``) goes to the cap; steps that both pass one end put the root
-    within rounding of it, so the next double inside is tried.
+    within rounding of it, so the next double inside is tried.  In a ``late``
+    search a step from above takes no log-W step: where spent energy grows
+    like W, that step shrinks the bracket by one e-fold per evaluation.
     """
     if slope > 0.0:
         in_w = x - excess / slope
         in_log = x * math.exp(min(-excess / (x * slope), 700.0))
         if hi_open and in_log >= hi and hi < math.inf:
             return hi
-        for cand in ((in_log, in_w) if excess < 0.0 else (in_w, in_log)):
+        for cand in ((in_log, in_w) if excess < 0.0 else (in_w,) if late else (in_w, in_log)):
             if lo < cand < hi:
                 return cand
         if max(in_w, in_log) <= lo:
@@ -203,7 +207,7 @@ class _Search:
             hi = self.hi = x
             self.spent_hi, self.rates_hi = spent, rates
         hi_open = self.spent_hi == math.inf
-        self.x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
+        self.x = _next_level(x, spent - budget, slope, lo, hi, hi_open, self.evals >= _LATE_EVALS)
         if not (lo < self.x < hi or (self.x == hi and hi_open)):
             # the bracket holds no double between its ends: report the end
             # with active entries nearest the budget, and step the powers
@@ -214,8 +218,8 @@ class _Search:
             powers = self.powers_lo + (budget - spent_lo) / ts * (rates / rates.sum())
             return self.finish(level, powers.reshape(p.gains.shape))
         if self.evals == MAX_ITER:
-            return ConvergenceError(
-                f"epoch solve did not converge in {MAX_ITER} evaluations", bracket=(lo, hi))
+            return ConvergenceError(f"epoch solve did not converge in {MAX_ITER} evaluations; "
+                                    f"its level bracket is [{lo!r}, {hi!r}]")
         return None
 
     def finish(self, level: float, powers) -> EpochSolution | ConvergenceError:
@@ -223,24 +227,20 @@ class _Search:
         budget, ts = self.problem.budget, self.problem.ts
         spent = ts * float(powers.sum())
         if not abs(spent - budget) <= ENERGY_RTOL * budget:
-            return ConvergenceError(
-                f"epoch solve left an energy residual of "
-                f"{abs(spent - budget) / budget:.3e} (relative)",
-                bracket=(self.lo, self.hi),
-            )
+            return ConvergenceError(f"epoch solve left a relative energy residual of "
+                                    f"{abs(spent - budget) / budget:.3e} at level {level!r}")
         return EpochSolution(float(level), powers, spent, evals=self.evals)
 
 
-def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | TableRangeError]:
+def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | MercuryflowError]:
     """Solve epochs that share one tables tuple as one batch, in order.
 
     Every problem runs the search :func:`solve_epoch` describes, with its own
     bracket and evaluation count; each Newton step evaluates every unsettled
     problem with one packed inverse, and a problem whose level spends its
     budget keeps the powers of that evaluation and leaves the batch.  Each
-    problem gets the bytes it gets alone.  A TableRangeError comes back
-    in its problem's slot; the first ConvergenceError, in order, is raised
-    once every problem has settled.
+    problem gets what it gets alone, in its slot: its solution's bytes, or
+    the TableRangeError or ConvergenceError it runs into, which is not raised.
     """
     if any(p.tables != problems[0].tables for p in problems):
         raise InvalidInputError("a batch of epochs must share one tables tuple")
@@ -269,9 +269,6 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Table
             lam, rows = lam[kept], rows[kept]
             live = [e for e, alive in zip(live, keep) if alive]
             sizes = [n for n, alive in zip(sizes, keep) if alive]
-    for sol in out:
-        if isinstance(sol, ConvergenceError):
-            raise sol
     return out
 
 
@@ -286,11 +283,15 @@ def solve_epoch(problem: EpochProblem) -> EpochSolution:
     their slopes dP/dW: one tangent step of W.  A budget that even the
     level cap under-spends raises TableRangeError naming the stream
     (counted from 1) and the cap; failure to converge raises
-    ConvergenceError with the final bracket.  This is the one-problem case
-    of :func:`solve_epochs`.
+    ConvergenceError naming the final level bracket.  This is the
+    one-problem case of :func:`solve_epochs`, its slot's error raised.
     """
-    sol, = solve_epochs([problem])
-    if isinstance(sol, TableRangeError):
+    return _raised(solve_epochs([problem])[0])
+
+
+def _raised(sol):
+    """A one-epoch slot's solution, or its error raised."""
+    if isinstance(sol, MercuryflowError):
         raise sol
     return sol
 
@@ -307,11 +308,11 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     go negative stops at 0 and leaves the rest to the next step.  Energy
     still off after one step per entry raises ConvergenceError.
     """
-    return next(_classical_wfs([gains], [budget], ts))
+    return _raised(next(_classical_wfs([gains], [budget], ts)))
 
 
-def _classical_wfs(gains_seq, budgets, ts: float) -> Iterator[EpochSolution]:
-    """:func:`classical_wf` of each ``(gains, budget)`` in order, its levels from one array pass."""
+def _classical_wfs(gains_seq, budgets, ts: float) -> Iterator[EpochSolution | ConvergenceError]:
+    """Each ``(gains, budget)``'s :func:`classical_wf` slot in order, levels in one array pass."""
     gs = [_checked(g, budget, ts) for g, budget in zip(gains_seq, budgets)]
     levels = _wf_levels(1.0 / np.concatenate([g.ravel() for g in gs]), [g.size for g in gs],
                         np.array(budgets, dtype=float) / ts)[0].tolist()
@@ -320,15 +321,15 @@ def _classical_wfs(gains_seq, budgets, ts: float) -> Iterator[EpochSolution]:
         for _ in range(g.size + 1):
             spent = ts * float(powers.sum())
             if abs(spent - budget) <= ENERGY_RTOL * budget:
+                yield EpochSolution(level if budget else 0.0, powers, spent)
                 break
             rates = (powers > 0.0).astype(float)
             if not rates.any():
                 rates.flat[np.argmax(g)] = 1.0
             powers = np.maximum(powers + (budget - spent) / ts * (rates / rates.sum()), 0.0)
         else:
-            raise ConvergenceError(f"water-filling left an energy residual of "
-                                   f"{abs(spent - budget) / budget:.3e} (relative)")
-        yield EpochSolution(level if budget else 0.0, powers, spent)
+            yield ConvergenceError(f"water-filling left a relative energy residual of "
+                                   f"{abs(spent - budget) / budget:.3e} at level {level!r}")
 
 
 def _wf_levels(floors, sizes: list[int], targets):

@@ -10,7 +10,8 @@ from mercuryflow import evaluation as ev
 from mercuryflow import offline as off
 from mercuryflow import online as onl
 from mercuryflow import scenario as scn
-from mercuryflow.errors import InvalidInputError, TableRangeError
+from mercuryflow import waterfill as wf
+from mercuryflow.errors import ConvergenceError, InvalidInputError, TableRangeError
 
 
 def gaussian_scenario(energies, n, gains=None, k=1, ts=1.0):
@@ -259,8 +260,10 @@ def _solve_or_range_error(solve):
 
 
 def test_wide_range_fuzz_gate():
+    # seeds 690, 1211, 2003 and 2869 mix Gaussian and finite streams: their searches
+    # evaluate a finite stream's cap (about 1e246) and settle only by the late step
     solved = 0
-    for seed in range(300):
+    for seed in range(3000):
         s = _wide_range_scenario(np.random.default_rng(seed))
         tabs = off.stream_tables(s)
         a = _solve_or_range_error(lambda: off.nda_solve(s, tables=tabs))
@@ -277,7 +280,53 @@ def test_wide_range_fuzz_gate():
             assert off.kkt_verify(s, f, tol=1e-7, tables=tabs).passed, f"seed {seed}"
             scale = max(float(a.powers.max()), 1e-12)
             assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale, f"seed {seed}"
-    assert solved >= 250
+    assert solved >= 2500
+
+
+# the error of an epoch search cut at 3 evaluations
+_CUT_SEARCH = r"epoch solve did not converge in 3 evaluations; its level bracket is \[\S+, \S+\]"
+
+
+def test_a_convergence_error_comes_back_in_its_slot_and_is_raised_with_its_accesses(
+        builtin_tables, monkeypatch):
+    monkeypatch.setattr(wf, "MAX_ITER", 3)
+    tabs = (builtin_tables["bpsk"],)
+    gains = np.array([[1.0, 0.5]])
+    quick, slow = (wf.EpochProblem(gains, tabs, budget, 1.0) for budget in (1e-3, 10.0))
+    sol, err = wf.solve_epochs([quick, slow])   # 2 and 5 evaluations at MAX_ITER 200
+    assert isinstance(sol, wf.EpochSolution) and sol.evals == 2
+    assert isinstance(err, ConvergenceError) and re.fullmatch(_CUT_SEARCH, str(err))
+    with pytest.raises(ConvergenceError) as alone:
+        wf.solve_epoch(slow)
+    assert str(alone.value) == str(err)
+    s = scn.Scenario(n=2, k=1, ts=1.0, gains=gains, arrivals=((1, 10.0),),
+                     constellations=(cons.bpsk(),))
+    with pytest.raises(ConvergenceError) as raised:
+        off.nda_solve(s, tables=tabs)
+    assert str(raised.value) == f"accesses 1-2: {err}"
+    for name in ("fsa", "online", "pbp-hgwf"):   # online's first plan: accesses 1-2
+        with pytest.raises(ConvergenceError, match=rf"^accesses 1-2: {_CUT_SEARCH}$"):
+            ev.run_strategy(s, name, f_w=2, tables=tabs)
+
+
+def test_a_water_filling_convergence_error_comes_back_in_its_slot_with_its_accesses(
+        monkeypatch):
+    # at a zero tolerance these gains leave a residual of about 2e-16 after every step
+    monkeypatch.setattr(wf, "ENERGY_RTOL", 0.0)
+    gains = np.array([[1.1859066783865457, 0.71155184304429, 1.229170057379424]])
+    budget = 1.0799425539706864
+    sol, err = wf._classical_wfs([np.ones((1, 2)), gains], [2.0, budget], 1.0)
+    assert isinstance(sol, wf.EpochSolution) and isinstance(err, ConvergenceError)
+    with pytest.raises(ConvergenceError) as alone:
+        wf.classical_wf(gains, budget)
+    assert str(alone.value) == str(err)
+    assert re.fullmatch(r"water-filling left a relative energy residual of \S+ at level \S+",
+                        str(err))
+    s = gaussian_scenario([(1, budget)], n=3, gains=gains)
+    for name in ("dwf", "pbp-wf"):
+        with pytest.raises(ConvergenceError) as raised:
+            ev.run_strategy(s, name)
+        assert str(raised.value) == f"accesses 1-3: {err}"
 
 
 def test_nda_merges_a_fall_smaller_than_one_part_in_1e12(builtin_tables):
