@@ -5,18 +5,13 @@ from .constellations import (
     Constellation,
     bpsk,
     by_name,
-    conditional_mean,
     gaussian,
-    mmse_derivative,
-    mmse_exact,
-    mutual_information,
     pam,
 )
 from .errors import (
     ConvergenceError,
     InvalidInputError,
     MercuryflowError,
-    QuadratureAccuracyError,
     SchemaError,
     TableBuildError,
     TableRangeError,
@@ -57,7 +52,6 @@ __all__ = [
     "MercuryflowError",
     "MmseTable",
     "Pool",
-    "QuadratureAccuracyError",
     "RunStats",
     "Scenario",
     "SchemaError",
@@ -70,7 +64,6 @@ __all__ = [
     "causal_ecc_check",
     "classical_wf",
     "complexity_ensemble",
-    "conditional_mean",
     "detect_events",
     "dwf_reference",
     "dwf_solve",
@@ -79,9 +72,6 @@ __all__ = [
     "gaussian",
     "generate",
     "kkt_verify",
-    "mmse_derivative",
-    "mmse_exact",
-    "mutual_information",
     "nda_solve",
     "online_solve",
     "pam",

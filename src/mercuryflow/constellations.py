@@ -1,28 +1,24 @@
-"""Input constellations and their estimation-theoretic statistics.
+"""Input constellations and the mmse kernels that build their tables.
 
 A :class:`Constellation` is a real, unit-power input distribution: either a
 discrete set of amplitudes with probabilities or the ideal Gaussian input.
-This module computes, for a scalar Gaussian channel ``y = sqrt(snr) x + n``
-with ``n ~ N(0, 1)``:
-
-* ``conditional_mean`` -- the posterior mean estimate ``E{x | y}``,
-* ``mmse_exact``       -- ``E{(x - E{x|y})^2}``,
-* ``mmse_derivative``  -- ``d mmse / d snr = -E{var(x|y)^2}``,
-* ``mutual_information`` -- ``I(x; y)`` in bits.
+For a discrete input on the scalar Gaussian channel ``y = sqrt(snr) x + n``
+with ``n ~ N(0, 1)``, two kernels give ``mmse = E{(x - E{x|y})^2}`` and
+``d mmse / d snr``; :mod:`mercuryflow.tables` builds every table from them,
+and integrates mutual information from the mmse by I-MMSE.
 
 Discrete-input mmse values decay like ``exp(-snr * d^2 / 8)`` (``d`` the
-minimum point spacing), so a plain Gauss-Hermite rule over the noise loses
-all relative accuracy once the error mass migrates past the node span.  The
-mmse integrals are therefore evaluated through an exact pairwise identity,
+minimum point spacing), so the vectorized Gauss-Hermite sweep over the noise
+(``_gh_mmse_grid``) loses all relative accuracy once the error mass migrates
+past the node span.  ``_pairwise_mmse`` evaluates one snr through an exact
+pairwise identity,
 
     mmse(snr) = sum_{i<j} p_i p_j (s_i - s_j)^2
                 * Int phi(y - a s_i) phi(y - a s_j) / p(y) dy,   a = sqrt(snr)
 
 whose terms are positive, localized at the pair midpoints, and integrable to
-near machine precision at every snr with a width-adapted trapezoid rule.
-Mutual information keeps the classical Gauss-Hermite mixture quadrature,
-which stays accurate for it at all snr (the integrand saturates rather than
-migrates).
+near machine precision at every snr with a width-adapted trapezoid rule.  A
+table takes the sweep only on the snr prefix where the two agree.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import roots_hermite
 
-from .errors import InvalidInputError, QuadratureAccuracyError
+from .errors import InvalidInputError
 
 __all__ = [
     "Constellation",
@@ -44,10 +40,6 @@ __all__ = [
     "gaussian",
     "by_name",
     "BUILTIN_NAMES",
-    "conditional_mean",
-    "mmse_exact",
-    "mmse_derivative",
-    "mutual_information",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -191,13 +183,6 @@ def _pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(q, k=1)
 
 
-def _check_args(snr: float) -> float:
-    snr = float(snr)
-    if not math.isfinite(snr) or snr < 0.0:
-        raise InvalidInputError(f"snr must be finite and >= 0, got {snr!r}")
-    return snr
-
-
 def _halved(c: Constellation, i: np.ndarray, j: np.ndarray):
     """(i, j, weight) of the index pairs a sum over (i, j) needs.
 
@@ -330,114 +315,3 @@ def _gh_mmse_grid(c: Constellation, snr: np.ndarray, order: int) -> tuple[np.nda
     mmse = ((m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
     d = -((m2 * m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
     return np.minimum(mmse, 1.0), np.minimum(d, 0.0)
-
-
-def _gh_mi_single(c: Constellation, snr: float, order: int) -> float:
-    """Mutual information in bits at one snr via mixture Gauss-Hermite."""
-    if snr == 0.0:
-        return 0.0
-    s = c.points
-    p = c.probs
-    logp = np.log(p)
-    nodes, wq = _gh_nodes(order)
-    a = math.sqrt(snr)
-    diff = s[None, :] - s[:, None]                            # (Q_j, Q_i): s_j - s_i
-    # log p_i - ((n + a(s_j - s_i))^2 - n^2)/2, expanded so n^2 cancels exactly
-    expo = (
-        logp[None, :, None]
-        - nodes[None, None, :] * (a * diff)[:, :, None]
-        - 0.5 * ((a * diff) ** 2)[:, :, None]
-    )
-    em = expo.max(axis=1)
-    lse = em + np.log(np.exp(expo - em[:, None, :]).sum(axis=1))
-    nats = -((lse * wq[None, :]).sum(axis=1) * p).sum()
-    return max(float(nats) / math.log(2.0), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def conditional_mean(c: Constellation, y: float, snr: float) -> float:
-    """Posterior mean E{x | sqrt(snr) x + n = y}.
-
-    Gaussian inputs use the linear estimator sqrt(snr)/(1+snr) * y; discrete
-    inputs use the exact Bayes weighting of the points.
-    """
-    snr = _check_args(snr)
-    y = float(y)
-    if not math.isfinite(y):
-        raise InvalidInputError(f"y must be finite, got {y!r}")
-    if c.is_gaussian:
-        return math.sqrt(snr) / (1.0 + snr) * y
-    a = math.sqrt(snr)
-    expo = np.log(c.probs) - 0.5 * (y - a * c.points) ** 2
-    expo -= expo.max()
-    w = np.exp(expo)
-    return float(np.sum(w * c.points) / np.sum(w))
-
-
-def _checked_pairwise(c: Constellation, snr: float, which: int, what: str, check: bool) -> float:
-    """Entry ``which`` of the pairwise rule; with ``check``, re-run at half step.
-
-    The two estimates must agree to 1e-8 relative (QuadratureAccuracyError
-    naming ``what`` otherwise), and the finer one is returned.
-    """
-    coarse = _pairwise_mmse(c, snr)[which]
-    if not check:
-        return coarse
-    fine = _pairwise_mmse(c, snr, step=_PAIR_STEP / 2.0)[which]
-    if abs(fine - coarse) > 1e-8 * max(abs(fine), 1e-300):
-        raise QuadratureAccuracyError(
-            f"{what} quadrature for {c.label} did not converge at snr={snr}",
-            coarse=coarse,
-            fine=fine,
-        )
-    return fine
-
-
-def mmse_exact(c: Constellation, snr: float, check: bool = True) -> float:
-    """mmse(snr) = E{(x - E{x|y})^2}, clamped to [0, 1].
-
-    Discrete inputs are integrated with the pairwise-boundary rule; when
-    ``check`` is set the rule is re-run at half step and the two estimates
-    must agree to 1e-8 relative (QuadratureAccuracyError otherwise).
-    """
-    snr = _check_args(snr)
-    if c.is_gaussian:
-        return 1.0 / (1.0 + snr)
-    return _checked_pairwise(c, snr, 0, "mmse", check)
-
-
-def mmse_derivative(c: Constellation, snr: float, check: bool = True) -> float:
-    """d mmse / d snr = -E{var(x|y)^2}; always <= 0."""
-    snr = _check_args(snr)
-    if c.is_gaussian:
-        return -1.0 / (1.0 + snr) ** 2
-    return _checked_pairwise(c, snr, 1, "mmse-derivative", check)
-
-
-_MI_ORDERS = (96, 192, 384, 768)
-
-
-def mutual_information(c: Constellation, snr: float) -> float:
-    """I(x; sqrt(snr) x + n) in bits.
-
-    Gaussian inputs: 0.5*log2(1+snr).  Discrete inputs: Gauss-Hermite mixture
-    quadrature per transmitted symbol, with order doubling until consecutive
-    estimates agree to 1e-8 relative.
-    """
-    snr = _check_args(snr)
-    if c.is_gaussian:
-        return 0.5 * math.log2(1.0 + snr)
-    prev = _gh_mi_single(c, snr, _MI_ORDERS[0])
-    for o in _MI_ORDERS[1:]:
-        cur = _gh_mi_single(c, snr, o)
-        if abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-12):
-            return cur
-        prev = cur
-    raise QuadratureAccuracyError(
-        f"mutual-information quadrature for {c.label} did not converge at snr={snr}",
-        coarse=prev,
-        fine=cur,
-    )

@@ -24,19 +24,6 @@ class SchemaError(InvalidInputError):
         self.field = field
 
 
-class QuadratureAccuracyError(MercuryflowError):
-    """Numerical integration failed its self-consistency check.
-
-    Carries both estimates so the caller can judge the disagreement.
-    """
-    exit_code = 3
-
-    def __init__(self, message: str, coarse: float, fine: float):
-        super().__init__(message)
-        self.coarse = coarse
-        self.fine = fine
-
-
 class TableBuildError(MercuryflowError):
     """A precomputed mmse table violates its invariants."""
     exit_code = 3

@@ -14,7 +14,6 @@ from mercuryflow.errors import (
     ConvergenceError,
     InvalidInputError,
     MercuryflowError,
-    QuadratureAccuracyError,
     SchemaError,
     TableBuildError,
     TableRangeError,
@@ -360,7 +359,6 @@ def test_verify_online_allocation_exits_2(scenario_config, tmp_path, capsys):
 @pytest.mark.parametrize("exc, code", [
     (InvalidInputError("bad input"), 2),
     (SchemaError("bad field", field="n"), 2),
-    (QuadratureAccuracyError("disagree", coarse=1.0, fine=2.0), 3),
     (TableBuildError("not monotone"), 3),
     (TableRangeError("beyond the top"), 3),
     (ConvergenceError("out of iterations"), 3),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mercuryflow import constellations as cons
 from mercuryflow import tables as tb
 from mercuryflow import waterfill as wf
-from mercuryflow.errors import InvalidInputError, TableRangeError
+from mercuryflow.errors import ConvergenceError, InvalidInputError, TableRangeError
 from mercuryflow.waterfill import EpochProblem, classical_wf, power_at_level, solve_epoch
 
 from conftest import FINITE_BUILTINS
@@ -215,6 +215,31 @@ _CRUMB_GAINS = [1.8259023316173926, 0.04853189319861556, 0.08130829985051354, 0.
 ])
 def test_solve_epoch_tangent_step_far_below_the_lattice(builtin_tables, names, gains, budget, ts):
     _assert_sub_lattice_solve(tuple(builtin_tables[n] for n in names), gains, budget, ts)
+
+
+def test_solve_epoch_quadruples_a_level_with_no_bracket_top(gauss, monkeypatch):
+    # an all-Gaussian epoch has no level cap; (1/49) * 49 rounds to 1 - ulp, so
+    # at the start level the one entry is inactive: nothing spent, no slope and
+    # no top to the bracket, and the search steps to four times the level
+    calls = _counting_evaluate(monkeypatch)
+    sol = solve_epoch(EpochProblem(gains=np.array([[49.0]]), tables=(gauss,), budget=1e-20, ts=1.0))
+    assert calls[0] == 1.0 / 49.0 and (1.0 / 49.0) * 49.0 < 1.0
+    assert calls[1] == 4.0 * calls[0]
+    assert abs(sol.spent_energy - 1e-20) <= 1e-9 * 1e-20
+    assert 1.0 / 49.0 < sol.water_level <= 1.0 / 49.0 + 4 * np.spacing(1.0 / 49.0)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "32pam"])
+def test_solve_epoch_reports_a_tangent_step_that_misses_a_subnormal_budget(builtin_tables, name):
+    # below the smallest normal double an energy has few significant bits: the
+    # tangent step splits the shortfall between two entries, each half rounds
+    # by one subnormal ulp, and the finish reports the residual instead of
+    # returning powers that miss the budget by 1.6e-3 relative
+    problem = EpochProblem(gains=np.array([[1.0, 1.0]]), tables=(builtin_tables[name],),
+                           budget=3e-321, ts=1.0)
+    with pytest.raises(ConvergenceError, match=r"left a relative energy residual of 1\.647e-03"):
+        solve_epoch(problem)
+    assert isinstance(wf.solve_epochs([problem])[0], ConvergenceError)
 
 
 def _level_cap(problem):
