@@ -125,7 +125,7 @@ class MmseTable:
 
     @property
     def mmse_floor(self) -> float:
-        """Smallest mmse the table models; inversion below this errors out."""
+        """Smallest mmse on the table's grid; a finite table's inverse errors out below it."""
         if self.is_gaussian:
             return 1.0 / (1.0 + self.snr_top)
         return float(self.mmse_values[-1])
@@ -205,8 +205,8 @@ def _bank(tables: tuple[MmseTable, ...]) -> tuple:
     query's cell.  On a cell, with t = (snr - x0)/h and s = (log mmse - y0)/dy,
     ``log mmse = y0 + t*(b1 + t*(b2 + t*b3))`` is the forward interpolant and
     ``t = s*(m0 + s*(e2 + s*e3))`` its inverse cubic Hermite; the last cell is
-    repeated as a sentinel.  ``floor`` is 0 for Gaussian tables, which have
-    none, and ``gaussian`` is None when no table is Gaussian.
+    repeated as a sentinel.  ``floor`` is the smallest normal double for Gaussian
+    tables, so 1/psi stays finite, and ``gaussian`` is None when no table is Gaussian.
     """
     sizes = np.array([t.snr_grid.size for t in tables])
     span = np.array([1.0 - t.log_mmse[-1] for t in tables])
@@ -220,7 +220,7 @@ def _bank(tables: tuple[MmseTable, ...]) -> tuple:
     m0, m1 = dy / b1, dy / d1
     cells = np.stack([x[:-1], h, y[:-1], dy, b1, 3.0 * dy - 2.0 * b1 - d1, b1 + d1 - 2.0 * dy,
                       m0, 3.0 - 2.0 * m0 - m1, m0 + m1 - 2.0])
-    floor = np.array([0.0 if t.is_gaussian else t.mmse_floor for t in tables])
+    floor = np.array([np.finfo(float).tiny if t.is_gaussian else t.mmse_floor for t in tables])
     gaussian = np.array([t.is_gaussian for t in tables])
     return (keys, np.hstack([cells, cells[:, -1:]]), offset, floor,
             gaussian if gaussian.any() else None, tuple(tables))
@@ -243,8 +243,8 @@ def _invert(bank, rows, psi):
         k = int(np.broadcast_to(rows, p.shape).flat[j])
         raise TableRangeError(
             f"mmse {float(p.flat[j])!r} below the {tables[k].label} table floor "
-            f"{tables[k].mmse_floor!r}; the requested water level implies an snr "
-            "beyond the modeled range (rebuild with a larger snr_max)"
+            f"{float(floor[k])!r}; the requested water level implies an snr beyond the "
+            "modeled range, which the table's snr_max or double precision ends"
         )
     y = np.log(p)
     cell = keys.searchsorted(offset[rows] - y) - 1

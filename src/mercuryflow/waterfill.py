@@ -11,9 +11,8 @@ mercury_level = (1/lam) * G(1/(W*lam)).  Total spent energy is continuous
 and non-decreasing in W, and by the I-MMSE relation its slope is closed
 form, sum over active entries of -1/(W * lam * dlog mmse/dsnr).  One packed
 evaluation gives the spent energy and that slope for every stream at once,
-and W is located by a bracketed Newton search on the energy residual, with
-a single evaluation at the level cap to detect budgets beyond the tables'
-range.  An epoch whose level spends its budget keeps the powers of the
+and W is located by a Newton search on the energy residual in a finite
+bracket.  An epoch whose level spends its budget keeps the powers of the
 evaluation that settles it.  Independent epochs that share their tables are
 solved as one batch (:func:`solve_epochs`), set up in one array pass: each
 keeps its own bracket and gets its solution or error in its slot, and each
@@ -40,7 +39,6 @@ __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "so
 
 ENERGY_RTOL = 1e-9
 MAX_ITER = 200
-_LATE_EVALS = 165   # evaluations after which steps from above take no log-W step
 _GAIN_MIN = float(np.finfo(float).tiny)   # the smallest normal double, so 1/gain is finite
 
 
@@ -121,65 +119,67 @@ def _evaluate(bank, rows, lam, level):
     return snr / lam, np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
 
 
-def _searches(problems, lam, sizes: list[int], row, floor) -> list[_Search]:
+def _searches(problems, lam, sizes: list[int], row, bank) -> list[_Search]:
     """Each problem's search, set up in one array pass over ``lam``, its (K, L) gains in C order.
 
     ``sizes`` are their K*L and ``row`` each stream row's L.  A stream's cap starts at
-    1/(lam_max * floor), +inf if that underflows or the stream is Gaussian, and steps down
-    until no 1/(W * lam) rounds below its floor.  Each search starts at its Gaussian level.
+    1/(lam_max * floor), +inf if that underflows, and steps down until no 1/(W * lam) rounds
+    below its floor.  Each search starts at its Gaussian level, below its least cap and top.
     """
+    floor, targets = bank[3], np.array([p.budget / p.ts for p in problems])
     lam_max = np.maximum.reduceat(lam, row.cumsum() - row).reshape(-1, floor.size)
+    top = np.full(len(problems), math.inf)
     with np.errstate(divide="ignore", over="ignore"):
         level = 1.0 / (lam_max * floor)
         while (low := 1.0 / (level * lam_max) < floor).any():
             level = np.where(low, np.nextafter(level, 0.0), level)
-    x, lo = _wf_levels(1.0 / lam, sizes, np.array([p.budget / p.ts for p in problems]))
-    return list(map(_Search, problems, level.tolist(), lo.tolist(), x.tolist()))
+        if bank[4] is not None:   # no finite entry's power is < 0: Gaussian entries bound W
+            floors = np.where(np.tile(bank[4], len(problems)).repeat(row), 1.0 / lam, math.inf)
+            top = (1.0 + 2.0**-20) * _wf_levels(floors, sizes, targets)[0]
+    x, lo = _wf_levels(1.0 / lam, sizes, targets)
+    return list(map(_Search, problems, level.tolist(), lo.tolist(), x.tolist(), top.tolist()))
 
 
 def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
-                hi_open: bool, late: bool) -> float:
+                hi_open: bool) -> float:
     """Newton's next level from ``x``, or a midpoint of [lo, hi] if it leaves it.
 
     Of the Newton steps in log W and in W, the farther goes first (log W from
-    below, W from above).  A log-W step past a finite cap not yet evaluated
-    (``hi_open``) goes to the cap; steps that both pass one end put the root
-    within rounding of it, so the next double inside is tried.  In a ``late``
-    search a step from above takes no log-W step: where spent energy grows
-    like W, that step shrinks the bracket by one e-fold per evaluation.
+    below, W from above).  A log-W step past a top not yet evaluated
+    (``hi_open``) goes to the top; steps that both pass one end put the root
+    within rounding of it, so the next double inside is tried.  No Newton step
+    is taken when ``x * slope`` is 0, as when it underflows: the midpoint is.
     """
-    if slope > 0.0:
+    if x * slope > 0.0:
         in_w = x - excess / slope
         in_log = x * math.exp(min(-excess / (x * slope), 700.0))
-        if hi_open and in_log >= hi and hi < math.inf:
+        if hi_open and in_log >= hi:
             return hi
-        for cand in ((in_log, in_w) if excess < 0.0 else (in_w,) if late else (in_w, in_log)):
+        for cand in ((in_log, in_w) if excess < 0.0 else (in_w, in_log)):
             if lo < cand < hi:
                 return cand
         if max(in_w, in_log) <= lo:
             return math.nextafter(lo, hi)
-        if min(in_w, in_log) >= hi and hi < math.inf:
+        if min(in_w, in_log) >= hi:
             return math.nextafter(hi, lo)
-    if hi == math.inf:
-        return 4.0 * lo
     return 0.5 * (lo + hi) if hi <= 4.0 * lo else math.sqrt(lo) * math.sqrt(hi)
 
 
 class _Search:
     """One epoch's bracketed Newton search on its energy residual, one evaluation at a time.
 
-    spent(lo) < budget <= spent(hi) once hi is evaluated; below the strongest
-    entry's activation level nothing is spent.  ``x`` is the level to
-    evaluate next; evaluations come flat, in the C order of the gains.
+    The bracket is finite from the start: lo is the strongest entry's activation level, below
+    which nothing is spent, hi the least cap or ``top``; spent(lo) < budget <= spent(hi) once hi
+    is evaluated.  ``x`` is the level to evaluate next; evaluations come flat, in C order.
     """
 
-    def __init__(self, problem: EpochProblem, caps: list[float], lo: float, x: float):
+    def __init__(self, problem: EpochProblem, caps: list[float], lo: float, x: float, top: float):
         self.problem, self.cap = problem, min(caps)
-        self.k_cap = caps.index(self.cap) if self.cap < math.inf else -1   # -1: all Gaussian
-        self.lo, self.hi = lo, self.cap
+        self.k_cap = caps.index(self.cap)
+        self.lo, self.hi = lo, min(self.cap, top)
         self.spent_lo, self.spent_hi = 0.0, math.inf
         self.powers_lo = self.rates_lo = self.rates_hi = np.zeros(problem.gains.size)
-        self.x = min(x, self.cap)
+        self.x = min(x, self.hi)
         self.evals = 0
 
     def feed(self, powers, rates):
@@ -197,7 +197,7 @@ class _Search:
             return TableRangeError(
                 f"budget {budget!r} J needs a water level beyond the modeled snr range of "
                 f"stream {self.k_cap + 1} ({p.tables[self.k_cap].label}), which caps it at "
-                f"{self.cap!r}; rebuild with larger snr_max")
+                f"{self.cap!r}; the table's snr_max or double precision ends that range")
         if abs(spent - budget) <= 0.5 * ENERGY_RTOL * budget:   # this level spends the budget
             return self.finish(x, powers.reshape(p.gains.shape))
         if spent < budget:
@@ -207,7 +207,7 @@ class _Search:
             hi = self.hi = x
             self.spent_hi, self.rates_hi = spent, rates
         hi_open = self.spent_hi == math.inf
-        self.x = _next_level(x, spent - budget, slope, lo, hi, hi_open, self.evals >= _LATE_EVALS)
+        self.x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
         if not (lo < self.x < hi or (self.x == hi and hi_open)):
             # the bracket holds no double between its ends: report the end
             # with active entries nearest the budget, and step the powers
@@ -254,7 +254,7 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Mercu
         row = np.array([p.gains.shape[1] for _, p in live]).repeat(k)   # each stream row's L
         rows = (np.arange(row.size) % k).repeat(row)
         sizes = [p.gains.size for _, p in live]
-        searches = _searches([p for _, p in live], lam, sizes, row, bank[3])
+        searches = _searches([p for _, p in live], lam, sizes, row, bank)
         live = [(i, s) for (i, _), s in zip(live, searches)]
     while live:
         xs = [s.x for _, s in live]

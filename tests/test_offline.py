@@ -261,7 +261,7 @@ def _solve_or_range_error(solve):
 
 def test_wide_range_fuzz_gate():
     # seeds 690, 1211, 2003 and 2869 mix Gaussian and finite streams: their searches
-    # evaluate a finite stream's cap (about 1e246) and settle only by the late step
+    # top out just above the Gaussian entries' own level, far under a finite stream's cap
     solved = 0
     for seed in range(3000):
         s = _wide_range_scenario(np.random.default_rng(seed))
@@ -281,6 +281,15 @@ def test_wide_range_fuzz_gate():
             scale = max(float(a.powers.max()), 1e-12)
             assert np.max(np.abs(a.powers - f.powers)) <= 1e-6 * scale, f"seed {seed}"
     assert solved >= 2500
+
+
+def test_nda_range_error_for_a_gaussian_level_past_the_doubles():
+    # a level near 1e100, far past the Gaussian cap 1/(1e300 * tiny); the search once
+    # divided by its x * slope, which underflows to 0
+    s = scn.Scenario(n=2, k=1, ts=1e-300, gains=[[1e300, 1.0]], arrivals=((1, 1e-200),),
+                     constellations=(cons.gaussian(),))
+    with pytest.raises(TableRangeError, match=r"^accesses 1-2: .*stream 1 \(gaussian\), which"):
+        off.nda_solve(s)
 
 
 # the error of an epoch search cut at 3 evaluations

@@ -202,7 +202,7 @@ def test_batched_setup_equals_the_per_epoch_cap_and_start(problems, tied, tiny):
     lam = np.concatenate([p.gains.ravel() for p in problems])
     row = np.repeat([p.gains.shape[1] for p in problems], len(problems[0].tables))
     searches = wf._searches(problems, lam, [p.gains.size for p in problems], row,
-                            tb._bank(problems[0].tables)[3])
+                            tb._bank(problems[0].tables))
     each = [_level_cap(p) for p in problems]
     assert _bits([s.cap for s in searches]) == _bits([c for c, _ in each])
     assert [s.k_cap for s in searches] == [k for _, k in each]

@@ -54,6 +54,12 @@ def test_inverse_below_floor_raises_range_error(builtin_tables):
         t.mmse_inverse(t.mmse_floor * 0.5)
 
 
+def test_gaussian_inverse_below_the_normal_doubles_raises_range_error(builtin_tables):
+    # 1/psi - 1 would overflow: the Gaussian floor is the smallest normal double
+    with pytest.raises(TableRangeError, match=r"gaussian table floor 2\.2250738585072014e-308"):
+        builtin_tables["gaussian"].mmse_inverse(1e-310)
+
+
 _MAPS = {
     "mmse_at": (lambda t, x: t.mmse_at(x), "snr must be finite and >= 0", [-1e-300]),
     "mi_at": (lambda t, x: t.mi_at(x), "snr must be finite and >= 0", [-1.0]),

@@ -217,16 +217,28 @@ def test_solve_epoch_tangent_step_far_below_the_lattice(builtin_tables, names, g
     _assert_sub_lattice_solve(tuple(builtin_tables[n] for n in names), gains, budget, ts)
 
 
-def test_solve_epoch_quadruples_a_level_with_no_bracket_top(gauss, monkeypatch):
-    # an all-Gaussian epoch has no level cap; (1/49) * 49 rounds to 1 - ulp, so
-    # at the start level the one entry is inactive: nothing spent, no slope and
-    # no top to the bracket, and the search steps to four times the level
+def test_solve_epoch_steps_inside_the_bracket_top_from_an_inactive_start(gauss, monkeypatch):
+    # (1/49) * 49 rounds to 1 - ulp, so at the start level the one entry is
+    # inactive: nothing spent and no slope, and the search steps inside its
+    # bracket, whose top lies just above the Gaussian level
     calls = _counting_evaluate(monkeypatch)
-    sol = solve_epoch(EpochProblem(gains=np.array([[49.0]]), tables=(gauss,), budget=1e-20, ts=1.0))
+    problem = EpochProblem(gains=np.array([[49.0]]), tables=(gauss,), budget=1e-20, ts=1.0)
+    sol = solve_epoch(problem)
     assert calls[0] == 1.0 / 49.0 and (1.0 / 49.0) * 49.0 < 1.0
-    assert calls[1] == 4.0 * calls[0]
+    assert 1.0 / 49.0 < calls[1] <= _search(problem).hi
     assert abs(sol.spent_energy - 1e-20) <= 1e-9 * 1e-20
     assert 1.0 / 49.0 < sol.water_level <= 1.0 / 49.0 + 4 * np.spacing(1.0 / 49.0)
+
+
+@pytest.mark.parametrize("names", [("gaussian", "gaussian"), ("gaussian", "bpsk"),
+                                   ("bpsk", "32pam")])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_every_search_starts_in_a_finite_bracket(builtin_tables, names, scale):
+    tabs = tuple(builtin_tables[n] for n in names)
+    gains = scale * np.array([[2.0, 0.5], [1.0, 3.0]])
+    search = _search(EpochProblem(gains=gains, tables=tabs, budget=1.0, ts=1.0))
+    assert search.lo <= search.x <= search.hi < math.inf
+    assert search.hi <= search.cap < math.inf
 
 
 @pytest.mark.parametrize("name", ["gaussian", "32pam"])
@@ -242,11 +254,17 @@ def test_solve_epoch_reports_a_tangent_step_that_misses_a_subnormal_budget(built
     assert isinstance(wf.solve_epochs([problem])[0], ConvergenceError)
 
 
-def _level_cap(problem):
-    """The level cap and the stream that sets it, from the batch set-up of one problem."""
+def _search(problem):
+    """The search of one problem as the batch set-up makes it, before any evaluation."""
     k, width = problem.gains.shape
     search, = wf._searches([problem], problem.gains.ravel(), [k * width], np.full(k, width),
-                           tb._bank(problem.tables)[3])
+                           tb._bank(problem.tables))
+    return search
+
+
+def _level_cap(problem):
+    """The level cap and the stream that sets it, from the batch set-up of one problem."""
+    search = _search(problem)
     return search.cap, search.k_cap
 
 
@@ -274,6 +292,32 @@ def test_solve_epoch_cap_never_trips_the_table_floor(builtin_tables, name):
     with pytest.raises(TableRangeError, match=rf"stream 1 \({name}\)") as err:
         solve_epoch(EpochProblem(gains=np.array([[lam]]), tables=(t,), budget=2.0 * top, ts=1.0))
     assert f"caps it at {cap!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("problem", [
+    # one e-fold per evaluation down from the bpsk cap took 173 evaluations
+    (("gaussian", "bpsk"), [[0.02342496635096845, 1.2348583157793016],
+                            [11714.304948757224, 0.008636162730108282]],
+     0.0004091391807686438, 0.004852413822361555, 12),
+    # x * slope underflows to 0 at the start: no Newton step, no division by it
+    (("bpsk",), [[2.6128199869023456e+31, 3.0791880210325048e-102]],
+     1.555393e-318, 9.627463294757295e-302, 50),
+])
+def test_solve_epoch_settles_extreme_epochs(builtin_tables, problem):
+    names, gains, budget, ts, most = problem
+    tabs = tuple(builtin_tables[n] for n in names)
+    sol = solve_epoch(EpochProblem(gains=np.array(gains), tables=tabs, budget=budget, ts=ts))
+    assert sol.evals <= most
+    assert abs(sol.spent_energy - budget) <= wf.ENERGY_RTOL * budget
+
+
+def test_solve_epoch_gaussian_level_past_the_doubles_raises_range_error(gauss, monkeypatch):
+    # the level 1e-5 / 5e-324 overflows: one evaluation at the Gaussian cap decides it
+    calls = _counting_evaluate(monkeypatch)
+    with pytest.raises(TableRangeError, match=r"stream 1 \(gaussian\), which caps it at"):
+        solve_epoch(EpochProblem(gains=np.array([[49.0]]), tables=(gauss,), budget=1e-5,
+                                 ts=5e-324))
+    assert len(calls) == 1
 
 
 def test_solve_epoch_counts_evaluations(builtin_tables):
