@@ -26,10 +26,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import roots_hermite
 
 from .errors import InvalidInputError
 
@@ -170,11 +170,18 @@ def by_name(name: str) -> Constellation:
 # quadrature machinery
 # ---------------------------------------------------------------------------
 
+# The Gauss-Hermite rules of the table sweep (orders 96 and 192), scaled for
+# N(0, 1): nodes sqrt(2) t and weights w / sqrt(pi) of scipy 1.17.1's
+# roots_hermite(order), stored as "nodes<order>" and "weights<order>".  The
+# table bytes rest on these bits, so the rules ship with the package.
+_GH_RULES = Path(__file__).with_name("gauss_hermite.npz")
+
+
 @functools.lru_cache(maxsize=None)
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for E{f(n)}, n ~ N(0,1): sum w_r f(n_r)."""
-    t, w = roots_hermite(order)
-    return np.sqrt(2.0) * t, w / math.sqrt(math.pi)
+    with np.load(_GH_RULES) as rules:
+        return rules[f"nodes{order}"], rules[f"weights{order}"]
 
 
 @functools.lru_cache(maxsize=16)

@@ -7,8 +7,10 @@ stream.
 
 Generation is reproducible across platforms: all randomness is derived from
 the uniform stream of a Philox (philox4x64-10) counter-based generator, with
-normals obtained through the inverse normal CDF.  The draw order is fixed
-and documented in the JSON schema below.
+normals obtained through the inverse normal CDF: a port of Cephes' ``ndtri``
+in this module (``_ndtri``), which gives the same bits as
+``scipy.special.ndtri``.  The draw order is fixed and documented in the JSON
+schema below.
 
 Config file schema (JSON, one object)::
 
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtri
 
 from .constellations import Constellation, by_name, pam
 from .errors import InvalidInputError, SchemaError
@@ -44,6 +45,60 @@ __all__ = ["Pool", "Scenario", "build_pools", "generate", "rescale_energy", "sav
            "loads", "dumps"]
 
 _GAIN_FLOOR = 1e-12  # chi-square draws can round to 0; gains must stay positive
+
+
+# Cephes ndtri: rational approximations of the inverse normal CDF, each
+# polynomial highest power first (the Q's leading 1 is Cephes' p1evl).  P0/Q0
+# cover |u - 0.5| <= 0.5 - exp(-2); P1/Q1 and P2/Q2 the tails with
+# z = sqrt(-2 log u) below and above 8 (u above and below exp(-32)).
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(u: float) -> float:
+    """Inverse standard normal CDF of a uniform u in [0, 1), Cephes' ndtri step for step.
+
+    Scalar on purpose: ``math.log`` is the C library's log, as in Cephes,
+    where ``np.log``'s vector loops may differ from it in the last bit.
+    """
+    if u == 0.0:
+        return -math.inf
+    upper = u > 1.0 - _EXP_M2
+    y = 1.0 - u if upper else u
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    return x if upper else -x
 
 
 @dataclass(frozen=True)
@@ -185,7 +240,8 @@ def generate(
     if block_len < 1:
         raise InvalidInputError("block_len must be >= 1")
     n_blocks = -(-n // block_len)
-    draws = ndtri(rng.random((rows, n_blocks))) ** 2
+    normals = [[_ndtri(u) for u in row] for row in rng.random((rows, n_blocks)).tolist()]
+    draws = np.array(normals) ** 2
     gains = np.repeat(np.maximum(draws, _GAIN_FLOOR), block_len, axis=1)[:, :n]
     if constant_across_streams:
         gains = np.repeat(gains, k, axis=0)

@@ -140,7 +140,8 @@ class MmseTable:
         if np.any(self._past_top(snr)):
             raise TableRangeError(
                 f"snr {float(snr.max())!r} beyond the {self.label} table top "
-                f"{self.snr_top!r}; rebuild with a larger snr_max"
+                f"{self.snr_top!r}, where the table's snr_max or the {MMSE_FLOOR:g} mmse "
+                "floor ends its grid"
             )
         return np.exp(_hermite_eval(np.minimum(snr, self.snr_top),
                                     self.snr_grid, self.log_mmse, self.dlog_mmse))

@@ -18,9 +18,11 @@ For a scalar Gaussian channel ``y = sqrt(snr) x + n`` with ``n ~ N(0, 1)``:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+from scipy.special import roots_hermite
 
 from mercuryflow import constellations as cons
 from mercuryflow.errors import InvalidInputError
@@ -45,6 +47,16 @@ def _check_args(snr: float) -> float:
     return snr
 
 
+@functools.lru_cache(maxsize=None)
+def gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's Gauss-Hermite rule of ``order``, scaled for E{f(n)}, n ~ N(0, 1).
+
+    The scaling is the one the package's shipped rules (``cons._gh_nodes``) carry.
+    """
+    t, w = roots_hermite(order)
+    return np.sqrt(2.0) * t, w / math.sqrt(math.pi)
+
+
 def _gh_mi_single(c: cons.Constellation, snr: float, order: int) -> float:
     """Mutual information in bits at one snr via mixture Gauss-Hermite."""
     if snr == 0.0:
@@ -52,7 +64,7 @@ def _gh_mi_single(c: cons.Constellation, snr: float, order: int) -> float:
     s = c.points
     p = c.probs
     logp = np.log(p)
-    nodes, wq = cons._gh_nodes(order)
+    nodes, wq = gh_rule(order)
     a = math.sqrt(snr)
     diff = s[None, :] - s[:, None]                            # (Q_j, Q_i): s_j - s_i
     # log p_i - ((n + a(s_j - s_i))^2 - n^2)/2, expanded so n^2 cancels exactly

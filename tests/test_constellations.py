@@ -310,6 +310,17 @@ def test_in_place_kernels_equal_the_allocating_ones(name, workspace):
                 == _gh_chunked(_allocating_gh_mmse_grid, c, ladder, order, reference)), order
 
 
+@pytest.mark.parametrize("order", [96, 192])
+def test_shipped_gh_rules_are_scipys(order):
+    # the shipped file fixes the table bytes: scipy's own bits may vary between
+    # builds (order 96 comes from its LAPACK eigvals_banded), so a few ulps apart
+    nodes, weights = cons._gh_nodes(order)
+    assert nodes.shape == weights.shape == (order,)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    for got, want in zip((nodes, weights), ref.gh_rule(order)):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), order
+
+
 def test_mmse_negative_snr_rejected():
     with pytest.raises(InvalidInputError):
         ref.mmse_exact(cons.bpsk(), -0.5)

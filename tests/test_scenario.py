@@ -17,6 +17,20 @@ def test_generate_single_packet_normalization():
     assert s.arrivals == ((1, 5.0),)
 
 
+def test_ndtri_port_is_scipys_bit_for_bit():
+    from scipy.special import ndtri
+
+    u = np.random.Generator(np.random.Philox(2024)).random(100_000)
+    # the P2/Q2 tail (below exp(-32)), which uniform draws seldom reach, and the upper tail
+    lower = np.concatenate([u[:2000] * math.exp(-32), u[2000:4000] * 1e-300])
+    upper = 1.0 - np.concatenate([lower[:2000], u[4000:6000] * math.exp(-2)])
+    edges = [0.0, 5e-324, math.exp(-32), math.exp(-2), 1.0 - math.exp(-2), 0.5]
+    near = [v for e in edges for v in (np.nextafter(e, -1.0), np.nextafter(e, 2.0)) if v >= 0.0]
+    u = np.concatenate([u, lower, upper[upper < 1.0], edges, near])
+    got = np.array([scn._ndtri(x) for x in u.tolist()])
+    assert got.tobytes() == ndtri(u).tobytes()
+
+
 def test_generate_deterministic():
     a = scn.generate(n=30, k=2, ts=0.01, j=6, total_energy=2.0,
                      constellations=("bpsk", "4pam"), seed=123)

@@ -86,8 +86,11 @@ def test_query_check_rejects_and_shapes(builtin_tables, name, label):
 
 
 def test_forward_beyond_top_raises(builtin_tables):
+    # bpsk's grid stops at the mmse floor, well below its snr_max
     t = builtin_tables["bpsk"]
-    with pytest.raises(TableRangeError):
+    with pytest.raises(TableRangeError, match=re.escape(
+            f"beyond the bpsk table top {t.snr_top!r}, where the table's snr_max or the "
+            "1e-250 mmse floor ends its grid")):
         t.mmse_at(t.snr_top * 2.0)
 
 
