@@ -52,8 +52,12 @@ _PAIR_LOG_CUT = 46.0
 
 # Elements of one temporary array of an mmse evaluation: a pairwise block of
 # (pairs, nodes, width), three live at once, or a Gauss-Hermite chunk of
-# (points, Q, Q/2, order), two at once.  A table build shares it among its workers.
+# (points, Q, at most Q/2, order), two at once.  A table build maps three times
+# this many elements once, gives each worker a share and unmaps it at its end.
 WORKSPACE = 250_000
+# A pairwise block's (pairs, nodes) arrays, about eight live at once outside
+# the workspace, hold at most 1/_ROW_PART of its elements each.
+_ROW_PART = 8
 
 
 @dataclass(frozen=True)
@@ -201,16 +205,23 @@ def _halved(c: Constellation, i: np.ndarray, j: np.ndarray):
     return i[keep], j[keep], np.where(sym & (i + j < c.cardinality - 1), 2.0, 1.0)[keep]
 
 
+def _scratch(out: np.ndarray | None, n: int) -> np.ndarray:
+    """``n`` elements of ``out`` to compute in, or fresh ones if ``out`` is None or too short."""
+    return out[:n] if out is not None and out.size >= n else np.empty(n)
+
+
 def _pairwise_mmse(
     c: Constellation,
     snr: float,
     step: float = _PAIR_STEP,
     log_cut: float = _PAIR_LOG_CUT,
     workspace: int = WORKSPACE,
+    out: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Return (mmse, d mmse / d snr) by the pairwise-boundary quadrature.
 
-    ``workspace`` bounds the elements of each (pairs, nodes, width) array.
+    ``workspace`` bounds the elements of each (pairs, nodes, width) array;
+    the three such arrays are views of ``out`` when it holds them.
     """
     s = c.points
     p = c.probs
@@ -240,32 +251,40 @@ def _pairwise_mmse(
     n_nodes = max(int(math.ceil(2.0 * t_max / step)) + 1, 9)
     tau = np.linspace(-t_max, t_max, n_nodes)
     h = tau[1] - tau[0]
-    t = cs[:, None] * tau[None, :]
-    y = mid[:, None] + t
-    # posterior sums over the symbols that can lie within log_cut of the node's top exponent
+    # posterior sums over the symbols that can lie within log_cut of the node's
+    # top exponent: each pair's first such symbol at each node, one block of
+    # pairs at a time into one compact array, and the window width, their
+    # maximum over every pair and node
     sa = a * s
-    k = sa[1:-1].searchsorted(y) + 1  # the closest symbol is k - 1 or k
-    near = np.minimum(np.abs(y - sa[k - 1]), np.abs(y - sa[k]))
-    r = np.sqrt(near * near + 2.0 * (log_cut + logp.max() - logp.min()))
-    lo = sa.searchsorted(y - r)
-    width = int((sa.searchsorted(y + r, side="right") - lo).max())
-    lo = np.minimum(lo, q - width)
+    reach = 2.0 * (log_cut + logp.max() - logp.min())
+    lo = np.empty((iu.size, n_nodes), dtype=np.min_scalar_type(q))
+    width, rows = 0, max(1, workspace // (_ROW_PART * n_nodes))
+    for b in range(0, iu.size, rows):
+        y = mid[b : b + rows, None] + cs[b : b + rows, None] * tau
+        k = sa[1:-1].searchsorted(y) + 1  # the closest symbol is k - 1 or k
+        near = np.minimum(np.abs(y - sa[k - 1]), np.abs(y - sa[k]))
+        r = np.sqrt(near * near + reach)
+        lo[b : b + rows] = first = sa.searchsorted(y - r)
+        width = max(width, int((sa.searchsorted(y + r, side="right") - first).max()))
+    np.minimum(lo, q - width, out=lo)
     # each pair's node sums, in blocks of pairs whose (pairs, nodes, width)
     # arrays fit the workspace; every block reuses the same three such arrays
     # and every sum runs along one row, so the bytes do not depend on the block
     core_sums, slope_sums = np.empty(iu.size), np.empty(iu.size)
-    rows = max(1, workspace // (n_nodes * width))
-    buf = np.empty((3, min(rows, iu.size), n_nodes, width))
+    rows = max(1, workspace // (n_nodes * max(width, _ROW_PART)))
+    buf = _scratch(out, 3 * min(rows, iu.size) * n_nodes * width).reshape(3, -1, n_nodes, width)
     win = np.arange(q - width + 1)[:, None] + np.arange(width)  # the symbol windows
     s_win, logp_win = s[win], logp[win]
     for b in range(0, iu.size, rows):
         blk = slice(b, b + rows)
-        sw, scratch, w = buf[:, : lo[blk].shape[0]]
+        tb = cs[blk, None] * tau
+        y = mid[blk, None] + tb
+        sw, scratch, w = buf[:, : tb.shape[0]]
         np.take(s_win, lo[blk], axis=0, out=sw, mode="clip")
         np.take(logp_win, lo[blk], axis=0, out=scratch, mode="clip")
         # w = exp(logp - (y - a s)^2 / 2 - em), the symbols' posterior weights
         np.multiply(sw, a, out=w)
-        np.subtract(y[blk, :, None], w, out=w)
+        np.subtract(y[:, :, None], w, out=w)
         np.square(w, out=w)
         w *= 0.5
         np.subtract(scratch, w, out=w)
@@ -274,7 +293,6 @@ def _pairwise_mmse(
         np.exp(w, out=w)
         z = w.sum(axis=2)
         log_density = em + np.log(z) - _LOG_SQRT_2PI
-        tb = t[blk]
         core = np.exp(pref[blk, None] - tb * tb - math.log(2.0 * math.pi) - log_density)
         core_sums[blk] = core.sum(axis=1)
         # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a)
@@ -283,18 +301,27 @@ def _pairwise_mmse(
         x2 = np.multiply(w, np.square(sw, out=sw), out=scratch).sum(axis=2)
         yi = tb - (a * dsign[blk] / 2.0)[:, None]
         yj = tb + (a * dsign[blk] / 2.0)[:, None]
-        bracket = yi * s[iu[blk]][:, None] + yj * s[ju[blk]][:, None] - (y[blk] * xhat - a * x2)
+        bracket = yi * s[iu[blk]][:, None] + yj * s[ju[blk]][:, None] - (y * xhat - a * x2)
         slope_sums[blk] = (core * bracket).sum(axis=1)
     mmse = float((core_sums * cs * wt).sum() * h)
     dmmse = float((slope_sums * cs * wt).sum() * h) / (2.0 * a)
     return min(mmse, 1.0), min(dmmse, 0.0)
 
 
-def _gh_mmse_grid(c: Constellation, snr: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _gh_mmse_grid(
+    c: Constellation,
+    snr: np.ndarray,
+    order: int,
+    workspace: int = WORKSPACE,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized mixture Gauss-Hermite sweep: (mmse, d mmse/d snr) per snr.
 
     Only trustworthy while the error mass sits inside the node span; the
     table builder cross-checks it against the pairwise rule before use.
+    The (G, Q, Q/2, order) arrays run in blocks of the transmitted symbols
+    that fit ``workspace`` elements (one symbol at the least), two at a time
+    in ``out`` when it holds them.
     """
     s = c.points
     logp = np.log(c.probs)
@@ -302,23 +329,31 @@ def _gh_mmse_grid(c: Constellation, snr: np.ndarray, order: int) -> tuple[np.nda
     # symbol j at node n mirrors symbol Q-1-j at node -n
     j, _, wt = _halved(c, np.arange(s.size), np.arange(s.size))
     a = np.sqrt(snr)[:, None, None, None]                     # (G,1,1,1)
-    # y = a s_j + n given transmitted s_j; posterior over s_i
-    diff = (s[:, None] - s[None, j])[None, :, :, None]        # (1,Q_i,Q_j,1)
-    # w = exp(logp - (n + a diff)^2 / 2 - em), each step in place in one
-    # (G,Q_i,Q_j,R) buffer; a second one holds the posterior moments' terms
-    w = np.add(nodes[None, None, None, :], a * diff)
-    np.square(w, out=w)
-    w *= 0.5
-    np.subtract(logp[None, :, None, None], w, out=w)
-    em = w.max(axis=1)
-    w -= em[:, None]
-    np.exp(w, out=w)
-    z = w.sum(axis=1)
-    w /= z[:, None]
-    scratch = np.multiply(w, s[None, :, None, None])
-    xhat = scratch.sum(axis=1)                                # (G,Q_j,R)
-    np.square(np.subtract(s[None, :, None, None], xhat[:, None], out=scratch), out=scratch)
-    m2 = np.multiply(w, scratch, out=scratch).sum(axis=1)
-    mmse = ((m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
-    d = -((m2 * m2 * wq[None, None, :]).sum(axis=2) * (c.probs[j] * wt)[None, :]).sum(axis=1)
+    cols = min(j.size, max(1, workspace // (snr.size * s.size * order)))
+    sums = np.empty((2, snr.size, j.size))  # each (G, j)'s node sums of m2 and m2^2
+    for b in range(0, j.size, cols):
+        jb = j[b : b + cols]
+        # y = a s_j + n given transmitted s_j; posterior over s_i
+        diff = (s[:, None] - s[None, jb])[None, :, :, None]   # (1,Q_i,Q_j,1)
+        # w = exp(logp - (n + a diff)^2 / 2 - em), each step in place in one
+        # (G,Q_i,Q_j,R) buffer; a second one holds the posterior moments' terms
+        w, scratch = _scratch(out, 2 * snr.size * s.size * jb.size * order).reshape(
+            2, snr.size, s.size, jb.size, order)
+        np.add(nodes[None, None, None, :], a * diff, out=w)
+        np.square(w, out=w)
+        w *= 0.5
+        np.subtract(logp[None, :, None, None], w, out=w)
+        em = w.max(axis=1)
+        w -= em[:, None]
+        np.exp(w, out=w)
+        z = w.sum(axis=1)
+        w /= z[:, None]
+        xhat = np.multiply(w, s[None, :, None, None], out=scratch).sum(axis=1)   # (G,Q_j,R)
+        np.square(np.subtract(s[None, :, None, None], xhat[:, None], out=scratch), out=scratch)
+        m2 = np.multiply(w, scratch, out=scratch).sum(axis=1)
+        sums[0, :, b : b + cols] = (m2 * wq[None, None, :]).sum(axis=2)
+        sums[1, :, b : b + cols] = (m2 * m2 * wq[None, None, :]).sum(axis=2)
+    # one sum over the whole (G, Q/2) array, so the bytes do not depend on the blocks
+    mmse = (sums[0] * (c.probs[j] * wt)[None, :]).sum(axis=1)
+    d = -(sums[1] * (c.probs[j] * wt)[None, :]).sum(axis=1)
     return np.minimum(mmse, 1.0), np.minimum(d, 0.0)

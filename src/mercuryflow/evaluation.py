@@ -19,7 +19,6 @@ streams and accesses.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +153,9 @@ def _map(fn, tasks: list, jobs: int, first: Scenario) -> list:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
     stream_tables(first)
     if jobs > 1:
+        # imported here: the process pool and multiprocessing are 2 MB a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

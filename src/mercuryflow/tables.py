@@ -14,10 +14,11 @@ Construction detail: the cheap vectorized Gauss-Hermite sweep is used only on
 the snr prefix where it agrees with the exact pairwise-boundary rule (probed
 at build time); the pairwise rule covers the rest.  A build runs on a thread
 pool with one worker per usable CPU: the exact probes and the GH probe sweeps,
-then the pairwise tail and the GH grid sweeps.  The workers share one
-workspace of ``WORKSPACE`` (2.5e5) array elements and each computes in place
-in at most three block arrays of its share (a GH chunk holds at least one
-point), so block memory does not grow with the CPU count.  Every point is
+then the pairwise tail and the GH grid sweeps.  The build maps one
+workspace of three times ``WORKSPACE`` (2.5e5) elements as anonymous memory
+and unmaps it when it ends, so the OS gets the pages back; each job computes
+in place in a worker's share of it (a GH point larger than a share is split
+along Q/2), so block memory does not grow with the CPU count.  Every point is
 computed alone and every sum runs in order along one row, so the tables are
 the same bytes for any worker count, chunk or block size.  The stored grid
 is truncated where mmse falls below a positivity floor -- double precision
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -343,15 +346,19 @@ def _workers() -> int:
 
 
 def _gh_points(c: Constellation, order: int, room: int) -> int:
-    """Points per GH chunk: its (points, Q, Q/2, order) arrays fit ``room`` elements."""
+    """Points per GH chunk: its (points, Q, Q/2, order) arrays fit ``room`` elements.
+
+    One point at the least: the kernel splits a point that does not fit along Q/2.
+    """
     return max(1, room // (c.cardinality * ((c.cardinality + 1) // 2) * order))
 
 
-def _pairwise_run(c: Constellation, snr: np.ndarray, room: int, **rule) -> np.ndarray:
+def _pairwise_run(c: Constellation, snr: np.ndarray, room: int, share: np.ndarray,
+                  **rule) -> np.ndarray:
     """(mmse, dmmse) rows along ``snr``, 0 past the first mmse below the floor (dropped later)."""
     out = np.zeros((2, snr.size))
     for k, x in enumerate(snr):
-        out[:, k] = _pairwise_mmse(c, float(x), workspace=room, **rule)
+        out[:, k] = _pairwise_mmse(c, float(x), workspace=room, out=share, **rule)
         if out[0, k] < MMSE_FLOOR:
             break
     return out
@@ -367,26 +374,50 @@ def _settle(jobs, m, d):
 def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mmse, dmmse) over the grid: GH sweeps where probed-safe, pairwise above.
 
-    The points run as jobs on one thread pool, each within its worker's share
-    of ``WORKSPACE``.
+    The build computes in one anonymous mapping of ``3 * WORKSPACE`` elements,
+    closed at its end, so its pages go back to the OS (a freed heap block
+    would stay resident).
     """
+    mapping = mmap.mmap(-1, 3 * WORKSPACE * 8)
+    out = _sweep_in(c, grid, np.frombuffer(mapping))
+    # raises BufferError if a view of it outlived the build; after an error the
+    # traceback holds views, and the mapping goes with it
+    mapping.close()
+    return out
+
+
+def _sweep_in(c: Constellation, grid: np.ndarray, space: np.ndarray):
+    """:func:`_sweep_mmse` in ``space``: the points run as jobs on one thread
+    pool, each job in a share of ``space`` that no other job holds meanwhile."""
     workers = _workers()
     room = WORKSPACE // workers
+    shares = queue.SimpleQueue()
+    for k in range(workers):
+        shares.put(space[3 * room * k : 3 * room * (k + 1)])
+
+    def shared(fn, run):
+        share = shares.get()
+        try:
+            return fn(run, share)
+        finally:
+            shares.put(share)
+
     mmse, dmmse = np.empty_like(grid), np.empty_like(grid)
     mmse[0], dmmse[0] = _pairwise_mmse(c, 0.0)
     with ThreadPoolExecutor(workers) as pool:
 
         def spread(fn, idx, size):
-            """(run, future of fn(run)) for each run of ``size`` of the indices ``idx``."""
-            return [(idx[k : k + size], pool.submit(fn, idx[k : k + size]))
+            """(run, future of fn(run, share)) for each run of ``size`` of the indices ``idx``."""
+            return [(idx[k : k + size], pool.submit(shared, fn, idx[k : k + size]))
                     for k in range(0, idx.size, size)]
 
         def gh(x, idx, order):
-            return spread(lambda run: _gh_mmse_grid(c, x[run], order), idx,
+            return spread(lambda run, share: _gh_mmse_grid(c, x[run], order, room, share), idx,
                           _gh_points(c, order, room))
 
         def pairwise(x, idx, size, **rule):
-            return spread(lambda run: _pairwise_run(c, x[run], room, **rule), idx, size)
+            return spread(lambda run, share: _pairwise_run(c, x[run], room, share, **rule), idx,
+                          size)
 
         # probe each GH order against the exact pairwise rule on a log ladder;
         # trust is a prefix of the grid with a half-decade safety margin
@@ -441,12 +472,12 @@ _TABLE_CACHE: dict[tuple, MmseTable] = {}
 
 
 def _disk_path(c: Constellation, snr_max: float, n_points: int):
-    import hashlib
-    from pathlib import Path
-
     root = os.environ.get(CACHE_ENV_VAR)
     if not root or c.is_gaussian:
         return None
+    import hashlib   # 3.6 MB of OpenSSL, loaded only when there is a cache to name
+    from pathlib import Path
+
     digest = hashlib.sha256(repr(c.cache_key() + (snr_max, n_points)).encode()).hexdigest()[:16]
     return Path(root) / f"{c.label}-{digest}.npz"
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.typing import NDArray
@@ -114,9 +115,15 @@ def _evaluate(bank, rows, lam, level):
     power moves as -1/(W * lam * dlog mmse/dsnr).  An entry exactly at its
     activation level counts with its right slope.
     """
-    psi = 1.0 / (level * lam)
+    # an entry below half its activation level is inactive (psi > 1) either
+    # way; raising its level * lam to 0.5 keeps psi and its slope finite
+    # where the product underflows
+    lw = np.maximum(level * lam, 0.5)
+    psi = 1.0 / lw
     snr, dlog = _invert(bank, rows, psi)
-    return snr / lam, np.where(psi <= 1.0, -1.0 / (level * lam * dlog), 0.0)
+    with np.errstate(over="ignore"):   # a power past the largest double is inf
+        powers = snr / lam
+    return powers, np.where(psi <= 1.0, -1.0 / (lw * dlog), 0.0)
 
 
 def _searches(problems, lam, sizes: list[int], row, bank) -> list[_Search]:
@@ -182,8 +189,8 @@ class _Search:
         self.x = min(x, self.hi)
         self.evals = 0
 
-    def feed(self, powers, rates):
-        """Take the evaluation at ``x``: None while the search goes on.
+    def feed(self, powers, rates, power: float, rate: float):
+        """Take the evaluation at ``x`` and the sums of its powers and rates: None while it goes on.
 
         Once it settles: the solution at ``x`` with the powers just fed when
         they spend the budget, else the solution that the tangent step
@@ -192,8 +199,9 @@ class _Search:
         self.evals += 1
         p, x, lo, hi = self.problem, self.x, self.lo, self.hi
         budget, ts = p.budget, p.ts
-        spent, slope = ts * float(powers.sum()), ts * float(rates.sum())
-        if spent < budget and x == self.cap:
+        spent, slope = ts * power, ts * rate
+        # powers that spend budget / ts past the largest double overflow, so the cap under-spends
+        if x == self.cap and (spent < budget or budget / ts == math.inf):
             return TableRangeError(
                 f"budget {budget!r} J needs a water level beyond the modeled snr range of "
                 f"stream {self.k_cap + 1} ({p.tables[self.k_cap].label}), which caps it at "
@@ -259,10 +267,12 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Mercu
     while live:
         xs = [s.x for _, s in live]
         powers, rates = _evaluate(bank, rows, lam, np.array(xs).repeat(sizes))
-        keep, b = [], 0
-        for (i, s), n in zip(live, sizes):
-            a, b = b, b + n
-            out[i] = s.feed(powers[a:b], rates[a:b])
+        runs = [slice(b - n, b) for b, n in zip(accumulate(sizes), sizes)]
+        with np.errstate(over="ignore"):   # an epoch's sum past the largest double is inf
+            sums = [(float(powers[r].sum()), float(rates[r].sum())) for r in runs]
+        keep = []
+        for (i, s), r, (power, rate) in zip(live, runs, sums):
+            out[i] = s.feed(powers[r], rates[r], power, rate)
             keep.append(out[i] is None)
         if not all(keep):
             kept = np.repeat(keep, sizes)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,47 @@ def test_solve_epoch_gaussian_level_past_the_doubles_raises_range_error(gauss, m
         solve_epoch(EpochProblem(gains=np.array([[49.0]]), tables=(gauss,), budget=1e-5,
                                  ts=5e-324))
     assert len(calls) == 1
+
+
+def test_solve_epoch_budget_past_the_doubles_raises_range_error(gauss, monkeypatch):
+    # budget / ts overflows, so powers that are doubles cannot spend it: the
+    # one evaluation at the Gaussian cap, whose powers overflow, under-spends
+    calls = _counting_evaluate(monkeypatch)
+    cap = float(np.finfo(float).max)
+    past = EpochProblem(gains=np.array([[3.277002249530785e-24]]), tables=(gauss,),
+                        budget=0.004169060469253934, ts=5e-324)
+    fine = EpochProblem(gains=np.array([[1.0]]), tables=(gauss,), budget=1.0, ts=1.0)
+    err, sol = wf.solve_epochs([past, fine])
+    assert isinstance(err, TableRangeError)
+    assert f"stream 1 (gaussian), which caps it at {cap!r}" in str(err)
+    assert sol.spent_energy == pytest.approx(1.0, rel=1e-9)
+    with pytest.raises(TableRangeError, match=r"stream 1 \(gaussian\), which caps it at"):
+        solve_epoch(past)
+    assert len(calls) == 2 and np.all(calls[-1] == cap)
+
+
+def test_extreme_epochs_raise_no_numpy_warnings(builtin_tables):
+    # gains 10^U(-300, 300), subnormal symbol durations and budgets 10^U(-300, 3)
+    # take levels, powers, slopes and their sums past the doubles; each of those
+    # used to raise a numpy RuntimeWarning, and now each epoch solves or raises
+    # TableRangeError in silence
+    rng = np.random.default_rng(0)
+    names = (*FINITE_BUILTINS, "gaussian")
+    solved = 0
+    for _ in range(1000):
+        tabs = tuple(builtin_tables[names[i]] for i in rng.integers(0, 5, rng.integers(1, 3)))
+        gains = 10.0 ** rng.uniform(-300.0, 300.0, (len(tabs), rng.integers(1, 4)))
+        ts = math.exp(rng.uniform(math.log(5e-324), math.log(1e-300)))
+        problem = EpochProblem(gains=gains, tables=tabs, budget=10.0 ** rng.uniform(-300.0, 3.0),
+                               ts=ts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                solve_epoch(problem)
+                solved += 1
+            except TableRangeError:
+                pass
+    assert 100 <= solved <= 900
 
 
 def test_solve_epoch_counts_evaluations(builtin_tables):
