@@ -47,7 +47,7 @@ from ._textout import emit
 from .errors import ConvergenceError, InvalidInputError, TableRangeError
 from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
-from .waterfill import EpochProblem, EpochSolution, _classical_wfs, solve_epochs
+from .waterfill import EpochSolution, _classical_wfs, _Epoch, solve_epochs
 
 # what solving a group gives: its epoch, or the TableRangeError it ran into
 _Solved = EpochSolution | TableRangeError
@@ -131,14 +131,13 @@ def _solve(tables, ts: float, stats: RunStats, epochs) -> list[_Solved]:
     """Solve each ``(gains, budget, first access)`` as one epoch, counted in ``stats``.
 
     All go through one batch: exact Gaussian water-filling with
-    ``tables=None``, else :func:`solve_epochs`.  An epoch's error gets the
-    prefix ``accesses s-e:``; the first ConvergenceError is raised, and a
-    TableRangeError returned (the module's range policy).
+    ``tables=None``, else :func:`solve_epochs`; no epoch is checked again.  An
+    epoch's error gets the prefix ``accesses s-e:``; the first ConvergenceError
+    is raised, and a TableRangeError returned (the module's range policy).
     """
     stats.hg_calls += len(epochs)
     sols = (list(_classical_wfs([g for g, _, _ in epochs], [b for _, b, _ in epochs], ts))
-            if tables is None else
-            solve_epochs([EpochProblem(g, tables, b, ts) for g, b, _ in epochs]))
+            if tables is None else solve_epochs([_Epoch(g, tables, b, ts) for g, b, _ in epochs]))
     for i, ((gains, _, start), sol) in enumerate(zip(epochs, sols)):
         if isinstance(sol, EpochSolution):
             stats.spent_evals += sol.evals

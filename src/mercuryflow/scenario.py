@@ -149,20 +149,32 @@ class Scenario:
             raise InvalidInputError("need n >= 1 accesses and k >= 1 streams")
         if not (math.isfinite(self.ts) and self.ts > 0.0):
             raise InvalidInputError(f"ts must be finite and > 0, got {self.ts!r}")
-        g = np.asarray(self.gains, dtype=float)
+        # the scenario's own copy, read-only: the solvers rely on this check, and a
+        # caller's array changed after construction cannot reach them
+        g = np.array(self.gains, dtype=float)
         if g.shape != (self.k, self.n):
             raise InvalidInputError(
                 f"gains shape {g.shape} does not match (k, n) = {(self.k, self.n)}"
             )
-        object.__setattr__(self, "gains", _normal_gains(g))
+        _normal_gains(g)
+        g.flags.writeable = False
+        object.__setattr__(self, "gains", g)
         pools = tuple(build_pools(self.arrivals, self.n))
         object.__setattr__(self, "pools", pools)
         object.__setattr__(self, "pool_of_access", np.repeat(
             np.arange(1, len(pools) + 1, dtype=np.int64), [p.end - p.start + 1 for p in pools]))
         object.__setattr__(self, "arrivals", tuple((p.start, p.energy) for p in pools))
+        # the solvers take the schedulers' epoch budgets, sums of these packets, unchecked
+        if not math.isfinite(self.total_energy):
+            raise InvalidInputError(f"packet energies must sum to a finite total, "
+                                    f"got {self.total_energy!r}")
         if len(self.constellations) != self.k:
             raise InvalidInputError("need exactly one constellation per stream")
         object.__setattr__(self, "constellations", tuple(self.constellations))
+
+    def __reduce__(self):   # copies and unpickled scenarios are built anew: checked, read-only
+        return Scenario, (self.n, self.k, self.ts, self.gains, self.arrivals,
+                          self.constellations, self.seed)
 
     @property
     def n_arrivals(self) -> int:

@@ -57,6 +57,8 @@ DEFAULT_N_POINTS = 2048
 MMSE_FLOOR = 1.0e-250
 
 _LN2 = math.log(2.0)
+# the packed inverse's constants as 0-d arrays, which numpy applies faster than floats
+_MINUS_ONE, _ZERO, _HALF, _ONE, _THREE = (np.array(c) for c in (-1.0, 0.0, 0.5, 1.0, 3.0))
 
 # the arrays of a table record; .npz snapshots store them under these keys
 _ARRAYS = ("snr_grid", "mmse_values", "mi_values", "log_mmse", "dlog_mmse")
@@ -205,12 +207,12 @@ def _bank(tables: tuple[MmseTable, ...]) -> tuple:
     Returns ``(keys, cells, offset, floor, gaussian, tables)``.  Table k's
     search keys are ``offset[k] - log mmse`` at its nodes (its first key sits
     half a unit lower, so a log mmse(0) off zero by rounding still finds the
-    first cell); they increase across the bank, so one ``searchsorted`` finds every
-    query's cell.  On a cell, with t = (snr - x0)/h and s = (log mmse - y0)/dy,
-    ``log mmse = y0 + t*(b1 + t*(b2 + t*b3))`` is the forward interpolant and
-    ``t = s*(m0 + s*(e2 + s*e3))`` its inverse cubic Hermite; the last cell is
-    repeated as a sentinel.  ``floor`` is the smallest normal double for Gaussian
-    tables, so 1/psi stays finite, and ``gaussian`` is None when no table is Gaussian.
+    first cell); they increase across the bank, so one ``searchsorted`` gives every
+    query's cell as a column of ``cells``, whose first column repeats the first cell and last
+    the last.  On a cell, with t = (snr - x0)/h and s = (log mmse - y0)/dy,
+    ``log mmse = y0 + t*(b1 + t*(b2 + t*b3))`` is the forward interpolant and ``t = s*(m0 +
+    s*(e2 + s*e3))`` its inverse cubic Hermite; a cell stores -dy and 2*b2 too (both exact).
+    ``floor`` is the smallest normal double for Gaussian tables, so 1/psi stays finite.
     """
     sizes = np.array([t.snr_grid.size for t in tables])
     span = np.array([1.0 - t.log_mmse[-1] for t in tables])
@@ -221,44 +223,46 @@ def _bank(tables: tuple[MmseTable, ...]) -> tuple:
     keys[np.cumsum(sizes) - sizes] = offset - 0.5
     h, dy = np.diff(x), np.diff(y)
     b1, d1 = d[:-1] * h, d[1:] * h
-    m0, m1 = dy / b1, dy / d1
-    cells = np.stack([x[:-1], h, y[:-1], dy, b1, 3.0 * dy - 2.0 * b1 - d1, b1 + d1 - 2.0 * dy,
+    m0, m1, b2 = dy / b1, dy / d1, 3.0 * dy - 2.0 * b1 - d1
+    cells = np.stack([x[:-1], h, y[:-1], -dy, b1, b2, 2.0 * b2, b1 + d1 - 2.0 * dy,
                       m0, 3.0 - 2.0 * m0 - m1, m0 + m1 - 2.0])
     floor = np.array([np.finfo(float).tiny if t.is_gaussian else t.mmse_floor for t in tables])
     gaussian = np.array([t.is_gaussian for t in tables])
-    return (keys, np.hstack([cells, cells[:, -1:]]), offset, floor,
+    return (keys, np.hstack([cells[:, :1], cells, cells[:, -1:]]), offset, floor,
             gaussian if gaussian.any() else None, tuple(tables))
 
 
-def _invert(bank, rows, psi):
+def _invert(bank, rows, psi, at=None):
     """(snr, d log mmse/d snr there) with mmse(snr) = psi, for every query at once.
 
-    ``rows`` gives each query's table in ``bank`` and broadcasts against
-    ``psi``; psi >= 1 maps to snr 0, and psi below a table's floor raises
-    :class:`TableRangeError`.  The cell's inverse cubic Hermite seeds it and
-    two Newton steps on the forward interpolant polish it.  Gaussian tables
-    are closed form.
+    ``rows`` gives each query's table in ``bank`` and broadcasts against ``psi``;
+    ``at``, if given, is ``(offset[rows], floor[rows])``.  psi >= 1 maps to snr 0,
+    and psi below a table's floor raises :class:`TableRangeError`.  The cell's
+    inverse cubic Hermite seeds it and two Newton steps on the forward
+    interpolant polish it.  Gaussian tables are closed form.
     """
-    keys, cells, offset, floor, gaussian, tables = bank
-    p = np.minimum(psi, 1.0)
-    low = p < floor[rows]
+    keys, cells, _, _, gaussian, tables = bank
+    offset, floor = at or (bank[2][rows], bank[3][rows])
+    p = np.minimum(psi, _ONE)
+    low = p < floor
     if low.any():
         j = int(np.argmin(np.where(low, p, np.inf)))
         k = int(np.broadcast_to(rows, p.shape).flat[j])
         raise TableRangeError(
             f"mmse {float(p.flat[j])!r} below the {tables[k].label} table floor "
-            f"{float(floor[k])!r}; the requested water level implies an snr beyond the "
+            f"{float(bank[3][k])!r}; the requested water level implies an snr beyond the "
             "modeled range, which the table's snr_max or double precision ends"
         )
     y = np.log(p)
-    cell = keys.searchsorted(offset[rows] - y) - 1
-    x0, h, y0, dy, b1, b2, b3, m0, e2, e3 = cells.take(cell, axis=1)
-    s = (y - y0) / dy
-    t = np.minimum(np.maximum(s * (m0 + s * (e2 + s * e3)), 0.0), 1.0)
+    x0, h, y0, ndy, b1, b2, b2x2, b3, m0, e2, e3 = cells.take(keys.searchsorted(offset - y),
+                                                             axis=1)
+    r = y0 - y
+    s = r / ndy
+    t = np.minimum(np.maximum(s * (m0 + s * (e2 + s * e3)), _ZERO), _ONE)
     for _ in range(2):
-        df = b1 + t * (2.0 * b2 + 3.0 * t * b3)
-        t = t - (y0 - y + t * (b1 + t * (b2 + t * b3))) / df
-    snr = np.where(p < 1.0, x0 + h * np.minimum(np.maximum(t, 0.0), 1.0), 0.0)
+        df = b1 + t * (b2x2 + _THREE * t * b3)
+        t = t - (r + t * (b1 + t * (b2 + t * b3))) / df
+    snr = np.where(p < _ONE, x0 + h * np.minimum(np.maximum(t, _ZERO), _ONE), _ZERO)
     if gaussian is None:
         return snr, df / h
     g = gaussian[rows]
@@ -444,13 +448,21 @@ def _sweep_in(c: Constellation, grid: np.ndarray, space: np.ndarray):
     return mmse, dmmse
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1] as numpy's leggauss(8) gives it, mirrored
+# exactly; as constants, so no build runs its eigensolver (which loads LAPACK)
+_GL_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+             0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+               0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
+
+
 def _integrate_mi(grid, mmse, dmmse) -> np.ndarray:
     """Cumulative I(snr) in bits from dI/dsnr = mmse/2 (nats).
 
     Integrates the same log-space Hermite interpolant later used for
     evaluation, with an 8-point Gauss-Legendre rule per cell.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    gl_x, gl_w = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
     logm = np.log(mmse)
     dlogm = dmmse / mmse
     h = np.diff(grid)

@@ -25,6 +25,7 @@ exact sorted-gain solution :func:`classical_wf` gives with no iteration.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConvergenceError, InvalidInputError, MercuryflowError, TableRangeError
-from .tables import MmseTable, _bank, _invert, _query
+from .tables import _HALF, _MINUS_ONE, _ONE, _ZERO, MmseTable, _bank, _invert, _query
 
 __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "solve_epochs",
            "classical_wf"]
@@ -60,6 +61,10 @@ class EpochProblem:
             raise InvalidInputError("need exactly one table per stream")
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "tables", tuple(self.tables))
+
+
+# an EpochProblem's fields, unchecked: a scheduler's epoch, which its Scenario checked
+_Epoch = namedtuple("_Epoch", "gains tables budget ts")
 
 
 def _checked(gains, budget: float, ts: float) -> NDArray[np.float64]:
@@ -106,24 +111,22 @@ def power_at_level(table: MmseTable, lam, level):
     return table.mmse_inverse(1.0 / np.maximum(level * lam, 1.0)) / lam
 
 
-def _evaluate(bank, rows, lam, level):
+def _evaluate(bank, rows, lam, level, at=None):
     """Powers and their slopes dP/dW at water levels ``level > 0``, per entry.
 
-    ``rows`` names each entry's table in ``bank``; ``rows``, ``lam`` and
-    ``level`` broadcast, so one packed inverse covers every stream of every
-    epoch in a batch.  The slope is closed form by I-MMSE: an active entry's
-    power moves as -1/(W * lam * dlog mmse/dsnr).  An entry exactly at its
-    activation level counts with its right slope.
+    ``rows`` names each entry's table in ``bank`` (``at`` as :func:`_invert` takes it);
+    ``rows``, ``lam`` and ``level`` broadcast, so one packed inverse covers every stream of
+    every epoch in a batch.  The slope is closed form by I-MMSE: an active entry's power
+    moves as -1/(W * lam * dlog mmse/dsnr).  An entry at its activation level counts with
+    its right slope; a power past the largest double is inf.
     """
     # an entry below half its activation level is inactive (psi > 1) either
     # way; raising its level * lam to 0.5 keeps psi and its slope finite
     # where the product underflows
-    lw = np.maximum(level * lam, 0.5)
-    psi = 1.0 / lw
-    snr, dlog = _invert(bank, rows, psi)
-    with np.errstate(over="ignore"):   # a power past the largest double is inf
-        powers = snr / lam
-    return powers, np.where(psi <= 1.0, -1.0 / (lw * dlog), 0.0)
+    lw = np.maximum(level * lam, _HALF)
+    psi = _ONE / lw
+    snr, dlog = _invert(bank, rows, psi, at)
+    return snr / lam, np.where(psi <= _ONE, _MINUS_ONE / (lw * dlog), _ZERO)
 
 
 def _searches(problems, lam, sizes: list[int], row, bank) -> list[_Search]:
@@ -135,16 +138,16 @@ def _searches(problems, lam, sizes: list[int], row, bank) -> list[_Search]:
     """
     floor, targets = bank[3], np.array([p.budget / p.ts for p in problems])
     lam_max = np.maximum.reduceat(lam, row.cumsum() - row).reshape(-1, floor.size)
-    top = np.full(len(problems), math.inf)
+    floors, top = 1.0 / lam, [math.inf] * len(problems)
     with np.errstate(divide="ignore", over="ignore"):
         level = 1.0 / (lam_max * floor)
         while (low := 1.0 / (level * lam_max) < floor).any():
             level = np.where(low, np.nextafter(level, 0.0), level)
         if bank[4] is not None:   # no finite entry's power is < 0: Gaussian entries bound W
-            floors = np.where(np.tile(bank[4], len(problems)).repeat(row), 1.0 / lam, math.inf)
-            top = (1.0 + 2.0**-20) * _wf_levels(floors, sizes, targets)[0]
-    x, lo = _wf_levels(1.0 / lam, sizes, targets)
-    return list(map(_Search, problems, level.tolist(), lo.tolist(), x.tolist(), top.tolist()))
+            gauss = np.where(np.tile(bank[4], len(problems)).repeat(row), floors, math.inf)
+            top = ((1.0 + 2.0**-20) * _wf_levels(gauss, sizes, targets)[0]).tolist()
+    x, lo = _wf_levels(floors, sizes, targets)   # sorts floors in place, so it reads them last
+    return list(map(_Search, problems, level.tolist(), lo.tolist(), x.tolist(), top))
 
 
 def _next_level(x: float, excess: float, slope: float, lo: float, hi: float,
@@ -249,6 +252,7 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Mercu
     budget keeps the powers of that evaluation and leaves the batch.  Each
     problem gets what it gets alone, in its slot: its solution's bytes, or
     the TableRangeError or ConvergenceError it runs into, which is not raised.
+    The schedulers pass ``_Epoch`` tuples of their Scenario's checked inputs instead.
     """
     if any(p.tables != problems[0].tables for p in problems):
         raise InvalidInputError("a batch of epochs must share one tables tuple")
@@ -261,24 +265,26 @@ def solve_epochs(problems: Sequence[EpochProblem]) -> list[EpochSolution | Mercu
         lam = np.concatenate([p.gains.ravel() for _, p in live])
         row = np.array([p.gains.shape[1] for _, p in live]).repeat(k)   # each stream row's L
         rows = (np.arange(row.size) % k).repeat(row)
-        sizes = [p.gains.size for _, p in live]
+        at, sizes = (bank[2][rows], bank[3][rows]), [p.gains.size for _, p in live]
         searches = _searches([p for _, p in live], lam, sizes, row, bank)
         live = [(i, s) for (i, _), s in zip(live, searches)]
-    while live:
-        xs = [s.x for _, s in live]
-        powers, rates = _evaluate(bank, rows, lam, np.array(xs).repeat(sizes))
-        runs = [slice(b - n, b) for b, n in zip(accumulate(sizes), sizes)]
-        with np.errstate(over="ignore"):   # an epoch's sum past the largest double is inf
-            sums = [(float(powers[r].sum()), float(rates[r].sum())) for r in runs]
-        keep = []
-        for (i, s), r, (power, rate) in zip(live, runs, sums):
-            out[i] = s.feed(powers[r], rates[r], power, rate)
-            keep.append(out[i] is None)
-        if not all(keep):
-            kept = np.repeat(keep, sizes)
-            lam, rows = lam[kept], rows[kept]
+    with np.errstate(over="ignore"):   # powers, and an epoch's sums, past the largest double
+        while live:
+            one = len(live) == 1   # then no levels to repeat and no slices to cut
+            level = live[0][1].x if one else np.array([s.x for _, s in live]).repeat(sizes)
+            powers, rates = _evaluate(bank, rows, lam, level, at)
+            parts = [(powers, rates)] if one else [
+                (powers[b - n : b], rates[b - n : b]) for b, n in zip(accumulate(sizes), sizes)]
+            keep = []
+            for (i, s), (p, r) in zip(live, parts):
+                out[i] = s.feed(p, r, float(np.add.reduce(p)), float(np.add.reduce(r)))
+                keep.append(out[i] is None)
             live = [e for e, alive in zip(live, keep) if alive]
-            sizes = [n for n, alive in zip(sizes, keep) if alive]
+            if live and not all(keep):   # only the entries of epochs still searching
+                kept = np.repeat(keep, sizes)
+                lam, rows = lam[kept], rows[kept]
+                at = at[0][kept], at[1][kept]
+                sizes = [n for n, alive in zip(sizes, keep) if alive]
     return out
 
 
@@ -318,12 +324,12 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     go negative stops at 0 and leaves the rest to the next step.  Energy
     still off after one step per entry raises ConvergenceError.
     """
-    return _raised(next(_classical_wfs([gains], [budget], ts)))
+    return _raised(next(_classical_wfs([_checked(gains, budget, ts)], [budget], ts)))
 
 
-def _classical_wfs(gains_seq, budgets, ts: float) -> Iterator[EpochSolution | ConvergenceError]:
-    """Each ``(gains, budget)``'s :func:`classical_wf` slot in order, levels in one array pass."""
-    gs = [_checked(g, budget, ts) for g, budget in zip(gains_seq, budgets)]
+def _classical_wfs(gs, budgets, ts: float) -> Iterator[EpochSolution | ConvergenceError]:
+    """Each ``(gains, budget)``'s :func:`classical_wf` slot in order, levels in one array pass.
+    The float gains, budgets and ts are inside the model (``_checked``), as a Scenario's are."""
     levels = _wf_levels(1.0 / np.concatenate([g.ravel() for g in gs]), [g.size for g in gs],
                         np.array(budgets, dtype=float) / ts)[0].tolist()
     for g, budget, level in zip(gs, budgets, levels):
@@ -345,10 +351,10 @@ def _classical_wfs(gains_seq, budgets, ts: float) -> Iterator[EpochSolution | Co
 def _wf_levels(floors, sizes: list[int], targets):
     """Each problem's Gaussian level spending its target above its floors 1/g; its least floor."""
     if len(set(sizes)) > 1:   # one 2-D pass per size
-        out = np.empty((2, len(sizes)))
+        out, each = np.empty((2, len(sizes))), np.array(sizes)
         for n in set(sizes):
-            of = np.array(sizes) == n
-            out[0, of], out[1, of] = _wf_levels(floors[of.repeat(sizes)], [n], targets[of])
+            of = each == n
+            out[0, of], out[1, of] = _wf_levels(floors[of.repeat(each)], [n], targets[of])
         return out
     # each row sorted in place and summed in order: the bytes of a pass over its problem alone
     floors = floors.reshape(-1, sizes[0])

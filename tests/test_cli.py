@@ -383,6 +383,16 @@ def test_infinite_symbol_duration_exits_2(scenario_config, tmp_path, capsys):
     assert "ts must be finite" in capsys.readouterr().err
 
 
+def test_packets_whose_total_overflows_exit_2(scenario_config, tmp_path, capsys):
+    doc = json.loads(scenario_config.read_text())
+    doc["arrivals"] = [{"access": 1, "joules": 1e308}, {"access": 2, "joules": 1e308}]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    for alg in ("nda", "fsa"):
+        assert run_cli(["run", "--alg", alg, "--config", path, "--out", tmp_path]) == 2
+        assert "packet energies must sum to a finite total, got inf" in capsys.readouterr().err
+
+
 def test_infinite_snr_max_exits_2(tmp_path, capsys):
     with pytest.raises(InvalidInputError, match="snr_max must be finite and > 0, got inf"):
         tbl.build_table(cons.bpsk(), snr_max=math.inf)

@@ -439,6 +439,33 @@ def test_nda_rounds_equal_the_stack_on_seeded_scenarios(scenario_of):
         _assert_rounds_equal_the_stack(s, off.stream_tables(s), f"seed {seed}")
 
 
+def test_the_schedulers_check_no_epoch_again(builtin_tables, monkeypatch):
+    # a Scenario has checked its gains, packets and ts, so no scheduler's epoch
+    # goes through the per-epoch check, while the public epoch solvers keep it
+    s = scn.rescale_energy(scn.generate(n=100, k=4, ts=0.01, j=40, total_energy=1.0,
+                                        constellations=("bpsk", "4pam", "16pam", "32pam"),
+                                        gain_model="block_random", block_len=10, seed=1003),
+                           2.3207944168063883)
+    tabs = off.stream_tables(s)
+    names = ("nda", "fsa", "online", "pbp-hgwf", "pbp-wf", "dwf")
+
+    def csv(name):
+        return off.allocation_csv(s, ev.run_strategy(s, name, f_w=11, tables=tabs))
+
+    want = {name: csv(name) for name in names}
+
+    def checked(*args):
+        raise AssertionError("an epoch was checked again")
+
+    monkeypatch.setattr(wf, "_checked", checked)
+    for name in names:
+        assert csv(name) == want[name], name
+    with pytest.raises(AssertionError, match="checked again"):
+        wf.EpochProblem(np.ones((1, 1)), tabs[:1], 1.0, 1.0)
+    with pytest.raises(AssertionError, match="checked again"):
+        wf.classical_wf(np.ones(2), 1.0)
+
+
 def test_nda_merges_disjoint_falls_in_rounds(monkeypatch):
     # levels 17, 16, ..., 2 all fall: the rounds merge 8, 4, 2 and 1 pairs,
     # so 1 + 4 solver batches where a stack makes 1 + 15; every merge is a call

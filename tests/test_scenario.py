@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -285,3 +287,32 @@ def test_scenario_input_checks_raise_typed_errors(call, error, field, match):
     with pytest.raises(error, match=match) as err:
         call()
     assert getattr(err.value, "field", None) == field
+
+
+def test_packets_whose_total_overflows_rejected():
+    # each packet is finite, but their total is inf: every solver would get an inf budget
+    with pytest.raises(InvalidInputError, match="finite total, got inf"):
+        scn.Scenario(n=3, k=1, ts=1.0, gains=np.ones((1, 3)), arrivals=((1, 1e308), (2, 1e308)),
+                     constellations=(cons.bpsk(),))
+    fine = scn.Scenario(n=3, k=1, ts=1.0, gains=np.ones((1, 3)),
+                        arrivals=((1, 1e308), (2, 7e307)), constellations=(cons.bpsk(),))
+    assert fine.total_energy == 1.7e308
+    doc = json.loads(scn.dumps(fine))
+    doc["arrivals"][1]["joules"] = 1e308
+    with pytest.raises(SchemaError, match="finite total"):
+        scn.loads(json.dumps(doc))
+
+
+def test_scenario_gains_are_its_own_read_only_copy():
+    gains = np.ones((2, 3))
+    s = scn.Scenario(n=3, k=2, ts=1.0, gains=gains, arrivals=((1, 1.0),),
+                     constellations=(cons.bpsk(), cons.bpsk()))
+    with pytest.raises(ValueError, match="read-only"):
+        s.gains[0, 0] = 0.0
+    gains[0, 0] = 0.0   # the caller's array, after the scenario checked it
+    assert s.gains[0, 0] == 1.0 and gains[0, 0] == 0.0
+    moved = scn.rescale_energy(s, 2.0)
+    assert not moved.gains.flags.writeable and moved.gains.tolist() == s.gains.tolist()
+    # copies, and scenarios pickled to the worker processes of a parallel sweep, too
+    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and not copied.gains.flags.writeable

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -346,3 +347,32 @@ def test_build_workers_share_one_workspace(monkeypatch):
         traced = _traced_peak_mb(lambda: tb.build_table(cons.pam(32), n_points=64))
         peaks[workers] = traced + MAPPED_MB
     assert max(peaks.values()) < BUILD_PEAK_MB, peaks
+
+
+def test_gauss_legendre_constants_mirror_numpys_rule():
+    # shipped so that no build runs leggauss's eigensolver; exact mirrors of each
+    # other, and within 4 ulps of the rule numpy computes
+    x, w = np.array(tb._GL_NODES), np.array(tb._GL_WEIGHTS)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    ref_x, ref_w = np.polynomial.legendre.leggauss(8)
+    assert np.all(np.abs(x - ref_x) <= 4 * np.spacing(np.abs(ref_x)))
+    assert np.all(np.abs(w - ref_w) <= 4 * np.spacing(ref_w))
+
+
+def test_a_cold_build_does_not_call_leggauss(monkeypatch):
+    def fail(*args):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", fail)
+    t = tb.build_table(cons.pam(4), n_points=64)
+    assert t.mi_values[-1] > 0.0
+
+
+def test_default_tables_keep_their_bytes(builtin_tables):
+    # the five default tables, in BUILTIN_NAMES order: a change that moves any
+    # stored bit (the Gauss-Legendre constants, a kernel) shows here
+    digest = hashlib.sha256()
+    for name in cons.BUILTIN_NAMES:
+        for f in tb._ARRAYS:
+            digest.update(getattr(builtin_tables[name], f).tobytes())
+    assert digest.hexdigest() == "dffb547ab1a0260550c5654f938645951029851a194077ed4d46f879cac963e1"

@@ -160,9 +160,9 @@ def _counting_evaluate(monkeypatch):
     calls = []
     evaluate = wf._evaluate
 
-    def counted(bank, rows, lam, level):
+    def counted(bank, rows, lam, level, at=None):
         calls.append(level)
-        return evaluate(bank, rows, lam, level)
+        return evaluate(bank, rows, lam, level, at)
 
     monkeypatch.setattr(wf, "_evaluate", counted)
     return calls
@@ -360,6 +360,52 @@ def test_extreme_epochs_raise_no_numpy_warnings(builtin_tables):
             except TableRangeError:
                 pass
     assert 100 <= solved <= 900
+
+
+def test_the_solver_never_inverts_below_a_table_floor(builtin_tables, monkeypatch):
+    # the draws of the test above, three times as many: the level caps keep every
+    # 1/(W * lam) at or above its table's floor, so on the solver's path the packed
+    # inverse's floor test never fires, and every TableRangeError is the search's
+    # cap check naming its stream
+    invert, queries, low = wf._invert, [], []
+
+    def counted(bank, rows, psi, at=None):
+        queries.append(psi.size)
+        low.append(int(np.count_nonzero(np.minimum(psi, 1.0) < bank[3][rows])))
+        return invert(bank, rows, psi, at)
+
+    monkeypatch.setattr(wf, "_invert", counted)
+    rng = np.random.default_rng(0)
+    names = (*FINITE_BUILTINS, "gaussian")
+    errors = 0
+    for _ in range(3000):
+        tabs = tuple(builtin_tables[names[i]] for i in rng.integers(0, 5, rng.integers(1, 3)))
+        gains = 10.0 ** rng.uniform(-300.0, 300.0, (len(tabs), rng.integers(1, 4)))
+        ts = math.exp(rng.uniform(math.log(5e-324), math.log(1e-300)))
+        problem = EpochProblem(gains=gains, tables=tabs, budget=10.0 ** rng.uniform(-300.0, 3.0),
+                               ts=ts)
+        sol, = wf.solve_epochs([problem])
+        if isinstance(sol, TableRangeError):
+            errors += 1
+            assert "which caps it at" in str(sol)
+    assert sum(low) == 0
+    assert (len(queries), errors) == (15429, 2373)
+
+
+def test_solve_epochs_leaves_the_error_state_as_it_found_it(gauss):
+    # the batch ignores overflow inside its own contexts only, even when an epoch's
+    # powers overflow (the first problem) and whatever the caller's state
+    past = EpochProblem(gains=np.array([[3.277002249530785e-24]]), tables=(gauss,),
+                        budget=0.004169060469253934, ts=5e-324)
+    fine = EpochProblem(gains=np.array([[1.0, 2.0]]), tables=(gauss,), budget=1.0, ts=1.0)
+    state = {"divide": "warn", "over": "raise", "under": "ignore", "invalid": "print"}
+    with np.errstate(**state):
+        err, sol = wf.solve_epochs([past, fine])
+        assert np.geterr() == state
+    assert isinstance(err, TableRangeError) and isinstance(sol, wf.EpochSolution)
+    before = np.geterr()
+    wf.solve_epochs([fine, fine])
+    assert np.geterr() == before
 
 
 def test_solve_epoch_counts_evaluations(builtin_tables):
