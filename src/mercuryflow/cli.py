@@ -128,13 +128,13 @@ def cmd_sweep(args) -> int:
     params = _params(doc, supplied=("total_energy",))
     if args.seed is not None:
         params["seed"] = args.seed
-    result = evaluation.sweep_energy(
-        params,
-        _list_of(doc, "energy_grid", float),
-        _list_of(doc, "strategies", str) if "strategies" in doc else evaluation.SWEEP_STRATEGIES,
-        f_w=scn._require(doc, "f_w", int) if "f_w" in doc else None,
-        jobs=args.jobs,
-    )
+    grid = _list_of(doc, "energy_grid", float)
+    strategies = (_list_of(doc, "strategies", str) if "strategies" in doc
+                  else evaluation.SWEEP_STRATEGIES)
+    scn._at_least_one(args.jobs, "jobs")   # before f_w, as sweep_energy checks them
+    # the online strategy needs its window, so a sweep of it needs the field
+    f_w = scn._require(doc, "f_w", int) if "f_w" in doc or "online" in strategies else None
+    result = evaluation.sweep_energy(params, grid, strategies, f_w=f_w, jobs=args.jobs)
     out = _out_dir(args)
     path = out / "sweep.csv"
     evaluation.sweep_csv(result, path)

@@ -30,14 +30,14 @@ from .offline import (
     Allocation,
     RunStats,
     _assemble,
-    _solve_groups,
+    _pool_solves,
     dwf_reference,
     fsa_solve,
     nda_solve,
     stream_tables,
 )
 from .online import online_solve
-from .scenario import Scenario, generate, rescale_energy
+from .scenario import Scenario, _at_least_one, generate, rescale_energy
 from .tables import MmseTable
 
 __all__ = [
@@ -88,15 +88,17 @@ def pbp_solve(
     """Pool-by-pool allocation: each packet is spent inside its own pool.
 
     ``inputs="tables"`` uses the mercury/water-filling epoch solver;
-    ``inputs="gaussian"`` uses exact classical water-filling.
+    ``inputs="gaussian"`` uses exact classical water-filling.  Either is the
+    first round of NDA on the same tables (``mwflow``, or ``dwf`` for
+    Gaussian inputs), and takes its pools from the scenario's single-pool
+    solves, made once per tables tuple and shared by NDA, dwf, pbp and FSA.
     """
     if inputs not in ("tables", "gaussian"):
         raise InvalidInputError(f"inputs must be 'tables' or 'gaussian', got {inputs!r}")
     tables = None if inputs == "gaussian" else stream_tables(scenario, tables)
-    groups = [[p] for p in scenario.pools]
     stats = RunStats()
-    sols = _solve_groups(scenario, tables, groups, stats)
-    return _assemble(scenario, groups, sols, stats)
+    sols = _pool_solves(scenario, tables, stats)
+    return _assemble(scenario, [[p] for p in scenario.pools], sols, stats)
 
 
 # offline optimum for Gaussian inputs, whatever the scenario's constellations
@@ -149,8 +151,6 @@ def best_window(
 
 def _map(fn, tasks: list, jobs: int, first: Scenario) -> list:
     """``fn`` over ``tasks`` in order on ``jobs`` processes, which inherit ``first``'s tables."""
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
     stream_tables(first)
     if jobs > 1:
         # imported here: the process pool and multiprocessing are 2 MB a serial run never needs
@@ -204,7 +204,12 @@ def sweep_energy(
     ``base_params`` are :func:`mercuryflow.scenario.generate` arguments
     without ``total_energy``; the same seed is reused at every grid point
     with the packet energies rescaled, so curves differ only in scale.
+    ``f_w`` is required when ``online`` is among the strategies; it and
+    ``jobs`` are checked before any table is built or any scenario solved.
     """
+    _at_least_one(jobs, "jobs")
+    if "online" in strategies:
+        _at_least_one(f_w, "f_w, the online strategy's flowing window,")
     grid = np.asarray(list(energy_grid), dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0):
         raise InvalidInputError("energy grid must be non-empty and positive")
@@ -274,8 +279,8 @@ def complexity_ensemble(
         raise InvalidInputError("j_grid must not be empty")
     if any(j < 1 for j in j_values):
         raise InvalidInputError("every J must be >= 1")
-    if runs < 1:
-        raise InvalidInputError(f"need runs >= 1, got {runs!r}")
+    _at_least_one(runs, "runs")
+    _at_least_one(jobs, "jobs")
     tasks = []
     for j in j_values:
         p = dict(params) if params is not None else {

@@ -2,8 +2,11 @@
 
 Every pool-based scheduler here cuts the pools into epochs and solves each
 epoch for one water level with :func:`_solve_groups`; ``RunStats.hg_calls``
-counts the epochs it solves.  Two optimal algorithms compute the same
-allocation:
+counts the epochs it solves.  A pool solved alone is solved once per scenario
+and tables tuple (:func:`_pool_solves`): NDA's and dwf's first rounds, the
+pool-by-pool baselines and FSA's one-pool candidates share it, and each run
+still counts it in its own ``RunStats``.  Two optimal algorithms compute the
+same allocation:
 
 * :func:`nda_solve` solves every pool alone in one batch, then works in
   rounds: each merges every disjoint pair of neighbouring groups whose water
@@ -160,6 +163,35 @@ def _solve_groups(
         for g in groups])
 
 
+def _pool_solves(
+    scenario: Scenario,
+    tables: tuple[MmseTable, ...] | None,
+    stats: RunStats,
+    pools: Sequence[Pool] | None = None,
+) -> list[_Solved]:
+    """Each of ``pools`` (default: all) solved alone, kept with the scenario per tables tuple.
+
+    Only the pools not yet kept are solved, in one batch of :func:`_solve_groups`; a
+    ConvergenceError is raised and nothing of its batch kept.  ``stats`` counts each slot as
+    the solve it stands for, and a kept TableRangeError comes back as a fresh instance, so a
+    run's counts, errors and bytes do not depend on what ran on the scenario before.
+    """
+    pools = scenario.pools if pools is None else pools
+    kept = scenario._pool_solves.setdefault(tables, [None] * len(scenario.pools))
+    todo = [p for p in pools if kept[p.index - 1] is None]
+    if todo:
+        for p, sol in zip(todo, _solve_groups(scenario, tables, [[p] for p in todo], RunStats())):
+            if isinstance(sol, EpochSolution):   # its own read-only copy, not a batch's view
+                powers = sol.powers.copy()
+                powers.flags.writeable = False
+                sol = EpochSolution(sol.water_level, powers, sol.spent_energy, sol.evals)
+            kept[p.index - 1] = sol
+    sols = [kept[p.index - 1] for p in pools]
+    stats.hg_calls += len(sols)
+    stats.spent_evals += sum(sol.evals for sol in sols if isinstance(sol, EpochSolution))
+    return [type(sol)(*sol.args) if isinstance(sol, TableRangeError) else sol for sol in sols]
+
+
 def _falls(first: _Solved, second: _Solved) -> bool:
     """Whether the water level falls from one solved group to the next: ``w0 > w1``.
 
@@ -197,7 +229,7 @@ def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Alloc
     """NDA in rounds of disjoint merges: the paper's epochs and calls, not its merge order."""
     stats = RunStats()
     groups: list[list[Pool]] = [[p] for p in scenario.pools]
-    sols = _solve_groups(scenario, tables, groups, stats)
+    sols = _pool_solves(scenario, tables, stats)
     while True:
         pairs: list[int] = []
         for i, fell in enumerate(map(_falls, sols, sols[1:])):
@@ -250,7 +282,8 @@ def fsa_solve(
         end = n_pools
         while True:
             group = pools[start:end]
-            sol, = _solve_groups(scenario, tables, [group], stats)
+            sol, = (_pool_solves(scenario, tables, stats, group) if len(group) == 1
+                    else _solve_groups(scenario, tables, [group], stats))
             if isinstance(sol, TableRangeError) and len(group) > 1:
                 dropped.append(sol)
             elif _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack):

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .offline import Allocation, RunStats, _ledger, _solve, stream_tables
-from .scenario import Scenario
+from .scenario import Scenario, _at_least_one
 from .tables import MmseTable
 from .waterfill import _raised
 
@@ -40,8 +39,7 @@ def online_solve(
     tables: tuple[MmseTable, ...] | None = None,
 ) -> Allocation:
     """Causal allocation with flowing window ``f_w`` (accesses, >= 1)."""
-    if not isinstance(f_w, (int, np.integer)) or f_w < 1:
-        raise InvalidInputError(f"flowing window must be an integer >= 1, got {f_w!r}")
+    _at_least_one(f_w, "flowing window")
     tables = stream_tables(scenario, tables)
     events = detect_events(scenario)
     arrivals = dict(scenario.arrivals)

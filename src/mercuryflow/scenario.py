@@ -143,6 +143,9 @@ class Scenario:
     seed: int | None = None
     pools: tuple[Pool, ...] = field(init=False, repr=False)   # cut at the arrivals
     pool_of_access: NDArray[np.int64] = field(init=False, repr=False)   # (N,), 1-based
+    # each pool's solve alone per tables tuple, kept by ``offline._pool_solves``; a copy,
+    # an unpickled or a replaced scenario starts with none
+    _pool_solves: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -351,6 +354,15 @@ def _require(doc: dict, key: str, kind, where: str = ""):
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {path!r} has the wrong type", field=path)
     return val
+
+
+def _at_least_one(value, name: str) -> None:
+    """InvalidInputError naming ``name`` unless ``value`` is an int >= 1 (a bool is not an
+    int, as for ``_require``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {value!r}")
 
 
 def loads(text: str) -> Scenario:

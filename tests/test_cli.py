@@ -224,6 +224,17 @@ def test_jobs_below_one_exits_2_before_any_table_is_built(tmp_path, capsys, monk
         ev.sweep_energy(_SWEEP["params"], [1.0], jobs=0)
 
 
+def test_sweep_of_online_without_f_w_exits_2_naming_the_field(tmp_path, capsys, monkeypatch):
+    # online is among the default strategies; the config has no f_w
+    monkeypatch.setattr(ev, "stream_tables", lambda *a: pytest.fail("tables were built"))
+    for cfg in (_SWEEP, {**_SWEEP, "strategies": ["mwflow", "online"]}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["sweep", "--config", path, "--out", tmp_path]) == 2
+        assert "missing required field 'f_w'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_numeric_error_exit_3(tmp_path, capsys):
     # enough energy to push BPSK past its table range on one access
     s = scn.Scenario(n=1, k=1, ts=1.0, gains=np.ones((1, 1)),

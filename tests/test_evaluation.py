@@ -245,6 +245,26 @@ def test_complexity_ensemble_needs_a_run(runs):
         ev.complexity_ensemble((4, 8), runs=runs)
 
 
+def test_complexity_ensemble_takes_no_bool_runs():
+    with pytest.raises(InvalidInputError, match=r"^runs must be an integer >= 1, got True$"):
+        ev.complexity_ensemble((4, 8), runs=True)
+
+
+def test_sweep_takes_no_bool_jobs():
+    params = dict(n=6, k=1, ts=1.0, j=2, constellations=("gaussian",), seed=5)
+    with pytest.raises(InvalidInputError, match=r"^jobs must be an integer >= 1, got True$"):
+        ev.sweep_energy(params, [1.0], f_w=2, jobs=True)
+
+
+def test_sweep_of_online_needs_its_window_before_any_solve(monkeypatch):
+    params = dict(n=6, k=1, ts=1.0, j=2, constellations=("gaussian",), seed=5)
+    monkeypatch.setattr(ev, "stream_tables", lambda *a, **k: pytest.fail("tables were built"))
+    monkeypatch.setattr(ev, "generate", lambda *a, **k: pytest.fail("a scenario was drawn"))
+    for f_w in (None, 0, True):
+        with pytest.raises(InvalidInputError, match=r"^f_w, the online strategy's flowing"):
+            ev.sweep_energy(params, [1.0], f_w=f_w)
+
+
 def test_trace_csv_level_identity(builtin_tables):
     # active entries satisfy mercury + power == water level exactly
     s = scn.generate(n=10, k=4, ts=0.01, j=3, total_energy=1.0,

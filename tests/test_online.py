@@ -46,6 +46,13 @@ def test_window_validation():
         onl.online_solve(s, -3)
 
 
+def test_a_bool_window_is_not_an_int():
+    s = static_scenario([(1, 1.0)], n=2)
+    with pytest.raises(InvalidInputError) as err:
+        onl.online_solve(s, True)
+    assert str(err.value) == "flowing window must be an integer >= 1, got True"
+
+
 def test_single_pool_static_full_window_equals_offline(builtin_tables):
     s = scn.generate(n=8, k=2, ts=1.0, j=1, total_energy=4.0,
                      constellations=("bpsk", "gaussian"), gain_model="static", seed=3)
