@@ -18,7 +18,6 @@ seed produce byte-identical output files.  Energy in J, ts in s, gains linear.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -70,10 +69,7 @@ def _params(doc: dict, supplied: tuple[str, ...], optional: tuple[str, ...] = ()
     without a default is given unless ``optional``; else SchemaError naming ``params.<key>``.
     """
     params = scn._require(doc, "params", dict)
-    args = inspect.signature(scn.generate, eval_str=True).parameters
-    for key in params:
-        if key not in args or key in supplied:
-            raise SchemaError(f"unknown field 'params.{key}'", field=f"params.{key}")
+    args = scn._generate_args(params, supplied)
     return {
         name: _list_of(params, name, str, "params") if name == "constellations"
         else scn._require(params, name, arg.annotation, "params")
@@ -100,13 +96,10 @@ def cmd_tables(args) -> int:
 
 def cmd_run(args) -> int:
     s = _load_scenario(args)
-    if args.alg == "online" and (args.window is None or args.window < 1):
-        raise InvalidInputError("--window must be >= 1 for the online algorithm")
-    tables = offline.stream_tables(s)
-    alloc = evaluation.run_strategy(s, args.alg, f_w=args.window, tables=tables)
-    mi = evaluation.evaluate_mi(s, alloc, tables=tables)
+    alloc = evaluation.run_strategy(s, args.alg, f_w=args.window)   # checks before any table
+    mi = evaluation.evaluate_mi(s, alloc)
     if args.alg in ("nda", "fsa"):
-        ok = offline.kkt_verify(s, alloc, tables=tables).passed
+        ok = offline.kkt_verify(s, alloc).passed
     else:
         ok, _ = online.causal_ecc_check(s, alloc)
     out = _out_dir(args)
@@ -166,11 +159,10 @@ def cmd_complexity(args) -> int:
 
 def cmd_trace(args) -> int:
     s = _load_scenario(args)
-    tables = offline.stream_tables(s)
-    alloc = evaluation.run_strategy(s, args.alg, f_w=args.window, tables=tables)
+    alloc = evaluation.run_strategy(s, args.alg, f_w=args.window)   # checks before any table
     out = _out_dir(args)
     path = out / "trace.csv"
-    evaluation.trace_csv(s, alloc, tables=tables, path_or_buf=path)
+    evaluation.trace_csv(s, alloc, path_or_buf=path)
     print(f"trace alg={args.alg} accesses={s.n} streams={s.k} file={path}")
     return 0
 

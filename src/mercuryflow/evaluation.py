@@ -37,7 +37,7 @@ from .offline import (
     stream_tables,
 )
 from .online import online_solve
-from .scenario import Scenario, _at_least_one, generate, rescale_energy
+from .scenario import Scenario, _at_least_one, _generate_args, generate, rescale_energy
 from .tables import MmseTable
 
 __all__ = [
@@ -105,6 +105,25 @@ def pbp_solve(
 dwf_solve = dwf_reference
 
 
+# each CLI strategy's solver, looked up by name when called (a rebound name is the one run)
+_SOLVERS = {
+    "mwflow": lambda s, f_w, tables: nda_solve(s, tables=tables),
+    "nda": lambda s, f_w, tables: nda_solve(s, tables=tables),
+    "fsa": lambda s, f_w, tables: fsa_solve(s, tables=tables),
+    "online": lambda s, f_w, tables: online_solve(s, f_w, tables=tables),
+    "pbp-hgwf": lambda s, f_w, tables: pbp_solve(s, "tables", tables=tables),
+    "pbp-wf": lambda s, f_w, tables: pbp_solve(s, "gaussian"),
+    "dwf": lambda s, f_w, tables: dwf_solve(s),
+}
+
+
+def _solver(name: str):
+    """The solver of strategy ``name``, else InvalidInputError naming it."""
+    if not isinstance(name, str) or name not in _SOLVERS:
+        raise InvalidInputError(f"unknown strategy {name!r}")
+    return _SOLVERS[name]
+
+
 def run_strategy(
     scenario: Scenario,
     name: str,
@@ -112,19 +131,7 @@ def run_strategy(
     tables: tuple[MmseTable, ...] | None = None,
 ) -> Allocation:
     """Dispatch a strategy by CLI name."""
-    if name == "mwflow" or name == "nda":
-        return nda_solve(scenario, tables=tables)
-    if name == "fsa":
-        return fsa_solve(scenario, tables=tables)
-    if name == "online":
-        return online_solve(scenario, f_w, tables=tables)
-    if name == "pbp-hgwf":
-        return pbp_solve(scenario, "tables", tables=tables)
-    if name == "pbp-wf":
-        return pbp_solve(scenario, "gaussian")
-    if name == "dwf":
-        return dwf_solve(scenario)
-    raise InvalidInputError(f"unknown strategy {name!r}")
+    return _solver(name)(scenario, f_w, tables)
 
 
 def best_window(
@@ -204,8 +211,9 @@ def sweep_energy(
     ``base_params`` are :func:`mercuryflow.scenario.generate` arguments
     without ``total_energy``; the same seed is reused at every grid point
     with the packet energies rescaled, so curves differ only in scale.
-    ``f_w`` is required when ``online`` is among the strategies; it and
-    ``jobs`` are checked before any table is built or any scenario solved.
+    ``f_w`` is required when ``online`` is among the strategies; it,
+    ``jobs``, the strategy names and the keys of ``base_params`` are checked
+    before any scenario is drawn, any table built or any scenario solved.
     """
     _at_least_one(jobs, "jobs")
     if "online" in strategies:
@@ -215,6 +223,9 @@ def sweep_energy(
         raise InvalidInputError("energy grid must be non-empty and positive")
     if not strategies:
         raise InvalidInputError("strategies must not be empty")
+    for name in strategies:
+        _solver(name)
+    _generate_args(base_params, supplied=("total_energy",))
     base = generate(total_energy=1.0, **base_params)
     tasks = [
         (i, rescale_energy(base, float(E)), tuple(strategies), f_w)
@@ -270,9 +281,10 @@ def complexity_ensemble(
 
     The mean-call models fitted by least squares are
     ``E{C_nda} = J(q+1) - q`` and ``E{C_fsa} = (J^2/2 + J/2 - 1) p + 1``.
-    ``params`` are :func:`generate` arguments without ``j``/``seed``; the
-    default is a light single-stream Gaussian setup with two accesses per
-    pool and uniformly random packet energies.
+    ``params`` are :func:`generate` arguments other than ``j`` and ``seed``,
+    else InvalidInputError before a scenario is drawn; the default is a light
+    single-stream Gaussian setup with two accesses per pool and uniformly
+    random packet energies.
     """
     j_values = tuple(int(j) for j in j_grid)
     if not j_values:
@@ -281,18 +293,16 @@ def complexity_ensemble(
         raise InvalidInputError("every J must be >= 1")
     _at_least_one(runs, "runs")
     _at_least_one(jobs, "jobs")
+    _generate_args(params or {}, supplied=("j", "seed"))
     tasks = []
     for j in j_values:
-        p = dict(params) if params is not None else {
-            "n": 2 * j,
+        p = {"n": 2 * j, **(params if params is not None else {
             "k": 1,
             "ts": 1.0,
             "total_energy": float(j),
             "constellations": ("gaussian",),
             "gain_model": "static",
-        }
-        if "n" not in p:
-            p["n"] = 2 * j
+        })}
         for r in range(runs):
             tasks.append((j, base_seed + 7919 * j + r, p))
     first = generate(j=tasks[0][0], seed=tasks[0][1], **tasks[0][2])

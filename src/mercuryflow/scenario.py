@@ -30,6 +30,7 @@ trips are exact.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -354,6 +355,15 @@ def _require(doc: dict, key: str, kind, where: str = ""):
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {path!r} has the wrong type", field=path)
     return val
+
+
+def _generate_args(params: dict, supplied: tuple[str, ...]):
+    """generate()'s parameters; SchemaError for a ``params`` key not one or in ``supplied``."""
+    args = inspect.signature(generate, eval_str=True).parameters
+    for key in params:
+        if key not in args or key in supplied:
+            raise SchemaError(f"unknown field 'params.{key}'", field=f"params.{key}")
+    return args
 
 
 def _at_least_one(value, name: str) -> None:

@@ -16,15 +16,16 @@ at build time); the pairwise rule covers the rest.  A build runs on a thread
 pool with one worker per usable CPU: the exact probes and the GH probe sweeps,
 then the pairwise tail and the GH grid sweeps.  The build maps one
 workspace of three times ``WORKSPACE`` (2.5e5) elements as anonymous memory
-and unmaps it when it ends, so the OS gets the pages back; each job computes
-in place in a worker's share of it (a GH point larger than a share is split
-along Q/2), so block memory does not grow with the CPU count.  Every point is
-computed alone and every sum runs in order along one row, so the tables are
-the same bytes for any worker count, chunk or block size.  The stored grid
-is truncated where mmse falls below a positivity floor -- double precision
-cannot represent the tail of e.g. BPSK anywhere near snr = 1e4 -- so a
-pairwise run stops at its first point below it, and inversion below the
-stored floor raises :class:`TableRangeError` rather than extrapolating.
+and unmaps it when it ends, so the OS gets the pages back; each worker thread
+owns one share of it and computes every job it runs in place there (a GH point
+larger than a share is split along Q/2), so block memory does not grow with
+the CPU count.  Every point is computed alone and every sum runs in order
+along one row, so the tables are the same bytes for any worker count, chunk
+or block size.  The stored grid is truncated where mmse falls below a
+positivity floor -- double precision cannot represent the tail of e.g. BPSK
+anywhere near snr = 1e4 -- so a pairwise run stops at its first point below
+it, and inversion below the stored floor raises :class:`TableRangeError`
+rather than extrapolating.
 
 Gaussian-input tables bypass interpolation entirely: mmse = 1/(1+snr),
 inverse = 1/psi - 1, mercury factor identically 1.
@@ -36,7 +37,7 @@ import functools
 import math
 import mmap
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -368,13 +369,6 @@ def _pairwise_run(c: Constellation, snr: np.ndarray, room: int, share: np.ndarra
     return out
 
 
-def _settle(jobs, m, d):
-    """Write each job's (mmse, dmmse) run into ``m`` and ``d``; returns them."""
-    for idx, fut in jobs:
-        m[idx], d[idx] = fut.result()
-    return m, d
-
-
 def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mmse, dmmse) over the grid: GH sweeps where probed-safe, pairwise above.
 
@@ -392,47 +386,38 @@ def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _sweep_in(c: Constellation, grid: np.ndarray, space: np.ndarray):
     """:func:`_sweep_mmse` in ``space``: the points run as jobs on one thread
-    pool, each job in a share of ``space`` that no other job holds meanwhile."""
+    pool, and each worker thread computes in its own share of ``space``."""
     workers = _workers()
     room = WORKSPACE // workers
-    shares = queue.SimpleQueue()
-    for k in range(workers):
-        shares.put(space[3 * room * k : 3 * room * (k + 1)])
+    # a list iterator hands out each item once, whichever threads ask
+    shares = iter([space[3 * room * k : 3 * room * (k + 1)] for k in range(workers)])
+    mine = threading.local()
 
-    def shared(fn, run):
-        share = shares.get()
-        try:
-            return fn(run, share)
-        finally:
-            shares.put(share)
+    def own():
+        mine.share = next(shares)
 
     mmse, dmmse = np.empty_like(grid), np.empty_like(grid)
     mmse[0], dmmse[0] = _pairwise_mmse(c, 0.0)
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers, initializer=own) as pool:
 
-        def spread(fn, idx, size):
-            """(run, future of fn(run, share)) for each run of ``size`` of the indices ``idx``."""
-            return [(idx[k : k + size], pool.submit(shared, fn, idx[k : k + size]))
-                    for k in range(0, idx.size, size)]
-
-        def gh(x, idx, order):
-            return spread(lambda run, share: _gh_mmse_grid(c, x[run], order, room, share), idx,
-                          _gh_points(c, order, room))
-
-        def pairwise(x, idx, size, **rule):
-            return spread(lambda run, share: _pairwise_run(c, x[run], room, share, **rule), idx,
-                          size)
+        def spread(fn, x, idx, size, *args, **rule):
+            """``fn(c, x[run], *args, room, share, **rule)`` in its worker's own share, on runs
+            of ``size`` of ``idx``, all submitted now; the closure it returns gives their rows."""
+            rows = pool.map(lambda run: fn(c, x[run], *args, room, mine.share, **rule),
+                            [idx[k : k + size] for k in range(0, idx.size, size)])
+            return lambda: np.concatenate([np.empty((2, 0)), *rows], axis=1)
 
         # probe each GH order against the exact pairwise rule on a log ladder;
         # trust is a prefix of the grid with a half-decade safety margin
         probes = grid[1:: max(grid.size // 32, 1)]
         every = np.arange(probes.size)
-        exact = pairwise(probes, every, 1)
-        sweeps = [gh(probes, every, order) for order in _SWEEP_ORDERS]
-        em, ed = _settle(exact, np.empty_like(probes), np.empty_like(probes))
+        exact = spread(_pairwise_run, probes, every, 1)
+        sweeps = [spread(_gh_mmse_grid, probes, every, _gh_points(c, order, room), order)
+                  for order in _SWEEP_ORDERS]
+        em, ed = exact()
         done, sel = grid == 0.0, []
         for sweep in sweeps:
-            gm, gd = _settle(sweep, np.empty_like(probes), np.empty_like(probes))
+            gm, gd = sweep()
             ok = (abs(gm - em) <= 1e-9 * np.maximum(em, 1e-300)) & (
                 abs(gd - ed) <= 1e-9 * np.maximum(abs(ed), 1e-300))
             bound = grid[-1] if ok.all() else float(probes[np.argmin(ok)]) * 0.5
@@ -441,10 +426,12 @@ def _sweep_in(c: Constellation, grid: np.ndarray, space: np.ndarray):
 
         tail = np.nonzero(~done)[0]
         slices = workers if 32 * c.cardinality**3 >= _GIL_BOUND else 1
-        jobs = pairwise(grid, tail, max(1, -(-tail.size // slices)), step=0.4, log_cut=40.0)
-        for order, idx in zip(_SWEEP_ORDERS, sel):
-            jobs += gh(grid, idx, order)
-        _settle(jobs, mmse, dmmse)
+        jobs = [spread(_pairwise_run, grid, tail, max(1, -(-tail.size // slices)), step=0.4,
+                       log_cut=40.0)]
+        jobs += [spread(_gh_mmse_grid, grid, idx, _gh_points(c, order, room), order)
+                 for order, idx in zip(_SWEEP_ORDERS, sel)]
+        for idx, rows in zip([tail, *sel], jobs):
+            mmse[idx], dmmse[idx] = rows()
     return mmse, dmmse
 
 

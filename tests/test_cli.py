@@ -53,6 +53,19 @@ def test_run_online_window_required(scenario_config, tmp_path, capsys):
     assert "error code=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", [["--window", "0"], []], ids=["window-0", "no-window"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_online_window_is_checked_before_any_table_is_built(scenario_config, tmp_path, capsys,
+                                                           monkeypatch, command, window):
+    monkeypatch.delenv(tbl.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(tbl, "_TABLE_CACHE", {})
+    monkeypatch.setattr(tbl, "build_table", lambda *a, **k: pytest.fail("a table was built"))
+    code = run_cli([command, "--alg", "online", *window, "--config", scenario_config,
+                    "--out", tmp_path])
+    assert code == 2
+    assert "error code=2" in capsys.readouterr().err
+
+
 def test_run_all_algorithms(scenario_config, tmp_path):
     for alg in ("nda", "fsa", "dwf", "pbp-wf", "pbp-hgwf"):
         assert run_cli(["run", "--alg", alg, "--config", scenario_config,

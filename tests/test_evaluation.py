@@ -265,6 +265,39 @@ def test_sweep_of_online_needs_its_window_before_any_solve(monkeypatch):
             ev.sweep_energy(params, [1.0], f_w=f_w)
 
 
+def _no_work(monkeypatch):
+    monkeypatch.setattr(ev, "run_strategy", lambda *a, **k: pytest.fail("a strategy ran"))
+    monkeypatch.setattr(ev, "stream_tables", lambda *a, **k: pytest.fail("tables were built"))
+    monkeypatch.setattr(ev, "generate", lambda *a, **k: pytest.fail("a scenario was drawn"))
+
+
+def test_sweep_checks_every_strategy_name_before_any_solve(monkeypatch):
+    params = dict(n=6, k=1, ts=1.0, j=2, constellations=("gaussian",), seed=5)
+    _no_work(monkeypatch)
+    with pytest.raises(InvalidInputError, match=r"^unknown strategy 'pbp-wff'$"):
+        ev.sweep_energy(params, [1.0], strategies=("mwflow", "pbp-wff"))
+
+
+# each runner with valid generate() params that leave out what the runner sets
+_RUNNERS = {
+    "sweep": (lambda p: ev.sweep_energy(p, [1.0], strategies=("mwflow",)),
+              dict(n=6, k=1, ts=1.0, j=2, constellations=("gaussian",))),
+    "complexity": (lambda p: ev.complexity_ensemble((2,), runs=1, params=p),
+                   dict(k=1, ts=1.0, total_energy=2.0, constellations=("gaussian",))),
+}
+
+
+@pytest.mark.parametrize("runner, key", [("sweep", "bogus"), ("sweep", "total_energy"),
+                                         ("complexity", "bogus"), ("complexity", "j")])
+def test_runner_params_key_is_checked_before_any_work(monkeypatch, runner, key):
+    # a key generate() does not take, or one the runner sets itself
+    run, params = _RUNNERS[runner]
+    _no_work(monkeypatch)
+    with pytest.raises(InvalidInputError, match=rf"^unknown field 'params\.{key}'$") as err:
+        run({**params, key: 1})
+    assert err.value.field == f"params.{key}"
+
+
 def test_trace_csv_level_identity(builtin_tables):
     # active entries satisfy mercury + power == water level exactly
     s = scn.generate(n=10, k=4, ts=0.01, j=3, total_energy=1.0,

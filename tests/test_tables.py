@@ -1,7 +1,10 @@
+import collections
 import hashlib
+import inspect
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -267,10 +270,24 @@ def test_build_bytes_do_not_depend_on_workers_or_workspace(monkeypatch, name):
 
 
 def test_build_jobs_never_share_a_workspace_share(monkeypatch):
-    # eight workers on fewer cores, switching threads often, each job in a
-    # share of one mapped workspace (a 32pam GH point split along Q/2): two
-    # jobs computing in one share at once would move bits
+    # eight workers on fewer cores, switching threads often, each worker thread
+    # computing in its own share of one mapped workspace (a 32pam GH point split
+    # along Q/2): no share is computed in by two threads, and no bit moves
     default = _build_bytes("32pam")
+    threads = collections.defaultdict(set)   # share address -> threads that computed in it
+
+    def recorded(fn):
+        sig = inspect.signature(fn)
+
+        def job(*args, **kwargs):
+            out = sig.bind(*args, **kwargs).arguments.get("out")
+            if out is not None:
+                threads[out.ctypes.data].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return job
+
+    monkeypatch.setattr(tb, "_pairwise_mmse", recorded(tb._pairwise_mmse))
+    monkeypatch.setattr(tb, "_gh_mmse_grid", recorded(tb._gh_mmse_grid))
     monkeypatch.setattr(tb, "_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -278,6 +295,8 @@ def test_build_jobs_never_share_a_workspace_share(monkeypatch):
         assert _build_bytes("32pam") == default
     finally:
         sys.setswitchinterval(interval)
+    assert len(threads) > 1
+    assert all(len(users) == 1 for users in threads.values()), dict(threads)
 
 
 def test_pairwise_tail_stops_at_the_floor(builtin_tables, monkeypatch):
