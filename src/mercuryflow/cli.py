@@ -69,12 +69,11 @@ def _params(doc: dict, supplied: tuple[str, ...], optional: tuple[str, ...] = ()
     without a default is given unless ``optional``; else SchemaError naming ``params.<key>``.
     """
     params = scn._require(doc, "params", dict)
-    args = scn._generate_args(params, supplied)
+    args = scn._generate_args(params, supplied, optional)
     return {
         name: _list_of(params, name, str, "params") if name == "constellations"
         else scn._require(params, name, arg.annotation, "params")
-        for name, arg in args.items()
-        if name in params or (arg.default is arg.empty and name not in supplied + optional)
+        for name, arg in args.items() if name in params
     }
 
 

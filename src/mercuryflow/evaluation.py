@@ -30,7 +30,7 @@ from .offline import (
     Allocation,
     RunStats,
     _assemble,
-    _pool_solves,
+    _solve_groups,
     dwf_reference,
     fsa_solve,
     nda_solve,
@@ -96,9 +96,8 @@ def pbp_solve(
     if inputs not in ("tables", "gaussian"):
         raise InvalidInputError(f"inputs must be 'tables' or 'gaussian', got {inputs!r}")
     tables = None if inputs == "gaussian" else stream_tables(scenario, tables)
-    stats = RunStats()
-    sols = _pool_solves(scenario, tables, stats)
-    return _assemble(scenario, [[p] for p in scenario.pools], sols, stats)
+    stats, groups = RunStats(), [[p] for p in scenario.pools]
+    return _assemble(scenario, groups, _solve_groups(scenario, tables, groups, stats), stats)
 
 
 # offline optimum for Gaussian inputs, whatever the scenario's constellations
@@ -212,8 +211,9 @@ def sweep_energy(
     without ``total_energy``; the same seed is reused at every grid point
     with the packet energies rescaled, so curves differ only in scale.
     ``f_w`` is required when ``online`` is among the strategies; it,
-    ``jobs``, the strategy names and the keys of ``base_params`` are checked
-    before any scenario is drawn, any table built or any scenario solved.
+    ``jobs``, the strategy names and ``base_params`` (no unknown key, none
+    missing) are checked before any scenario is drawn, any table built or any
+    scenario solved.
     """
     _at_least_one(jobs, "jobs")
     if "online" in strategies:
@@ -282,7 +282,8 @@ def complexity_ensemble(
     The mean-call models fitted by least squares are
     ``E{C_nda} = J(q+1) - q`` and ``E{C_fsa} = (J^2/2 + J/2 - 1) p + 1``.
     ``params`` are :func:`generate` arguments other than ``j`` and ``seed``,
-    else InvalidInputError before a scenario is drawn; the default is a light
+    each required one given but ``n`` (2 J by default), else SchemaError
+    before a scenario is drawn; the default is a light
     single-stream Gaussian setup with two accesses per pool and uniformly
     random packet energies.
     """
@@ -293,18 +294,16 @@ def complexity_ensemble(
         raise InvalidInputError("every J must be >= 1")
     _at_least_one(runs, "runs")
     _at_least_one(jobs, "jobs")
-    _generate_args(params or {}, supplied=("j", "seed"))
-    tasks = []
-    for j in j_values:
-        p = {"n": 2 * j, **(params if params is not None else {
-            "k": 1,
-            "ts": 1.0,
-            "total_energy": float(j),
-            "constellations": ("gaussian",),
-            "gain_model": "static",
-        })}
-        for r in range(runs):
-            tasks.append((j, base_seed + 7919 * j + r, p))
+    used = {j: params if params is not None else {
+        "k": 1,
+        "ts": 1.0,
+        "total_energy": float(j),
+        "constellations": ("gaussian",),
+        "gain_model": "static",
+    } for j in j_values}
+    _generate_args(used[j_values[0]], supplied=("j", "seed"), optional=("n",))
+    tasks = [(j, base_seed + 7919 * j + r, {"n": 2 * j, **used[j]})
+             for j in j_values for r in range(runs)]
     first = generate(j=tasks[0][0], seed=tasks[0][1], **tasks[0][2])
     seeds = {j: [] for j in j_values}
     nda_calls = {j: [] for j in j_values}

@@ -1,12 +1,12 @@
 """Offline mercury/water-flowing allocation over all channel accesses.
 
 Every pool-based scheduler here cuts the pools into epochs and solves each
-epoch for one water level with :func:`_solve_groups`; ``RunStats.hg_calls``
-counts the epochs it solves.  A pool solved alone is solved once per scenario
-and tables tuple (:func:`_pool_solves`): NDA's and dwf's first rounds, the
-pool-by-pool baselines and FSA's one-pool candidates share it, and each run
-still counts it in its own ``RunStats``.  Two optimal algorithms compute the
-same allocation:
+epoch for one water level with :func:`_solve_groups`, the one entry for every
+run of pools; ``RunStats.hg_calls`` counts the epochs it returns.  It solves a
+pool alone once per scenario and tables tuple: NDA's and dwf's first rounds,
+the pool-by-pool baselines and FSA's one-pool candidates share that solve, and
+each run still counts it in its own ``RunStats``.  Two optimal algorithms
+compute the same allocation:
 
 * :func:`nda_solve` solves every pool alone in one batch, then works in
   rounds: each merges every disjoint pair of neighbouring groups whose water
@@ -157,36 +157,30 @@ def _solve_groups(
     groups: Sequence[Sequence[Pool]],
     stats: RunStats,
 ) -> list[_Solved]:
-    """Solve each run of pools as its own epoch with :func:`_solve`."""
-    return _solve(tables, scenario.ts, stats, [
-        (scenario.gains[:, g[0].start - 1 : g[-1].end], sum(p.energy for p in g), g[0].start)
-        for g in groups])
+    """Solve each run of pools as its own epoch, in group order and one batch of :func:`_solve`.
 
-
-def _pool_solves(
-    scenario: Scenario,
-    tables: tuple[MmseTable, ...] | None,
-    stats: RunStats,
-    pools: Sequence[Pool] | None = None,
-) -> list[_Solved]:
-    """Each of ``pools`` (default: all) solved alone, kept with the scenario per tables tuple.
-
-    Only the pools not yet kept are solved, in one batch of :func:`_solve_groups`; a
-    ConvergenceError is raised and nothing of its batch kept.  ``stats`` counts each slot as
-    the solve it stands for, and a kept TableRangeError comes back as a fresh instance, so a
-    run's counts, errors and bytes do not depend on what ran on the scenario before.
+    A lone pool's solve is kept with the scenario per tables tuple and served from there
+    after; longer runs are solved every time.  A ConvergenceError is raised and nothing of
+    its batch kept.  ``stats`` counts each slot as the solve it stands for, and a kept
+    TableRangeError comes back as a fresh instance, so a run's counts, errors and bytes do
+    not depend on what ran on the scenario before.
     """
-    pools = scenario.pools if pools is None else pools
     kept = scenario._pool_solves.setdefault(tables, [None] * len(scenario.pools))
-    todo = [p for p in pools if kept[p.index - 1] is None]
-    if todo:
-        for p, sol in zip(todo, _solve_groups(scenario, tables, [[p] for p in todo], RunStats())):
+    todo = [g for g in groups if len(g) > 1 or kept[g[0].index - 1] is None]
+    fresh = iter(_solve(tables, scenario.ts, RunStats(), [
+        (scenario.gains[:, g[0].start - 1 : g[-1].end], sum(p.energy for p in g), g[0].start)
+        for g in todo]) if todo else ())
+    sols = []
+    for g in groups:
+        i = g[0].index - 1
+        if len(g) == 1 and kept[i] is None:
+            sol = next(fresh)
             if isinstance(sol, EpochSolution):   # its own read-only copy, not a batch's view
                 powers = sol.powers.copy()
                 powers.flags.writeable = False
                 sol = EpochSolution(sol.water_level, powers, sol.spent_energy, sol.evals)
-            kept[p.index - 1] = sol
-    sols = [kept[p.index - 1] for p in pools]
+            kept[i] = sol
+        sols.append(next(fresh) if len(g) > 1 else kept[i])
     stats.hg_calls += len(sols)
     stats.spent_evals += sum(sol.evals for sol in sols if isinstance(sol, EpochSolution))
     return [type(sol)(*sol.args) if isinstance(sol, TableRangeError) else sol for sol in sols]
@@ -229,7 +223,7 @@ def _nda_loop(scenario: Scenario, tables: tuple[MmseTable, ...] | None) -> Alloc
     """NDA in rounds of disjoint merges: the paper's epochs and calls, not its merge order."""
     stats = RunStats()
     groups: list[list[Pool]] = [[p] for p in scenario.pools]
-    sols = _pool_solves(scenario, tables, stats)
+    sols = _solve_groups(scenario, tables, groups, stats)
     while True:
         pairs: list[int] = []
         for i, fell in enumerate(map(_falls, sols, sols[1:])):
@@ -282,8 +276,7 @@ def fsa_solve(
         end = n_pools
         while True:
             group = pools[start:end]
-            sol, = (_pool_solves(scenario, tables, stats, group) if len(group) == 1
-                    else _solve_groups(scenario, tables, [group], stats))
+            sol, = _solve_groups(scenario, tables, [group], stats)
             if isinstance(sol, TableRangeError) and len(group) > 1:
                 dropped.append(sol)
             elif _epoch_ecc_ok(scenario, group, sol, ecc_oracle, slack):

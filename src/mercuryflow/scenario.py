@@ -144,7 +144,7 @@ class Scenario:
     seed: int | None = None
     pools: tuple[Pool, ...] = field(init=False, repr=False)   # cut at the arrivals
     pool_of_access: NDArray[np.int64] = field(init=False, repr=False)   # (N,), 1-based
-    # each pool's solve alone per tables tuple, kept by ``offline._pool_solves``; a copy,
+    # each pool's solve alone per tables tuple, kept by ``offline._solve_groups``; a copy,
     # an unpickled or a replaced scenario starts with none
     _pool_solves: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -357,12 +357,17 @@ def _require(doc: dict, key: str, kind, where: str = ""):
     return val
 
 
-def _generate_args(params: dict, supplied: tuple[str, ...]):
-    """generate()'s parameters; SchemaError for a ``params`` key not one or in ``supplied``."""
+def _generate_args(params: dict, supplied: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """generate()'s parameters; SchemaError for a ``params`` key not one or in ``supplied``,
+    then for the first one without a default that is in none of ``params``, ``supplied`` and
+    ``optional``."""
     args = inspect.signature(generate, eval_str=True).parameters
     for key in params:
         if key not in args or key in supplied:
             raise SchemaError(f"unknown field 'params.{key}'", field=f"params.{key}")
+    for key, arg in args.items():
+        if arg.default is arg.empty and key not in (*params, *supplied, *optional):
+            raise SchemaError(f"missing required field 'params.{key}'", field=f"params.{key}")
     return args
 
 

@@ -201,12 +201,15 @@ _SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaus
     ("sweep", {**_SWEEP, "strategies": 5}, "'strategies'"),
     ("sweep", {**_SWEEP, "strategies": "mwflow"}, "'strategies'"),
     ("sweep", {**_SWEEP, "f_w": 2.5}, "'f_w'"),
-    ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": "x"}}, "'params.k'"),
+    ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": "x", "ts": 1.0, "total_energy": 3.0}},
+     "'params.k'"),
     ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": 1, "ts": 1.0}},
      "'params.total_energy'"),
     ("complexity", {"j_grid": [3, 5], "runs": True}, "'runs'"),
     ("complexity", {"j_grid": [], "runs": 2}, "j_grid must not be empty"),
     ("sweep", {**_SWEEP, "strategies": []}, "strategies must not be empty"),
+    # a wrong-typed field and missing ones: a missing one is named first
+    ("complexity", {"j_grid": [3], "runs": 2, "params": {"k": "x"}}, "'params.ts'"),
 ])
 def test_experiment_config_errors_exit_2(tmp_path, capsys, command, cfg, where):
     path = tmp_path / "cfg.json"

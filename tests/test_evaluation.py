@@ -10,7 +10,8 @@ from mercuryflow import evaluation as ev
 from mercuryflow import offline as off
 from mercuryflow import online as onl
 from mercuryflow import scenario as scn
-from mercuryflow.errors import InvalidInputError
+from mercuryflow import tables as tbl
+from mercuryflow.errors import InvalidInputError, SchemaError
 from mercuryflow.waterfill import EpochProblem, classical_wf, solve_epoch
 
 
@@ -295,6 +296,19 @@ def test_runner_params_key_is_checked_before_any_work(monkeypatch, runner, key):
     _no_work(monkeypatch)
     with pytest.raises(InvalidInputError, match=rf"^unknown field 'params\.{key}'$") as err:
         run({**params, key: 1})
+    assert err.value.field == f"params.{key}"
+
+
+@pytest.mark.parametrize("run, key", [
+    (lambda: ev.sweep_energy(dict(k=1, ts=1.0, j=2, constellations=("gaussian",)), [1.0],
+                             strategies=("mwflow",)), "n"),
+    (lambda: ev.complexity_ensemble((2,), runs=1, params=dict(ts=1.0, total_energy=1.0)), "k"),
+], ids=["sweep", "complexity"])
+def test_runner_names_a_missing_params_key_before_any_work(monkeypatch, run, key):
+    monkeypatch.setattr(ev, "generate", lambda *a, **k: pytest.fail("a scenario was drawn"))
+    monkeypatch.setattr(tbl, "build_table", lambda *a, **k: pytest.fail("a table was built"))
+    with pytest.raises(SchemaError, match=rf"^missing required field 'params\.{key}'$") as err:
+        run()
     assert err.value.field == f"params.{key}"
 
 

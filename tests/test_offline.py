@@ -486,6 +486,31 @@ def test_nda_merges_disjoint_falls_in_rounds(monkeypatch):
     assert _stack_nda(s, None).stats.hg_calls == 31 and len(batches) == 16
 
 
+def test_solve_groups_mixes_a_new_lone_pool_and_a_run_in_one_batch(builtin_tables, monkeypatch):
+    s = scn.Scenario(n=6, k=1, ts=1.0, gains=[[1.0, 0.5, 2.0, 1.5, 0.7, 1.2]],
+                     arrivals=((1, 0.4), (3, 0.8), (5, 0.3)), constellations=(cons.bpsk(),))
+    tabs = off.stream_tables(s)
+    batches = []
+    solve = off._solve
+
+    def counted(tables, ts, stats, epochs):
+        batches.append(len(epochs))
+        return solve(tables, ts, stats, epochs)
+
+    monkeypatch.setattr(off, "_solve", counted)
+    first, second, third = s.pools
+    stats = off.RunStats()
+    lone, run = off._solve_groups(s, tabs, [[first], [second, third]], stats)
+    assert batches == [2]
+    kept = s._pool_solves[tabs]
+    assert kept[1:] == [None, None] and kept[0].powers.tobytes() == lone.powers.tobytes()
+    assert stats == off.RunStats(hg_calls=2, spent_evals=lone.evals + run.evals)
+    again = off.RunStats()
+    sol, = off._solve_groups(s, tabs, [[first]], again)
+    assert batches == [2] and sol is kept[0]
+    assert again == off.RunStats(hg_calls=1, spent_evals=kept[0].evals) and kept[0].evals > 0
+
+
 @pytest.mark.parametrize("gains, arrivals, name", [
     ([[1e-80, 1e-80]], ((1, 0.5),), "bpsk"),
     ([[1e-80, 1e-80]], ((1, 0.5),), "32pam"),

@@ -1,7 +1,7 @@
 """A scenario's single-pool solves: made once per tables tuple, shared, and invisible in outputs.
 
 NDA's and dwf's first rounds, the pool-by-pool baselines and FSA's one-pool
-candidates take each pool's solve alone from ``offline._pool_solves``, which
+candidates take each pool's solve alone from ``offline._solve_groups``, which
 keeps it with the scenario.  A run must not show what ran before it on the
 same scenario: the same CSV bytes, counts, epochs and errors as on a fresh one.
 """
