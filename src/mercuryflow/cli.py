@@ -26,7 +26,7 @@ import numpy as np
 
 from . import evaluation, offline, online, scenario as scn, tables as tbl
 from .constellations import BUILTIN_NAMES, by_name
-from .errors import InvalidInputError, MercuryflowError, SchemaError
+from .errors import InvalidInputError, MercuryflowError, SchemaError, _integer
 
 ALGORITHMS = ("nda", "fsa", "online", "dwf", "pbp-wf", "pbp-hgwf")
 
@@ -123,7 +123,7 @@ def cmd_sweep(args) -> int:
     grid = _list_of(doc, "energy_grid", float)
     strategies = (_list_of(doc, "strategies", str) if "strategies" in doc
                   else evaluation.SWEEP_STRATEGIES)
-    scn._at_least_one(args.jobs, "jobs")   # before f_w, as sweep_energy checks them
+    _integer(args.jobs, "jobs")   # before f_w, as sweep_energy checks them
     # the online strategy needs its window, so a sweep of it needs the field
     f_w = scn._require(doc, "f_w", int) if "f_w" in doc or "online" in strategies else None
     result = evaluation.sweep_energy(params, grid, strategies, f_w=f_w, jobs=args.jobs)

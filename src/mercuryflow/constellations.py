@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 
 __all__ = [
     "Constellation",
@@ -98,7 +98,7 @@ class Constellation:
         if np.any(pr <= 0.0):
             raise InvalidInputError("all probabilities must be > 0")
         if abs(pr.sum() - 1.0) > 1e-12:
-            raise InvalidInputError(f"probabilities sum to {pr.sum()!r}, not 1")
+            raise InvalidInputError(f"probabilities sum to {float(pr.sum())!r}, not 1")
         order = np.argsort(pts)
         pts, pr = pts[order], pr[order]
         if np.any(np.diff(pts) == 0.0):
@@ -136,8 +136,7 @@ class Constellation:
 
 def pam(q: int) -> Constellation:
     """Uniform Q-PAM with standard unit-power spacing."""
-    if q < 2:
-        raise InvalidInputError("PAM order must be >= 2")
+    q = _integer(q, "PAM order", least=2)
     levels = np.arange(-(q - 1), q, 2, dtype=float)
     levels *= math.sqrt(3.0 / (q * q - 1.0))
     return Constellation("discrete", levels, np.full(q, 1.0 / q), label=f"{q}pam" if q != 2 else "bpsk")

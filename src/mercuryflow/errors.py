@@ -5,6 +5,8 @@ configuration problems exit 2, numeric/range failures exit 3, and any
 other package error exits 4, the code of a failed verification.
 """
 
+import numbers
+
 
 class MercuryflowError(Exception):
     """Base class for all package-specific errors."""
@@ -46,3 +48,15 @@ class TableRangeError(MercuryflowError):
 class ConvergenceError(MercuryflowError):
     """An iterative solver ran out of iterations or left an energy residual."""
     exit_code = 3
+
+
+def _integer(value, name: str, least: int | None = 1) -> int:
+    """``value`` as an int, or InvalidInputError naming ``name`` unless it is an integer (a
+    numpy one too, a bool never) and, for a ``least`` that is not None, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidInputError(f"{name} must be an integer{bound}, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value!r}")
+    return value

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 from .offline import (
     Allocation,
     RunStats,
@@ -37,7 +37,7 @@ from .offline import (
     stream_tables,
 )
 from .online import online_solve
-from .scenario import Scenario, _at_least_one, _generate_args, generate, rescale_energy
+from .scenario import Scenario, _generate_args, generate, rescale_energy
 from .tables import MmseTable
 
 __all__ = [
@@ -215,9 +215,9 @@ def sweep_energy(
     missing) are checked before any scenario is drawn, any table built or any
     scenario solved.
     """
-    _at_least_one(jobs, "jobs")
+    _integer(jobs, "jobs")
     if "online" in strategies:
-        _at_least_one(f_w, "f_w, the online strategy's flowing window,")
+        _integer(f_w, "f_w, the online strategy's flowing window,")
     grid = np.asarray(list(energy_grid), dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0):
         raise InvalidInputError("energy grid must be non-empty and positive")
@@ -287,13 +287,11 @@ def complexity_ensemble(
     single-stream Gaussian setup with two accesses per pool and uniformly
     random packet energies.
     """
-    j_values = tuple(int(j) for j in j_grid)
+    j_values = tuple(_integer(j, "every J") for j in j_grid)
     if not j_values:
         raise InvalidInputError("j_grid must not be empty")
-    if any(j < 1 for j in j_values):
-        raise InvalidInputError("every J must be >= 1")
-    _at_least_one(runs, "runs")
-    _at_least_one(jobs, "jobs")
+    _integer(runs, "runs")
+    _integer(jobs, "jobs")
     used = {j: params if params is not None else {
         "k": 1,
         "ts": 1.0,

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _integer
 from .offline import Allocation, RunStats, _ledger, _solve, stream_tables
-from .scenario import Scenario, _at_least_one
+from .scenario import Scenario
 from .tables import MmseTable
 from .waterfill import _raised
 
@@ -39,7 +40,7 @@ def online_solve(
     tables: tuple[MmseTable, ...] | None = None,
 ) -> Allocation:
     """Causal allocation with flowing window ``f_w`` (accesses, >= 1)."""
-    _at_least_one(f_w, "flowing window")
+    _integer(f_w, "flowing window")
     tables = stream_tables(scenario, tables)
     events = detect_events(scenario)
     arrivals = dict(scenario.arrivals)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constellations import Constellation, by_name, pam
-from .errors import InvalidInputError, SchemaError
+from .errors import InvalidInputError, SchemaError, _integer
 from .waterfill import _normal_gains
 
 __all__ = ["Pool", "Scenario", "build_pools", "generate", "rescale_energy", "save", "load",
@@ -114,7 +114,7 @@ class Pool:
 
 def build_pools(arrivals, n: int) -> list[Pool]:
     """Partition accesses 1..n into pools at the arrival instants."""
-    arr = [(int(e), float(E)) for e, E in arrivals]
+    arr = [(_integer(e, "arrival access"), float(E)) for e, E in arrivals]
     if not arr:
         raise InvalidInputError("need at least one energy arrival")
     if arr[0][0] != 1:
@@ -149,8 +149,8 @@ class Scenario:
     _pool_solves: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise InvalidInputError("need n >= 1 accesses and k >= 1 streams")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if not (math.isfinite(self.ts) and self.ts > 0.0):
             raise InvalidInputError(f"ts must be finite and > 0, got {self.ts!r}")
         # the scenario's own copy, read-only: the solvers rely on this check, and a
@@ -174,6 +174,10 @@ class Scenario:
                                     f"got {self.total_energy!r}")
         if len(self.constellations) != self.k:
             raise InvalidInputError("need exactly one constellation per stream")
+        for i, c in enumerate(self.constellations, 1):
+            if not isinstance(c, Constellation):
+                raise InvalidInputError(f"stream {i}'s constellation must be a Constellation, "
+                                        f"got {c!r}; constellations.by_name makes one from a name")
         object.__setattr__(self, "constellations", tuple(self.constellations))
 
     def __reduce__(self):   # copies and unpickled scenarios are built anew: checked, read-only
@@ -203,10 +207,6 @@ class Scenario:
         )
 
 
-def _uniform_stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
 def generate(
     n: int,
     k: int,
@@ -227,13 +227,15 @@ def generate(
     stream and block of ``block_len`` accesses ("block_random"); with
     ``constant_across_streams`` a single gain track is shared by all streams.
     """
-    if j < 1 or j > n:
+    n, k, j = _integer(n, "n"), _integer(k, "k"), _integer(j, "j")
+    if j > n:
         raise InvalidInputError(f"need 1 <= j <= n, got j={j}, n={n}")
     if total_energy < 0.0:
         raise InvalidInputError("total_energy must be >= 0")
+    seed = _integer(seed, "seed", least=None)
     if not 0 <= seed < 2**128:   # the Philox key range
         raise InvalidInputError(f"seed must be in 0 <= seed < 2**128, got {seed}")
-    rng = _uniform_stream(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
     # draw order is part of the reproducibility contract: arrivals, energies, gains
     if j > 1:
@@ -253,8 +255,7 @@ def generate(
         block_len = n  # one block spans every access
     elif gain_model != "block_random":
         raise InvalidInputError(f"unknown gain model {gain_model!r}")
-    if block_len < 1:
-        raise InvalidInputError("block_len must be >= 1")
+    block_len = _integer(block_len, "block_len")
     n_blocks = -(-n // block_len)
     normals = [[_ndtri(u) for u in row] for row in rng.random((rows, n_blocks)).tolist()]
     draws = np.array(normals) ** 2
@@ -263,8 +264,6 @@ def generate(
         gains = np.repeat(gains, k, axis=0)
 
     cons = tuple(c if isinstance(c, Constellation) else by_name(c) for c in constellations)
-    if len(cons) != k:
-        raise InvalidInputError("need exactly one constellation per stream")
     return Scenario(
         n=n,
         k=k,
@@ -371,15 +370,6 @@ def _generate_args(params: dict, supplied: tuple[str, ...], optional: tuple[str,
     return args
 
 
-def _at_least_one(value, name: str) -> None:
-    """InvalidInputError naming ``name`` unless ``value`` is an int >= 1 (a bool is not an
-    int, as for ``_require``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
-    if value < 1:
-        raise InvalidInputError(f"{name} must be >= 1, got {value!r}")
-
-
 def loads(text: str) -> Scenario:
     try:
         doc = json.loads(text)
@@ -412,26 +402,23 @@ def loads(text: str) -> Scenario:
                 "a gains generator spec requires 'seed'", field="gains"
             )
         spec = {"block_len": 10, "constant_across_streams": False, **gains_doc}
-        gen = generate(
-            n=n,
-            k=k,
-            ts=ts,
-            j=len(arrivals),
-            total_energy=1.0,
-            constellations=cons,
+        gen_args = dict(
             gain_model=_require(spec, "model", str, where="gains"),
             block_len=_require(spec, "block_len", int, where="gains"),
             constant_across_streams=_require(spec, "constant_across_streams", bool, where="gains"),
-            seed=seed,
         )
-        gains = gen.gains
     else:
         try:
             gains = np.asarray(gains_doc, dtype=float)
         except (TypeError, ValueError):
             raise SchemaError("field 'gains' must be a K x N number array", field="gains") from None
 
+    # one conversion for both forms of gains: the spec's draw fails as Scenario does
     try:
+        if isinstance(gains_doc, dict):
+            build_pools(arrivals, n)   # an arrival past n, before the draw of j <= n arrivals
+            gains = generate(n=n, k=k, ts=ts, j=len(arrivals), total_energy=1.0,
+                             constellations=cons, seed=seed, **gen_args).gains
         return Scenario(
             n=n, k=k, ts=ts, gains=gains, arrivals=tuple(arrivals),
             constellations=cons, seed=seed,

@@ -46,7 +46,7 @@ from numpy.typing import NDArray
 
 from ._textout import emit
 from .constellations import WORKSPACE, Constellation, _gh_mmse_grid, _pairwise_mmse
-from .errors import InvalidInputError, TableBuildError, TableRangeError
+from .errors import InvalidInputError, TableBuildError, TableRangeError, _integer
 
 __all__ = ["MmseTable", "build_table", "table_for", "clear_cache"]
 
@@ -274,7 +274,7 @@ def _verify_grid(snr, mmse, label):
     """Enforce the table invariants, naming offenders on failure."""
     if abs(mmse[0] - 1.0) > 1e-9:
         raise TableBuildError(
-            f"{label}: mmse at snr=0 is {mmse[0]!r}, expected 1", indices=[0]
+            f"{label}: mmse at snr=0 is {float(mmse[0])!r}, expected 1", indices=[0]
         )
     bad = np.nonzero(np.diff(mmse) >= 0.0)[0]
     if bad.size:
@@ -305,8 +305,7 @@ def build_table(
     snr_max = float(snr_max)
     if not (math.isfinite(snr_max) and snr_max > 0.0):
         raise InvalidInputError(f"snr_max must be finite and > 0, got {snr_max!r}")
-    if n_points < 64:
-        raise InvalidInputError(f"n_points must be >= 64, got {n_points!r}")
+    n_points = _integer(n_points, "n_points", least=64)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, snr_max, n_points - 1)])
 
     if c.is_gaussian:
@@ -498,7 +497,7 @@ def table_for(
     Hits the per-process cache first, then the optional on-disk cache named
     by the MERCURYFLOW_TABLE_CACHE environment variable, then builds.
     """
-    key = c.cache_key() + (float(snr_max), int(n_points))
+    key = c.cache_key() + (float(snr_max), _integer(n_points, "n_points", least=64))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
         path = _disk_path(c, float(snr_max), int(n_points))

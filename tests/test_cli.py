@@ -171,6 +171,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "error code=2" in capsys.readouterr().err
 
 
+def test_a_gains_spec_with_no_streams_exits_2(tmp_path, capsys):
+    # the generator checks k before it draws a gain for each stream
+    cfg = {"n": 20, "k": 0, "ts_seconds": 1.0, "arrivals": [{"access": 1, "joules": 0.5}],
+           "gains": {"model": "block_random", "block_len": 4}, "constellations": [], "seed": 7}
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
+    assert 'error code=2 message="k must be >= 1, got 0"' in capsys.readouterr().err
+
+
 _SWEEP = {"params": {"n": 6, "k": 1, "ts": 1.0, "j": 2, "constellations": ["gaussian"],
                      "gain_model": "static", "seed": 4},
           "energy_grid": [0.5, 1.0]}

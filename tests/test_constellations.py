@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,29 @@ def test_validation_rejects_dc_offset():
 def test_unknown_name():
     with pytest.raises(InvalidInputError):
         cons.by_name("qam64")
+
+
+_PAIR = np.array([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cons.Constellation("gaussian", _PAIR), "gaussian constellation takes no points"),
+    (lambda: cons.Constellation("lattice", _PAIR, np.full(2, 0.5)),
+     "unknown constellation kind 'lattice'"),
+    (lambda: cons.Constellation("discrete", _PAIR, np.full(3, 1 / 3)),
+     "points and probs must be 1-D and equal length"),
+    (lambda: cons.Constellation("discrete", np.ones(1), np.ones(1)),
+     "a discrete constellation needs >= 2 points"),
+    (lambda: cons.Constellation("discrete", np.array([-1.0, np.inf]), np.full(2, 0.5)),
+     "points and probs must be finite"),
+    (lambda: cons.pam(1), "PAM order must be >= 2, got 1"),
+    (lambda: cons.pam(4.0), "PAM order must be an integer >= 2, got 4.0"),
+    (lambda: cons.by_name("xpam"), "unknown constellation name 'xpam'"),
+], ids=["gaussian-with-points", "unknown-kind", "shape-mismatch", "one-point", "non-finite-point",
+        "pam-1", "pam-float", "pam-name-not-a-number"])
+def test_constellation_input_checks(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,26 @@ def test_best_window_rejects_bad_candidates():
         ev.best_window(s, candidates=[0, 1])
     with pytest.raises(InvalidInputError):
         ev.best_window(s, candidates=[1.5, 2.9])
+
+
+_SWEPT = dict(n=4, k=1, ts=1.0, j=1, constellations=("gaussian",), seed=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: ev.evaluate_mi(s, dataclasses.replace(zero_alloc(s), powers=np.zeros((1, 2)))),
+     "allocation shape does not match the scenario"),
+    (lambda s: ev.best_window(s, []), "window candidates must not be empty"),
+    (lambda s: ev.SweepResult(np.ones(1), {"online": np.ones(1)}).dominance_gap(),
+     "dominance needs the mwflow curve"),
+    (lambda s: ev.sweep_energy(_SWEPT, [], f_w=2), "energy grid must be non-empty and positive"),
+    (lambda s: ev.sweep_energy(_SWEPT, [1.0, 0.0], f_w=2),
+     "energy grid must be non-empty and positive"),
+], ids=["evaluate-mi-shape", "best-window-no-candidates", "dominance-without-mwflow",
+        "sweep-empty-grid", "sweep-non-positive-grid"])
+def test_evaluation_input_checks(call, message):
+    s = gaussian_scenario([(1, 1.0)], n=3)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call(s)
 
 
 def test_sweep_static_channel_keeps_ordering(builtin_tables):

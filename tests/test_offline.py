@@ -772,6 +772,22 @@ def test_allocation_csv_matches_per_entry_reference(builtin_tables, alg):
     assert off.allocation_csv(s, a) == "".join(rows)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s, a, text: off.kkt_verify(s, dataclasses.replace(a, pool_water_levels=np.ones(3))),
+     "allocation pool levels do not match the pool count"),
+    (lambda s, a, text: off.allocation_from_csv(s, text.replace("sigma2", "power")),
+     "allocation CSV must have columns ['epoch', 'k', 'lambda', 'n', 'pool', 'sigma2', "
+     "'water_level'], got ['n', 'k', 'lambda', 'power', 'water_level', 'pool', 'epoch']"),
+    (lambda s, a, text: off.allocation_from_csv(s, text.replace("\n2,1,", "\n3,1,")),
+     "allocation row (3, 1) outside the scenario"),
+], ids=["kkt-pool-level-count", "csv-missing-column", "csv-row-outside"])
+def test_allocation_input_checks(call, message):
+    s = gaussian_scenario([(1, 3.0), (2, 1.0)], n=2)
+    a = off.nda_solve(s)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call(s, a, off.allocation_csv(s, a))
+
+
 def test_allocation_from_csv_rejects_incomplete():
     s = gaussian_scenario([(1, 1.0)], n=2)
     a = off.nda_solve(s)

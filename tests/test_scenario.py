@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mercuryflow import constellations as cons
+from mercuryflow import evaluation as ev
+from mercuryflow import offline as off
 from mercuryflow import scenario as scn
+from mercuryflow import tables as tbl
 from mercuryflow.errors import InvalidInputError, SchemaError
 
 
@@ -70,6 +74,8 @@ def test_generate_static_gains_are_one_block(shared):
     static = scn.generate(gain_model="static", block_len=2, **kw)
     block = scn.generate(gain_model="block_random", block_len=9, **kw)
     assert np.array_equal(static.gains, block.gains)
+    # a static model ignores block_len, even one that no block model takes
+    assert np.array_equal(scn.generate(gain_model="static", block_len=0, **kw).gains, static.gains)
 
 
 def test_generate_block_gains_change_at_block_boundaries():
@@ -269,7 +275,7 @@ _ZERO = _scenario(arrivals=((1, 0.0),))()
      "constellations[0]", "probabilities sum to"),
     (_loads(constellations=[5]), SchemaError, "constellations[0]", "name or points/probs"),
     (_loads(gains=[["a", 1.0]]), SchemaError, "gains", "number array"),
-    (_scenario(n=0, gains=np.ones((1, 0))), InvalidInputError, None, "n >= 1"),
+    (_scenario(n=0, gains=np.ones((1, 0))), InvalidInputError, None, "n must be >= 1, got 0"),
     (_scenario(gains=np.ones((1, 3))), InvalidInputError, None, "gains shape"),
     (_scenario(constellations=(cons.gaussian(),) * 2), InvalidInputError, None,
      "one constellation per stream"),
@@ -287,6 +293,71 @@ def test_scenario_input_checks_raise_typed_errors(call, error, field, match):
     with pytest.raises(error, match=match) as err:
         call()
     assert getattr(err.value, "field", None) == field
+
+
+@pytest.mark.parametrize("call, message", [
+    (_generate(k=0), "k must be >= 1, got 0"),
+    (_generate(k=-1), "k must be >= 1, got -1"),
+    (_generate(n=5.5), "n must be an integer >= 1, got 5.5"),
+    (_generate(n=np.int64(0)), "n must be >= 1, got 0"),
+    (_generate(j=2.5), "j must be an integer >= 1, got 2.5"),
+    (_generate(block_len=2.5), "block_len must be an integer >= 1, got 2.5"),
+    (_generate(seed=1.5), "seed must be an integer, got 1.5"),
+    (_generate(seed=True), "seed must be an integer, got True"),
+    (_scenario(n=2.0), "n must be an integer >= 1, got 2.0"),
+    (_scenario(arrivals=((1, 1.0), (2.5, 1.0))), "arrival access must be an integer >= 1, got 2.5"),
+    (_scenario(arrivals=((True, 1.0),)), "arrival access must be an integer >= 1, got True"),
+    (lambda: ev.complexity_ensemble([2.7], 1), "every J must be an integer >= 1, got 2.7"),
+    (lambda: ev.complexity_ensemble([True], 1), "every J must be an integer >= 1, got True"),
+    (lambda: tbl.build_table(cons.bpsk(), n_points=64.5),
+     "n_points must be an integer >= 64, got 64.5"),
+    (lambda: tbl.table_for(cons.bpsk(), n_points=64.5),
+     "n_points must be an integer >= 64, got 64.5"),
+], ids=["generate-k-0", "generate-k-negative", "generate-n-float", "generate-n-numpy-0",
+        "generate-j-float",
+        "generate-block-len-float", "generate-seed-float", "generate-seed-bool", "scenario-n-float",
+        "arrival-access-float", "arrival-access-bool", "complexity-j-float", "complexity-j-bool",
+        "build-table-n-points-float", "table-for-n-points-float"])
+def test_every_count_access_seed_and_size_is_an_integer(call, message):
+    # a float is never truncated and a bool is never 0 or 1
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_are_read_as_ints():
+    kw = dict(ts=1.0, total_energy=1.0, constellations=("bpsk", "4pam"))
+    s = scn.generate(n=np.int64(6), k=np.int32(2), j=np.int64(3), block_len=np.uint8(4),
+                     seed=np.uint64(5), **kw)
+    assert all(type(v) is int for v in (s.n, s.k, s.seed, *(e for e, _ in s.arrivals)))
+    assert s == scn.generate(n=6, k=2, j=3, block_len=4, seed=5, **kw)
+    assert scn.loads(scn.dumps(s)) == s
+
+
+_SPEC = {"model": "block_random", "block_len": 1}
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"ts_seconds": 0.0}, "ts must be finite and > 0, got 0.0"),
+    ({"arrivals": [{"access": e, "joules": 1.0} for e in (1, 2, 3)]},
+     "arrival at access 3 exceeds n = 2"),
+    ({"constellations": ["gaussian", "gaussian"]}, "need exactly one constellation per stream"),
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"gains": {"model": "rayleigh"}}, "unknown gain model 'rayleigh'"),
+    ({"gains": {**_SPEC, "block_len": 0}}, "block_len must be >= 1, got 0"),
+], ids=["ts", "arrival-past-n", "constellation-count", "k-0", "unknown-model", "block-len-0"])
+def test_a_gains_spec_fails_as_explicit_gains_do(changes, match):
+    # a gains generator spec draws inside the same SchemaError conversion as Scenario checks
+    for gains in (_DOC["gains"], _SPEC):
+        doc = {**_DOC, "seed": 1, "gains": gains, **changes}
+        with pytest.raises(SchemaError, match=f"^{re.escape(match)}$"):
+            scn.loads(json.dumps(doc))
+
+
+def test_a_constellation_name_is_not_a_constellation():
+    with pytest.raises(InvalidInputError, match=r"^stream 2's constellation must be a "
+                       r"Constellation, got 'bpsk'; constellations.by_name makes one from a name$"):
+        off.nda_solve(_scenario(k=2, gains=np.ones((2, 2)),
+                                constellations=(cons.bpsk(), "bpsk"))())
 
 
 def test_packets_whose_total_overflows_rejected():

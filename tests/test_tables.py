@@ -176,6 +176,24 @@ def test_verify_grid_names_offending_indices():
     assert 1 in err.value.indices
 
 
+@pytest.mark.parametrize("mmse, message, indices", [
+    ([0.9, 0.5, 0.4, 0.3], "synthetic: mmse at snr=0 is 0.9, expected 1", [0]),
+    ([1.0, 0.5, 0.0, -0.1], "synthetic: mmse values leave (0, 1] at indices [2, 3]", [2, 3]),
+], ids=["mmse-0-not-1", "mmse-leaves-unit-interval"])
+def test_verify_grid_input_checks(mmse, message, indices):
+    with pytest.raises(TableBuildError, match=f"^{re.escape(message)}$") as err:
+        tb._verify_grid(np.arange(4.0), np.array(mmse), "synthetic")
+    assert err.value.indices == indices
+
+
+def test_build_rejects_a_decreasing_mutual_information(monkeypatch):
+    monkeypatch.setattr(tb, "_integrate_mi", lambda grid, mmse, dmmse: -grid)
+    with pytest.raises(TableBuildError, match=r"^bpsk: mutual information decreases at "
+                       r"indices \[0, 1, 2, 3, 4, 5, 6, 7\]$") as err:
+        tb.build_table(cons.bpsk(), n_points=64)
+    assert err.value.indices[:3] == [0, 1, 2]
+
+
 def test_csv_export(builtin_tables, tmp_path):
     t = builtin_tables["4pam"]
     path = tmp_path / "t.csv"

@@ -520,6 +520,8 @@ def test_classical_wf_preserves_shape():
 
 
 def test_epoch_problem_validation(gauss):
+    with pytest.raises(InvalidInputError, match=r"^gains must be a \(streams x accesses\) matrix$"):
+        EpochProblem(gains=np.ones(2), tables=(gauss,), budget=1.0, ts=1.0)
     with pytest.raises(InvalidInputError):
         EpochProblem(gains=np.array([[0.0]]), tables=(gauss,), budget=1.0, ts=1.0)
     with pytest.raises(InvalidInputError):
