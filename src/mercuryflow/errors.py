@@ -5,6 +5,7 @@ configuration problems exit 2, numeric/range failures exit 3, and any
 other package error exits 4, the code of a failed verification.
 """
 
+import math
 import numbers
 
 
@@ -60,3 +61,16 @@ def _integer(value, name: str, least: int | None = 1) -> int:
     if least is not None and value < least:
         raise InvalidInputError(f"{name} must be >= {least}, got {value!r}")
     return value
+
+
+def _real(value, name: str, strict: bool = False) -> float:
+    """``value`` as a float, or InvalidInputError naming ``name`` unless it is a real number (a
+    numpy one too, a bool never) that is finite and > 0 (``strict``) or >= 0."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and type(value) is not bool else -1.0
+    except OverflowError:   # an int past the largest double is not finite
+        x = -1.0
+    if not 0.0 <= x < math.inf or strict and x == 0.0:
+        raise InvalidInputError(f"{name} must be finite and {'>' if strict else '>='} 0, "
+                                f"got {value!r}")
+    return x

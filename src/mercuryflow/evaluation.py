@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import InvalidInputError, _integer
+from .errors import InvalidInputError, _integer, _real
 from .offline import (
     Allocation,
     RunStats,
@@ -218,8 +218,11 @@ def sweep_energy(
     _integer(jobs, "jobs")
     if "online" in strategies:
         _integer(f_w, "f_w, the online strategy's flowing window,")
-    grid = np.asarray(list(energy_grid), dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0):
+    try:   # each energy by the real-number rule, under the grid's own message
+        grid = np.array([_real(E, "energy", strict=True) for E in energy_grid], dtype=float)
+    except InvalidInputError:
+        grid = np.empty(0)
+    if grid.size == 0:
         raise InvalidInputError("energy grid must be non-empty and positive")
     if not strategies:
         raise InvalidInputError("strategies must not be empty")
@@ -228,7 +231,7 @@ def sweep_energy(
     _generate_args(base_params, supplied=("total_energy",))
     base = generate(total_energy=1.0, **base_params)
     tasks = [
-        (i, rescale_energy(base, float(E)), tuple(strategies), f_w)
+        (i, rescale_energy(base, E), tuple(strategies), f_w)
         for i, E in enumerate(grid)
     ]
     curves = {name: np.zeros(grid.size) for name in strategies}
@@ -295,7 +298,7 @@ def complexity_ensemble(
     used = {j: params if params is not None else {
         "k": 1,
         "ts": 1.0,
-        "total_energy": float(j),
+        "total_energy": j,
         "constellations": ("gaussian",),
         "gain_model": "static",
     } for j in j_values}

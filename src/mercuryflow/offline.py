@@ -47,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import ConvergenceError, InvalidInputError, TableRangeError
+from .errors import ConvergenceError, InvalidInputError, TableRangeError, _real
 from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
 from .waterfill import EpochSolution, _classical_wfs, _Epoch, solve_epochs
@@ -357,8 +357,7 @@ def kkt_verify(
     online allocation, which has no pool levels, raises it; so does a ``tol``
     that is not finite and > 0.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidInputError(f"tol must be finite and > 0, got {tol!r}")
+    tol = _real(tol, "tol", strict=True)
     if alloc.powers.shape != (scenario.k, scenario.n):
         raise InvalidInputError(
             f"allocation shape {alloc.powers.shape} does not match scenario "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import _integer
+from .errors import _integer, _real
 from .offline import Allocation, RunStats, _ledger, _solve, stream_tables
 from .scenario import Scenario
 from .tables import MmseTable
@@ -72,7 +72,8 @@ def online_solve(
 
 
 def causal_ecc_check(scenario: Scenario, alloc: Allocation, tol: float = 1e-9):
-    """(ok, worst_violation): prefix spent <= prefix harvested at every access."""
+    """(ok, worst_violation): prefix spent <= prefix harvested at every access, to ``tol``."""
+    tol = _real(tol, "tol", strict=True)
     harvested, spent = _ledger(scenario, scenario.pools, alloc.powers)
     viol = float(np.max(spent - harvested, initial=0.0))
     return viol <= tol * max(scenario.total_energy, 1.0), viol

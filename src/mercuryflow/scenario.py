@@ -39,7 +39,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constellations import Constellation, by_name, pam
-from .errors import InvalidInputError, SchemaError, _integer
+from .errors import InvalidInputError, SchemaError, _integer, _real
 from .waterfill import _normal_gains
 
 __all__ = ["Pool", "Scenario", "build_pools", "generate", "rescale_energy", "save", "load",
@@ -114,7 +114,7 @@ class Pool:
 
 def build_pools(arrivals, n: int) -> list[Pool]:
     """Partition accesses 1..n into pools at the arrival instants."""
-    arr = [(_integer(e, "arrival access"), float(E)) for e, E in arrivals]
+    arr = [(_integer(e, "arrival access"), _real(E, "packet energy")) for e, E in arrivals]
     if not arr:
         raise InvalidInputError("need at least one energy arrival")
     if arr[0][0] != 1:
@@ -124,8 +124,6 @@ def build_pools(arrivals, n: int) -> list[Pool]:
             raise InvalidInputError("arrival accesses must be strictly increasing")
     if arr[-1][0] > n:
         raise InvalidInputError(f"arrival at access {arr[-1][0]} exceeds n = {n}")
-    if any(E < 0.0 or not math.isfinite(E) for _, E in arr):
-        raise InvalidInputError("packet energies must be finite and >= 0")
     pools = []
     for j, (e, E) in enumerate(arr):
         end = arr[j + 1][0] - 1 if j + 1 < len(arr) else n
@@ -151,8 +149,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "k", _integer(self.k, "k"))
-        if not (math.isfinite(self.ts) and self.ts > 0.0):
-            raise InvalidInputError(f"ts must be finite and > 0, got {self.ts!r}")
+        object.__setattr__(self, "ts", _real(self.ts, "ts", strict=True))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer(self.seed, "seed", least=None))
         # the scenario's own copy, read-only: the solvers rely on this check, and a
         # caller's array changed after construction cannot reach them
         g = np.array(self.gains, dtype=float)
@@ -190,7 +189,7 @@ class Scenario:
 
     @property
     def total_energy(self) -> float:
-        return float(sum(E for _, E in self.arrivals))
+        return sum(E for _, E in self.arrivals)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scenario):
@@ -230,8 +229,7 @@ def generate(
     n, k, j = _integer(n, "n"), _integer(k, "k"), _integer(j, "j")
     if j > n:
         raise InvalidInputError(f"need 1 <= j <= n, got j={j}, n={n}")
-    if total_energy < 0.0:
-        raise InvalidInputError("total_energy must be >= 0")
+    total_energy = _real(total_energy, "total_energy")
     seed = _integer(seed, "seed", least=None)
     if not 0 <= seed < 2**128:   # the Philox key range
         raise InvalidInputError(f"seed must be in 0 <= seed < 2**128, got {seed}")
@@ -277,8 +275,7 @@ def generate(
 
 def rescale_energy(s: Scenario, total_energy: float) -> Scenario:
     """Same scenario with packet energies rescaled to a new total."""
-    if total_energy < 0.0:
-        raise InvalidInputError("total_energy must be >= 0")
+    total_energy = _real(total_energy, "total_energy")
     cur = s.total_energy
     if cur == 0.0:
         raise InvalidInputError("cannot rescale a zero-energy scenario")
@@ -350,7 +347,7 @@ def _require(doc: dict, key: str, kind, where: str = ""):
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"field {path!r} must be a number", field=path)
-        return float(val)
+        return val   # as JSON gave it: the rule of the field it fills converts it
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {path!r} has the wrong type", field=path)
     return val
@@ -408,9 +405,11 @@ def loads(text: str) -> Scenario:
             constant_across_streams=_require(spec, "constant_across_streams", bool, where="gains"),
         )
     else:
-        try:
+        try:   # rows of JSON numbers (a bool or a string is none), equal in length, all doubles
+            if not all(type(v) in (int, float) for row in gains_doc for v in row):
+                raise TypeError
             gains = np.asarray(gains_doc, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError("field 'gains' must be a K x N number array", field="gains") from None
 
     # one conversion for both forms of gains: the spec's draw fails as Scenario does

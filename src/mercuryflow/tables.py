@@ -46,7 +46,7 @@ from numpy.typing import NDArray
 
 from ._textout import emit
 from .constellations import WORKSPACE, Constellation, _gh_mmse_grid, _pairwise_mmse
-from .errors import InvalidInputError, TableBuildError, TableRangeError, _integer
+from .errors import InvalidInputError, TableBuildError, TableRangeError, _integer, _real
 
 __all__ = ["MmseTable", "build_table", "table_for", "clear_cache"]
 
@@ -300,11 +300,13 @@ def build_table(
     The grid is snr = 0 plus ``n_points - 1`` log-spaced values in
     [1e-3, snr_max].  For finite constellations the stored grid ends where
     mmse reaches the positivity floor (strict monotonicity in doubles is
-    impossible past it); the requested ``snr_max`` is kept for reference.
+    impossible past it); the requested ``snr_max`` is kept for reference,
+    and must exceed the grid's first point.
     """
-    snr_max = float(snr_max)
-    if not (math.isfinite(snr_max) and snr_max > 0.0):
-        raise InvalidInputError(f"snr_max must be finite and > 0, got {snr_max!r}")
+    snr_max = _real(snr_max, "snr_max", strict=True)
+    if snr_max <= 1e-3:   # else the grid is flat or descends, and its tail cut leaves 2 points
+        raise InvalidInputError(f"snr_max must exceed 1e-3, the grid's first point, "
+                                f"got {snr_max!r}")
     n_points = _integer(n_points, "n_points", least=64)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, snr_max, n_points - 1)])
 
@@ -469,22 +471,29 @@ CACHE_ENV_VAR = "MERCURYFLOW_TABLE_CACHE"
 _TABLE_CACHE: dict[tuple, MmseTable] = {}
 
 
-def _disk_path(c: Constellation, snr_max: float, n_points: int):
+def _disk_path(c: Constellation, key: tuple):
     root = os.environ.get(CACHE_ENV_VAR)
     if not root or c.is_gaussian:
         return None
     import hashlib   # 3.6 MB of OpenSSL, loaded only when there is a cache to name
     from pathlib import Path
 
-    digest = hashlib.sha256(repr(c.cache_key() + (snr_max, n_points)).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
     return Path(root) / f"{c.label}-{digest}.npz"
 
 
 def _from_disk(c: Constellation, path, snr_max: float) -> MmseTable | None:
+    """The snapshot at ``path``, or None if there is none or it cannot be read."""
     if path is None or not path.exists():
         return None
-    with np.load(path) as z:
-        return MmseTable(constellation=c, snr_max_requested=snr_max, **{f: z[f] for f in _ARRAYS})
+    import zipfile
+
+    try:
+        with np.load(path) as z:
+            return MmseTable(constellation=c, snr_max_requested=snr_max,
+                             **{f: z[f] for f in _ARRAYS})
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None
 
 
 def table_for(
@@ -495,18 +504,23 @@ def table_for(
     """Build-or-fetch the table for a constellation.
 
     Hits the per-process cache first, then the optional on-disk cache named
-    by the MERCURYFLOW_TABLE_CACHE environment variable, then builds.
+    by the MERCURYFLOW_TABLE_CACHE environment variable, then builds; a
+    snapshot that cannot be read is a miss, and the build replaces it.
     """
-    key = c.cache_key() + (float(snr_max), _integer(n_points, "n_points", least=64))
+    snr_max = _real(snr_max, "snr_max", strict=True)
+    key = c.cache_key() + (snr_max, _integer(n_points, "n_points", least=64))
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        path = _disk_path(c, float(snr_max), int(n_points))
-        tab = _from_disk(c, path, float(snr_max))
+        path = _disk_path(c, key)
+        tab = _from_disk(c, path, snr_max)
         if tab is None:
             tab = build_table(c, snr_max=snr_max, n_points=n_points)
-            if path is not None:
+            if path is not None:   # whole or not at all: a killed writer leaves only its .part
                 path.parent.mkdir(parents=True, exist_ok=True)
-                np.savez(path, **{f: getattr(tab, f) for f in _ARRAYS})
+                part = path.with_name(f"{path.name}.{os.getpid()}.part")
+                with open(part, "wb") as fh:
+                    np.savez(fh, **{f: getattr(tab, f) for f in _ARRAYS})
+                os.replace(part, path)
         _TABLE_CACHE[key] = tab
     return tab
 

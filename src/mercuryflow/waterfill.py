@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConvergenceError, InvalidInputError, MercuryflowError, TableRangeError
+from .errors import ConvergenceError, InvalidInputError, MercuryflowError, TableRangeError, _real
 from .tables import _HALF, _MINUS_ONE, _ONE, _ZERO, MmseTable, _bank, _invert, _query
 
 __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "solve_epochs",
@@ -54,29 +54,27 @@ class EpochProblem:
     ts: float                         # symbol duration, seconds
 
     def __post_init__(self):
-        g = _checked(self.gains, self.budget, self.ts)
+        g, budget, ts = _checked(self.gains, self.budget, self.ts)
         if g.ndim != 2:
             raise InvalidInputError("gains must be a (streams x accesses) matrix")
         if len(self.tables) != g.shape[0]:
             raise InvalidInputError("need exactly one table per stream")
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "tables", tuple(self.tables))
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "ts", ts)
 
 
 # an EpochProblem's fields, unchecked: a scheduler's epoch, which its Scenario checked
 _Epoch = namedtuple("_Epoch", "gains tables budget ts")
 
 
-def _checked(gains, budget: float, ts: float) -> NDArray[np.float64]:
-    """The gains as a float array once gains, budget and ts are inside the model."""
+def _checked(gains, budget: float, ts: float) -> tuple[NDArray[np.float64], float, float]:
+    """The gains as a float array, the budget and ts as floats, once each is inside the model."""
     g = _normal_gains(gains)
     if g.size == 0:
         raise InvalidInputError("epoch has no gain entries")
-    if not math.isfinite(budget) or budget < 0.0:
-        raise InvalidInputError(f"budget must be finite and >= 0, got {budget!r}")
-    if not (math.isfinite(ts) and ts > 0.0):
-        raise InvalidInputError(f"ts must be finite and > 0, got {ts!r}")
-    return g
+    return g, _real(budget, "budget"), _real(ts, "ts", strict=True)
 
 
 def _normal_gains(gains) -> NDArray[np.float64]:
@@ -324,7 +322,8 @@ def classical_wf(gains, budget: float, ts: float = 1.0) -> EpochSolution:
     go negative stops at 0 and leaves the rest to the next step.  Energy
     still off after one step per entry raises ConvergenceError.
     """
-    return _raised(next(_classical_wfs([_checked(gains, budget, ts)], [budget], ts)))
+    g, budget, ts = _checked(gains, budget, ts)
+    return _raised(next(_classical_wfs([g], [budget], ts)))
 
 
 def _classical_wfs(gs, budgets, ts: float) -> Iterator[EpochSolution | ConvergenceError]:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -436,6 +437,33 @@ def test_infinite_snr_max_exits_2(tmp_path, capsys):
     assert run_cli(["tables", "--constellations", "bpsk", "--snr-max", "inf",
                     "--out", tmp_path]) == 2
     assert "snr_max must be finite and > 0, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr_max", [1e-3, 5e-4])
+def test_snr_max_at_or_below_the_grid_start_exits_2(tmp_path, capsys, snr_max):
+    # such a grid is flat or descends, and the tail cut left a 2-point table
+    message = f"snr_max must exceed 1e-3, the grid's first point, got {snr_max!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        tbl.build_table(cons.bpsk(), snr_max=snr_max, n_points=64)
+    assert run_cli(["tables", "--constellations", "bpsk", "--snr-max", snr_max,
+                    "--n-points", 64, "--out", tmp_path]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("field", ["ts_seconds", "joules"])
+def test_an_int_past_the_doubles_in_a_config_exits_2(scenario_config, tmp_path, capsys, field):
+    # read as an int, it fails the field's own rule as Infinity does: no OverflowError traceback
+    doc = json.loads(scenario_config.read_text())
+    if field == "ts_seconds":
+        doc["ts_seconds"] = 10**400
+    else:
+        doc["arrivals"][1]["joules"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
+    name = "ts" if field == "ts_seconds" else "packet energy"
+    assert f"error code=2 message=\"{name} must be finite and" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [-3, 2**128], ids=["negative", "2**128"])

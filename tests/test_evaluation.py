@@ -388,8 +388,17 @@ _SWEPT = dict(n=4, k=1, ts=1.0, j=1, constellations=("gaussian",), seed=1)
     (lambda s: ev.sweep_energy(_SWEPT, [], f_w=2), "energy grid must be non-empty and positive"),
     (lambda s: ev.sweep_energy(_SWEPT, [1.0, 0.0], f_w=2),
      "energy grid must be non-empty and positive"),
+    (lambda s: ev.sweep_energy(_SWEPT, [math.nan], f_w=2),
+     "energy grid must be non-empty and positive"),
+    (lambda s: ev.sweep_energy(_SWEPT, [1.0, math.inf], f_w=2),
+     "energy grid must be non-empty and positive"),
+    (lambda s: ev.sweep_energy(_SWEPT, [-math.inf], f_w=2),
+     "energy grid must be non-empty and positive"),
+    (lambda s: ev.sweep_energy(_SWEPT, [10**400], f_w=2),
+     "energy grid must be non-empty and positive"),
 ], ids=["evaluate-mi-shape", "best-window-no-candidates", "dominance-without-mwflow",
-        "sweep-empty-grid", "sweep-non-positive-grid"])
+        "sweep-empty-grid", "sweep-non-positive-grid", "sweep-nan-grid", "sweep-inf-grid",
+        "sweep-minus-inf-grid", "sweep-huge-int-grid"])
 def test_evaluation_input_checks(call, message):
     s = gaussian_scenario([(1, 1.0)], n=3)
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):

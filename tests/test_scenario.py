@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from mercuryflow import constellations as cons
 from mercuryflow import evaluation as ev
 from mercuryflow import offline as off
+from mercuryflow import online as on
 from mercuryflow import scenario as scn
 from mercuryflow import tables as tbl
+from mercuryflow import waterfill as wf
 from mercuryflow.errors import InvalidInputError, SchemaError
 
 
@@ -275,18 +278,22 @@ _ZERO = _scenario(arrivals=((1, 0.0),))()
      "constellations[0]", "probabilities sum to"),
     (_loads(constellations=[5]), SchemaError, "constellations[0]", "name or points/probs"),
     (_loads(gains=[["a", 1.0]]), SchemaError, "gains", "number array"),
+    (_loads(gains=[[True, 1.0]]), SchemaError, "gains", "number array"),
+    (_loads(gains=[["1.5", "2"]]), SchemaError, "gains", "number array"),
+    (_loads(gains=[[10**400, 1.0]]), SchemaError, "gains", "number array"),
     (_scenario(n=0, gains=np.ones((1, 0))), InvalidInputError, None, "n must be >= 1, got 0"),
     (_scenario(gains=np.ones((1, 3))), InvalidInputError, None, "gains shape"),
     (_scenario(constellations=(cons.gaussian(),) * 2), InvalidInputError, None,
      "one constellation per stream"),
     (_generate(gain_model="rayleigh"), InvalidInputError, None, "unknown gain model"),
     (_generate(block_len=0), InvalidInputError, None, "block_len must be >= 1"),
-    (lambda: scn.rescale_energy(_ZERO, -1.0), InvalidInputError, None, "must be >= 0"),
+    (lambda: scn.rescale_energy(_ZERO, -1.0), InvalidInputError, None,
+     "total_energy must be finite and >= 0, got -1.0"),
     (lambda: scn.rescale_energy(_ZERO, 1.0), InvalidInputError, None, "zero-energy"),
     (lambda: scn.build_pools([], n=3), InvalidInputError, None, "at least one energy arrival"),
 ], ids=["invalid-json", "top-level-list", "arrival-not-object", "unknown-constellation",
         "custom-no-points", "custom-no-probs", "custom-invalid", "constellation-number",
-        "non-numeric-gains", "n-below-1", "gains-shape", "constellation-count",
+        "non-numeric-gains", "bool-gains", "string-gains", "huge-int-gains", "n-below-1", "gains-shape", "constellation-count",
         "unknown-gain-model", "block-len-0", "rescale-negative", "rescale-zero-energy",
         "no-arrivals"])
 def test_scenario_input_checks_raise_typed_errors(call, error, field, match):
@@ -330,6 +337,104 @@ def test_numpy_integers_are_read_as_ints():
                      seed=np.uint64(5), **kw)
     assert all(type(v) is int for v in (s.n, s.k, s.seed, *(e for e, _ in s.arrivals)))
     assert s == scn.generate(n=6, k=2, j=3, block_len=4, seed=5, **kw)
+    assert scn.loads(scn.dumps(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# the real-number rule: every duration, energy, tolerance and table bound
+# ---------------------------------------------------------------------------
+
+_ONE = _scenario()()
+
+
+def _solved():
+    return off.nda_solve(_ONE)
+
+
+def _epoch(**changes):
+    args = dict(gains=np.ones((1, 2)), tables=(tbl.table_for(cons.gaussian()),), budget=0.5,
+                ts=1.0)
+    return lambda: wf.EpochProblem(**{**args, **changes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (_scenario(ts=True), "ts must be finite and > 0, got True"),
+    (_scenario(ts="x"), "ts must be finite and > 0, got 'x'"),
+    (_scenario(ts=10**400), f"ts must be finite and > 0, got {10**400!r}"),
+    (_scenario(arrivals=((1, True),)), "packet energy must be finite and >= 0, got True"),
+    (_scenario(seed=1.5), "seed must be an integer, got 1.5"),
+    (_generate(total_energy=math.nan), "total_energy must be finite and >= 0, got nan"),
+    (_generate(total_energy=True), "total_energy must be finite and >= 0, got True"),
+    (_generate(total_energy="x"), "total_energy must be finite and >= 0, got 'x'"),
+    (lambda: scn.rescale_energy(_ONE, math.nan), "total_energy must be finite and >= 0, got nan"),
+    (lambda: scn.rescale_energy(_ONE, True), "total_energy must be finite and >= 0, got True"),
+    (_epoch(budget=True), "budget must be finite and >= 0, got True"),
+    (_epoch(ts="x"), "ts must be finite and > 0, got 'x'"),
+    (lambda: wf.classical_wf(np.ones(3), 1.0, "x"), "ts must be finite and > 0, got 'x'"),
+    (lambda: off.kkt_verify(_ONE, _solved(), tol=True), "tol must be finite and > 0, got True"),
+    (lambda: off.kkt_verify(_ONE, _solved(), tol="x"), "tol must be finite and > 0, got 'x'"),
+    (lambda: on.causal_ecc_check(_ONE, _solved(), tol=math.nan),
+     "tol must be finite and > 0, got nan"),
+    (lambda: on.causal_ecc_check(_ONE, _solved(), tol=-1.0),
+     "tol must be finite and > 0, got -1.0"),
+    (lambda: tbl.table_for(cons.bpsk(), snr_max="x"), "snr_max must be finite and > 0, got 'x'"),
+    (lambda: tbl.build_table(cons.bpsk(), snr_max=True),
+     "snr_max must be finite and > 0, got True"),
+], ids=["scenario-ts-bool", "scenario-ts-string", "scenario-ts-huge-int", "arrival-joules-bool",
+        "scenario-seed-float", "generate-energy-nan", "generate-energy-bool",
+        "generate-energy-string", "rescale-nan", "rescale-bool", "epoch-budget-bool",
+        "epoch-ts-string", "classical-wf-ts-string", "kkt-tol-bool", "kkt-tol-string",
+        "ecc-tol-nan", "ecc-tol-negative", "table-for-snr-max-string", "build-table-snr-max-bool"])
+def test_every_duration_energy_tolerance_and_bound_is_a_real_number(call, message):
+    # a bool is never 0 or 1, a string never parsed, and an int past the doubles never finite
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+_STRATEGIES = {"nda": None, "fsa": None, "online": 5, "dwf": None, "pbp-wf": None,
+               "pbp-hgwf": None}
+
+
+def test_a_float32_symbol_duration_is_stored_as_a_float():
+    # a float32 ts kept budget / ts and the solvers' residual tests in float32 under numpy 2
+    base = scn.generate(n=40, k=2, ts=0.01, j=5, total_energy=1.0,
+                        constellations=("bpsk", "16pam"), seed=5)
+    s = dataclasses.replace(base, ts=np.float32(0.01))
+    ref = dataclasses.replace(base, ts=float(np.float32(0.01)))
+    assert type(s.ts) is float and s == ref and scn.loads(scn.dumps(s)) == s
+    for name, f_w in _STRATEGIES.items():
+        alloc = ev.run_strategy(s, name, f_w=f_w)
+        assert alloc.powers.tobytes() == ev.run_strategy(ref, name, f_w=f_w).powers.tobytes()
+        if name in ("nda", "fsa"):
+            assert off.kkt_verify(s, alloc).passed
+    tables = off.stream_tables(s)
+    problem = wf.EpochProblem(s.gains[:, :8], tables, 0.3, np.float32(0.01))
+    assert type(problem.ts) is float and type(problem.budget) is float
+    assert wf.solve_epoch(problem).powers.tobytes() == wf.solve_epoch(
+        wf.EpochProblem(s.gains[:, :8], tables, 0.3, float(np.float32(0.01)))).powers.tobytes()
+
+
+# values of each kind a caller might pass: ints, numpy ints and floats, floats, bools and
+# strings; each Scenario field either rejects one or stores what round-trips
+_KINDS = (int, np.int64, np.float32, float, bool, str)
+_SAMPLE = st.one_of(st.integers(-2, 2**70), st.integers(-2, 2**62).map(np.int64),
+                    st.floats(width=32).map(np.float32), st.floats(), st.booleans(),
+                    st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(_KINDS), ts=_SAMPLE, joules=_SAMPLE,
+       seed=st.one_of(st.none(), _SAMPLE))
+def test_scenario_fields_are_rejected_or_round_trip(kind, ts, joules, seed):
+    # n, k and the arrival's access share one kind, so each is an int in a third of the draws
+    try:
+        s = scn.Scenario(n=kind(3), k=kind(2), ts=ts, gains=np.ones((2, 3)),
+                         arrivals=((kind(1), joules),), constellations=(cons.gaussian(),) * 2,
+                         seed=seed)
+    except InvalidInputError:
+        return
+    assert type(s.ts) is float and type(s.arrivals[0][1]) is float
+    assert s.seed is None or type(s.seed) is int
     assert scn.loads(scn.dumps(s)) == s
 
 

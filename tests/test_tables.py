@@ -233,6 +233,26 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
         tb.clear_cache()
 
 
+@pytest.mark.parametrize("kept", [0.0, 0.5], ids=["empty", "half"])
+def test_a_cut_disk_snapshot_is_a_miss_and_is_replaced(tmp_path, monkeypatch, kept):
+    # np.savez wrote straight to the snapshot's path, so a killed writer left such a file
+    monkeypatch.setenv(tb.CACHE_ENV_VAR, str(tmp_path))
+    tb.clear_cache()
+    try:
+        fresh = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
+        (path,) = tmp_path.glob("*.npz")
+        whole = path.read_bytes()
+        path.write_bytes(whole[: int(kept * len(whole))])
+        tb.clear_cache()
+        again = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
+        assert all(getattr(again, f).tobytes() == getattr(fresh, f).tobytes() for f in tb._ARRAYS)
+        assert list(tmp_path.iterdir()) == [path]   # the build replaced it, and left no .part
+        with np.load(path) as z:
+            assert all(z[f].tobytes() == getattr(fresh, f).tobytes() for f in tb._ARRAYS)
+    finally:
+        tb.clear_cache()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=0.999999))
 def test_forward_of_inverse_round_trip(psi):
