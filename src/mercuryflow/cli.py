@@ -26,7 +26,7 @@ import numpy as np
 
 from . import evaluation, offline, online, scenario as scn, tables as tbl
 from .constellations import BUILTIN_NAMES, by_name
-from .errors import InvalidInputError, MercuryflowError, SchemaError, _integer
+from .errors import InvalidInputError, MercuryflowError, _integer
 
 ALGORITHMS = ("nda", "fsa", "online", "dwf", "pbp-wf", "pbp-hgwf")
 
@@ -50,11 +50,7 @@ def _load_scenario(args) -> scn.Scenario:
 
 
 def _load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be a JSON object")
-    return doc
+    return scn._json_object(Path(path).read_text(encoding="utf-8"))
 
 
 def _list_of(doc: dict, key: str, kind, where: str = "") -> list:
@@ -237,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(2, str(exc))
     except MercuryflowError as exc:
         return _fail(exc.exit_code, str(exc))

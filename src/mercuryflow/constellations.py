@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, _integer
+from .errors import InvalidInputError, _integer, _reals
 
 __all__ = [
     "Constellation",
@@ -87,16 +87,12 @@ class Constellation:
             return
         if self.kind != "discrete":
             raise InvalidInputError(f"unknown constellation kind {self.kind!r}")
-        pts = np.asarray(self.points, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
+        pts = _reals(self.points, "points", least=-math.inf)
+        pr = _reals(self.probs, "probs", strict=True)
         if pts.ndim != 1 or pr.shape != pts.shape:
             raise InvalidInputError("points and probs must be 1-D and equal length")
         if pts.size < 2:
             raise InvalidInputError("a discrete constellation needs >= 2 points")
-        if not (np.isfinite(pts).all() and np.isfinite(pr).all()):
-            raise InvalidInputError("points and probs must be finite")
-        if np.any(pr <= 0.0):
-            raise InvalidInputError("all probabilities must be > 0")
         if abs(pr.sum() - 1.0) > 1e-12:
             raise InvalidInputError(f"probabilities sum to {float(pr.sum())!r}, not 1")
         order = np.argsort(pts)

@@ -8,6 +8,10 @@ other package error exits 4, the code of a failed verification.
 import math
 import numbers
 
+import numpy as np
+
+NORMAL_MIN = float(np.finfo(float).tiny)   # the smallest normal double: 1/gain stays finite
+
 
 class MercuryflowError(Exception):
     """Base class for all package-specific errors."""
@@ -71,6 +75,25 @@ def _real(value, name: str, strict: bool = False) -> float:
     except OverflowError:   # an int past the largest double is not finite
         x = -1.0
     if not 0.0 <= x < math.inf or strict and x == 0.0:
-        raise InvalidInputError(f"{name} must be finite and {'>' if strict else '>='} 0, "
-                                f"got {value!r}")
+        raise _outside(name, strict, 0, value)
     return x
+
+
+def _reals(value, name: str, strict: bool = False, least: float = 0) -> np.ndarray:
+    """``value`` as a float array whose entries :func:`_real` reads as reals, each finite and
+    > ``least`` (``strict``) or >= ``least``, else InvalidInputError naming the first outside."""
+    try:   # a ragged list raises ValueError, an int past the largest double OverflowError
+        x = np.asarray(value)
+        x = x.astype(float, copy=False) if x.dtype.kind in "iuf" or x.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) and type(v) is not bool for v in x.flat) else None
+    except (ValueError, OverflowError):
+        x = None
+    ok = None if x is None else np.isfinite(x) & (x > least if strict else x >= least)
+    if ok is None or not ok.all():
+        raise _outside(name, strict, least, value if ok is None else x[~ok][0].item())
+    return x
+
+
+def _outside(name: str, strict: bool, least: float, value) -> InvalidInputError:
+    return InvalidInputError(f"{name} must be finite and {'>' if strict else '>='} {least!r}, "
+                             f"got {value!r}")

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import ConvergenceError, InvalidInputError, TableRangeError, _real
+from .errors import ConvergenceError, InvalidInputError, TableRangeError, _real, _reals
 from .scenario import Pool, Scenario, build_pools
 from .tables import MmseTable, table_for
 from .waterfill import EpochSolution, _classical_wfs, _Epoch, solve_epochs
@@ -266,7 +266,7 @@ def fsa_solve(
         raise InvalidInputError(
             f"ecc_oracle must give {n_pools - 1} boundary verdicts, got {len(ecc_oracle)}"
         )
-    slack = 1e-9 * max(scenario.total_energy, 1.0)
+    slack = 1e-9 * scenario.total_energy
     stats = RunStats()
     groups: list[Sequence[Pool]] = []
     sols: list[_Solved] = []
@@ -351,11 +351,11 @@ def kkt_verify(
     (1) stationarity: active streams satisfy W * lam * mmse(lam * power) = 1
     to ``tol`` relative, inactive streams satisfy W * lam <= 1 + tol;
     (2) cumulative energy causality at every pool boundary, with an empty
-    battery at the end; (3) water levels non-decreasing across pools;
-    (4) level increases only where the battery emptied.  Pool levels must
-    be finite, and powers finite and >= 0, else InvalidInputError: an
-    online allocation, which has no pool levels, raises it; so does a ``tol``
-    that is not finite and > 0.
+    battery at the end, to ``tol`` times the total energy; (3) water levels
+    non-decreasing across pools; (4) level increases only where the battery
+    emptied.  Pool levels must be finite and >= 0, and powers finite and
+    >= 0, else InvalidInputError: an online allocation, which has no pool
+    levels, raises it; so does a ``tol`` that is not finite and > 0.
     """
     tol = _real(tol, "tol", strict=True)
     if alloc.powers.shape != (scenario.k, scenario.n):
@@ -367,10 +367,7 @@ def kkt_verify(
     pools = scenario.pools
     if alloc.pool_water_levels.shape != (len(pools),):
         raise InvalidInputError("allocation pool levels do not match the pool count")
-    if not np.all(np.isfinite(alloc.pool_water_levels)):
-        raise InvalidInputError(
-            "allocation pool levels must be finite; an online allocation has none"
-        )
+    _reals(alloc.pool_water_levels, "pool water levels (an online allocation has none)")
     bad = ~(np.isfinite(alloc.powers) & (alloc.powers >= 0.0))
     if bad.any():
         n, k = np.argwhere(bad.T)[0].tolist()
@@ -399,7 +396,7 @@ def kkt_verify(
         msgs.append(f"stationarity: max residual {max_resid:.3e} > tol {tol:.1e}")
 
     # (2) energy causality, terminal empty battery
-    scale = max(scenario.total_energy, 1.0)
+    scale = scenario.total_energy
     harvested, spent = _ledger(scenario, pools, alloc.powers)
     ends = [p.end - 1 for p in pools]
     batteries = harvested[ends] - spent[ends]

@@ -72,8 +72,8 @@ def online_solve(
 
 
 def causal_ecc_check(scenario: Scenario, alloc: Allocation, tol: float = 1e-9):
-    """(ok, worst_violation): prefix spent <= prefix harvested at every access, to ``tol``."""
+    """(ok, worst_violation): at every access, prefix spent <= prefix harvested + tol * total."""
     tol = _real(tol, "tol", strict=True)
     harvested, spent = _ledger(scenario, scenario.pools, alloc.powers)
     viol = float(np.max(spent - harvested, initial=0.0))
-    return viol <= tol * max(scenario.total_energy, 1.0), viol
+    return viol <= tol * scenario.total_energy, viol

@@ -39,8 +39,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constellations import Constellation, by_name, pam
-from .errors import InvalidInputError, SchemaError, _integer, _real
-from .waterfill import _normal_gains
+from .errors import NORMAL_MIN, InvalidInputError, SchemaError, _integer, _real, _reals
 
 __all__ = ["Pool", "Scenario", "build_pools", "generate", "rescale_energy", "save", "load",
            "loads", "dumps"]
@@ -154,12 +153,11 @@ class Scenario:
             object.__setattr__(self, "seed", _integer(self.seed, "seed", least=None))
         # the scenario's own copy, read-only: the solvers rely on this check, and a
         # caller's array changed after construction cannot reach them
-        g = np.array(self.gains, dtype=float)
+        g = _reals(self.gains, "gains", least=NORMAL_MIN).copy()
         if g.shape != (self.k, self.n):
             raise InvalidInputError(
                 f"gains shape {g.shape} does not match (k, n) = {(self.k, self.n)}"
             )
-        _normal_gains(g)
         g.flags.writeable = False
         object.__setattr__(self, "gains", g)
         pools = tuple(build_pools(self.arrivals, self.n))
@@ -307,12 +305,8 @@ def _constellation_from_json(obj, where: str) -> Constellation:
             if key not in obj:
                 raise SchemaError(f"missing {where}.{key}", field=f"{where}.{key}")
         try:
-            return Constellation(
-                "discrete",
-                np.asarray(obj["points"], dtype=float),
-                np.asarray(obj["probs"], dtype=float),
-                label=obj.get("label", ""),
-            )
+            return Constellation("discrete", obj["points"], obj["probs"],
+                                 label=obj.get("label", ""))
         except InvalidInputError as exc:
             raise SchemaError(f"{where}: {exc}", field=where) from None
     raise SchemaError(f"{where} must be a name or points/probs object", field=where)
@@ -367,13 +361,19 @@ def _generate_args(params: dict, supplied: tuple[str, ...], optional: tuple[str,
     return args
 
 
-def loads(text: str) -> Scenario:
+def _json_object(text: str) -> dict:
+    """``text`` as one JSON object, else SchemaError (an int past Python's digit limit too)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
+    return doc
+
+
+def loads(text: str) -> Scenario:
+    doc = _json_object(text)
     n = _require(doc, "n", int)
     k = _require(doc, "k", int)
     ts = _require(doc, "ts_seconds", float)

@@ -46,7 +46,7 @@ from numpy.typing import NDArray
 
 from ._textout import emit
 from .constellations import WORKSPACE, Constellation, _gh_mmse_grid, _pairwise_mmse
-from .errors import InvalidInputError, TableBuildError, TableRangeError, _integer, _real
+from .errors import InvalidInputError, TableBuildError, TableRangeError, _integer, _real, _reals
 
 __all__ = ["MmseTable", "build_table", "table_for", "clear_cache"]
 
@@ -66,19 +66,12 @@ _ARRAYS = ("snr_grid", "mmse_values", "mi_values", "log_mmse", "dlog_mmse")
 
 
 def _query(name: str, strict: bool):
-    """Decorate a map of ``(obj, x, ...)`` with the one query check.
-
-    ``x`` must be finite and > 0 (``strict``) or >= 0, else
-    :class:`InvalidInputError` names it; the map gets it as a 1-d float
-    array, and a scalar ``x`` gets a float back.
-    """
+    """Decorate a map of ``(obj, x, ...)`` with the array rule ``errors._reals``: the map gets
+    ``x`` as a 1-d float array, and a scalar ``x`` gets a float back."""
     def deco(fn):
         @functools.wraps(fn)
         def checked(obj, x, *rest, **kw):
-            v = np.atleast_1d(np.asarray(x, dtype=float))
-            if not np.all(np.isfinite(v)) or np.any(v <= 0.0 if strict else v < 0.0):
-                raise InvalidInputError(f"{name} must be finite and {'>' if strict else '>='} 0")
-            out = fn(obj, v, *rest, **kw)
+            out = fn(obj, np.atleast_1d(_reals(x, name, strict)), *rest, **kw)
             return float(out[0]) if np.isscalar(x) else out
         return checked
     return deco

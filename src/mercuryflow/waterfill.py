@@ -33,7 +33,8 @@ from itertools import accumulate
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConvergenceError, InvalidInputError, MercuryflowError, TableRangeError, _real
+from .errors import (NORMAL_MIN, ConvergenceError, InvalidInputError, MercuryflowError,
+                     TableRangeError, _real, _reals)
 from .tables import _HALF, _MINUS_ONE, _ONE, _ZERO, MmseTable, _bank, _invert, _query
 
 __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "solve_epochs",
@@ -41,7 +42,6 @@ __all__ = ["EpochProblem", "EpochSolution", "power_at_level", "solve_epoch", "so
 
 ENERGY_RTOL = 1e-9
 MAX_ITER = 200
-_GAIN_MIN = float(np.finfo(float).tiny)   # the smallest normal double, so 1/gain is finite
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,10 @@ _Epoch = namedtuple("_Epoch", "gains tables budget ts")
 
 def _checked(gains, budget: float, ts: float) -> tuple[NDArray[np.float64], float, float]:
     """The gains as a float array, the budget and ts as floats, once each is inside the model."""
-    g = _normal_gains(gains)
+    g = _reals(gains, "gains", least=NORMAL_MIN)
     if g.size == 0:
         raise InvalidInputError("epoch has no gain entries")
     return g, _real(budget, "budget"), _real(ts, "ts", strict=True)
-
-
-def _normal_gains(gains) -> NDArray[np.float64]:
-    """The gains as a float array once each is finite and normal; Scenario applies it too."""
-    g = np.asarray(gains, dtype=float)
-    if not (np.isfinite(g) & (g >= _GAIN_MIN)).all():
-        raise InvalidInputError(f"all gains must be finite and >= {_GAIN_MIN!r} (normal doubles)")
-    return g
 
 
 @dataclass(frozen=True)
@@ -103,10 +95,8 @@ def power_at_level(table: MmseTable, lam, level):
     one-stream map: :func:`solve_epochs` does not call it, but at a level
     that spends an epoch's budget it gives that solver's powers bit for bit.
     """
-    if not np.all(np.isfinite(level) & (np.asarray(level) >= 0.0)):
-        raise InvalidInputError(f"water level must be finite and >= 0, got {level!r}")
     # min(1/(level*lam), 1) to the bit, with no division by a zero level
-    return table.mmse_inverse(1.0 / np.maximum(level * lam, 1.0)) / lam
+    return table.mmse_inverse(1.0 / np.maximum(_reals(level, "water level") * lam, 1.0)) / lam
 
 
 def _evaluate(bank, rows, lam, level, at=None):

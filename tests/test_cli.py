@@ -466,6 +466,31 @@ def test_an_int_past_the_doubles_in_a_config_exits_2(scenario_config, tmp_path, 
     assert f"error code=2 message=\"{name} must be finite and" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", [["a", "b"], [[1.0], [1.0, 2.0]], {"x": 1}, "ab", [True, True]],
+                         ids=["strings", "ragged", "object", "string", "bools"])
+def test_custom_constellation_points_that_are_not_numbers_exit_2(scenario_config, tmp_path,
+                                                                 capsys, points):
+    doc = json.loads(scenario_config.read_text())
+    doc["constellations"] = [{"points": points, "probs": [0.5, 0.5]}]
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "error code=2" in err and "points must be finite and >= -inf, got" in err
+
+
+def test_a_json_integer_past_the_digit_limit_exits_2(scenario_config, tmp_path, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, past Python's 4300-digit limit
+    doc = json.loads(scenario_config.read_text())
+    doc["ts_seconds"] = "huge"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"huge"', "1" + "0" * 5000))
+    with pytest.raises(SchemaError):
+        scn.load(path)
+    assert run_cli(["run", "--alg", "nda", "--config", path, "--out", tmp_path]) == 2
+    assert "error code=2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [-3, 2**128], ids=["negative", "2**128"])
 def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, seed):
     with pytest.raises(InvalidInputError, match="seed must be in 0 <= seed < 2"):

@@ -73,7 +73,7 @@ _PAIR = np.array([-1.0, 1.0])
     (lambda: cons.Constellation("discrete", np.ones(1), np.ones(1)),
      "a discrete constellation needs >= 2 points"),
     (lambda: cons.Constellation("discrete", np.array([-1.0, np.inf]), np.full(2, 0.5)),
-     "points and probs must be finite"),
+     "points must be finite and >= -inf, got inf"),
     (lambda: cons.pam(1), "PAM order must be >= 2, got 1"),
     (lambda: cons.pam(4.0), "PAM order must be an integer >= 2, got 4.0"),
     (lambda: cons.by_name("xpam"), "unknown constellation name 'xpam'"),

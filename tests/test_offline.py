@@ -588,10 +588,27 @@ def test_kkt_ecc_violation_equals_causal_check():
     assert worst == report.ecc_max_violation > 0.0
 
 
+@pytest.mark.parametrize("seed", [2, 4, 39])
+def test_energy_tolerances_scale_with_a_total_below_one_joule(seed):
+    # at a 1e-12 J total, a 1e-9 J floor on the slack let FSA keep one epoch that spends energy
+    # before it arrives, and kkt_verify and causal_ecc_check, floored at 1 J, passed it
+    base = scn.generate(n=12, k=2, ts=1.0, j=4, total_energy=1.0,
+                        constellations=("bpsk", "4pam"), seed=seed)
+    s = scn.rescale_energy(base, 1e-12)
+    nda, fsa = off.nda_solve(s), off.fsa_solve(s)
+    assert np.max(np.abs(fsa.powers - nda.powers)) <= 1e-6 * np.max(nda.powers)
+    assert off.kkt_verify(s, fsa).passed and onl.causal_ecc_check(s, fsa)[0]
+    one = wf.solve_epoch(wf.EpochProblem(s.gains, off.stream_tables(s), s.total_energy, s.ts))
+    levels = np.full(s.n_arrivals, one.water_level)
+    whole = off.Allocation(one.powers, levels, np.full(s.n, one.water_level),
+                           np.ones(s.n_arrivals, dtype=np.int64), ())
+    assert not off.kkt_verify(s, whole).ecc_ok and not onl.causal_ecc_check(s, whole)[0]
+
+
 def _battery_reference(s, a, tol):
     """Checks (2)-(4) and the causal check as per-pool and per-arrival loops."""
     pools = off.build_pools(s.arrivals, s.n)
-    scale = max(s.total_energy, 1.0)
+    scale = s.total_energy
     cum_spent = np.cumsum(s.ts * a.powers.sum(axis=0))
     msgs, batteries, max_viol, avail = [], [], 0.0, 0.0
     for pool in pools:

@@ -391,6 +391,53 @@ def test_every_duration_energy_tolerance_and_bound_is_a_real_number(call, messag
         call()
 
 
+_GAUSS = tbl.table_for(cons.gaussian())
+_NORMAL = "gains must be finite and >= 2.2250738585072014e-308, got"
+
+
+@pytest.mark.parametrize("call, message", [
+    (_scenario(gains=[["x", 1.0]]), f"{_NORMAL} [['x', 1.0]]"),
+    (_scenario(k=2, gains=[[1.0], [1.0, 2.0]]), f"{_NORMAL} [[1.0], [1.0, 2.0]]"),
+    (_scenario(gains=[[True, True]]), f"{_NORMAL} [[True, True]]"),
+    (_scenario(gains=np.array([[1.0, math.nan]])), f"{_NORMAL} nan"),
+    (_scenario(gains=[[10**400, 1.0]]), f"{_NORMAL} [[{10**400}, 1.0]]"),
+    (lambda: cons.Constellation("discrete", ["a", "b"], [0.5, 0.5]),
+     "points must be finite and >= -inf, got ['a', 'b']"),
+    (lambda: cons.Constellation("discrete", [-1.0, 1.0], [True, True]),
+     "probs must be finite and > 0, got [True, True]"),
+    (lambda: cons.Constellation("discrete", [-1.0, 1.0], "ab"),
+     "probs must be finite and > 0, got 'ab'"),
+    (lambda: cons.Constellation("discrete", {"x": 1}, [0.5, 0.5]),
+     "points must be finite and >= -inf, got {'x': 1}"),
+    (lambda: _GAUSS.mmse_at("x"), "snr must be finite and >= 0, got 'x'"),
+    (lambda: _GAUSS.mmse_at("1.5"), "snr must be finite and >= 0, got '1.5'"),
+    (lambda: _GAUSS.mmse_at(True), "snr must be finite and >= 0, got True"),
+    (lambda: _GAUSS.mmse_inverse(np.array([True])),
+     "psi must be finite and > 0, got array([ True])"),
+    (lambda: wf.power_at_level(_GAUSS, 1.0, "x"), "water level must be finite and >= 0, got 'x'"),
+    (lambda: wf.power_at_level(_GAUSS, 1.0, None),
+     "water level must be finite and >= 0, got None"),
+    (lambda: wf.power_at_level(_GAUSS, 1.0, [1.0, math.nan]),
+     "water level must be finite and >= 0, got nan"),
+    (_epoch(gains=[["x"]]), f"{_NORMAL} [['x']]"),
+    (lambda: wf.classical_wf(["x"], 1.0), f"{_NORMAL} ['x']"),
+    (lambda: wf.classical_wf([True, True], 1.0), f"{_NORMAL} [True, True]"),
+], ids=["scenario-gains-string", "scenario-gains-ragged", "scenario-gains-bool",
+        "scenario-gains-nan", "scenario-gains-huge-int", "points-strings", "probs-bool", "probs-string", "points-dict",
+        "mmse-at-string", "mmse-at-numeric-string", "mmse-at-bool", "mmse-inverse-bool-array",
+        "level-string", "level-none", "level-nan", "epoch-gains-string", "classical-wf-string",
+        "classical-wf-bool"])
+def test_every_gain_point_prob_query_and_level_array_holds_real_numbers(call, message):
+    # the one array rule: a bool array, a string, a ragged list, a dict or None never converts
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_the_array_rule_reads_an_int_past_int64_as_the_scalar_rule_does():
+    # numpy holds such ints as objects; each converts as _real converts it
+    assert _scenario(gains=[[2**70, 1.0]])().gains.tolist() == [[2.0**70, 1.0]]
+
+
 _STRATEGIES = {"nda": None, "fsa": None, "online": 5, "dwf": None, "pbp-wf": None,
                "pbp-hgwf": None}
 

@@ -81,7 +81,8 @@ def test_query_check_rejects_and_shapes(builtin_tables, name, label):
     t = builtin_tables[label]
     for bad in [math.nan, math.inf, -math.inf, *out_of_range]:
         for x in (bad, np.array([0.5, bad])):
-            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            exact = f"^{re.escape(f'{message}, got {bad!r}')}$"   # the first entry outside
+            with pytest.raises(InvalidInputError, match=exact):
                 fn(t, x)
     assert type(fn(t, 0.5)) is float
     out = fn(t, np.array([0.5, 0.7]))
