@@ -6,7 +6,8 @@ other package error exits 4, the code of a failed verification.
 """
 
 import math
-import numbers
+import reprlib
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class ConvergenceError(MercuryflowError):
 def _integer(value, name: str, least: int | None = 1) -> int:
     """``value`` as an int, or InvalidInputError naming ``name`` unless it is an integer (a
     numpy one too, a bool never) and, for a ``least`` that is not None, at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, Integral):
         bound = "" if least is None else f" >= {least}"
         raise InvalidInputError(f"{name} must be an integer{bound}, got {value!r}")
     value = int(value)
@@ -67,33 +68,49 @@ def _integer(value, name: str, least: int | None = 1) -> int:
     return value
 
 
-def _real(value, name: str, strict: bool = False) -> float:
-    """``value`` as a float, or InvalidInputError naming ``name`` unless it is a real number (a
-    numpy one too, a bool never) that is finite and > 0 (``strict``) or >= 0."""
+def _float(value) -> float:
+    """The one definition of a real input's value: a number (a numpy one too, a bool never) as a
+    float; anything else, and an int past the largest double, NaN, which no bound admits."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) and type(value) is not bool else -1.0
-    except OverflowError:   # an int past the largest double is not finite
-        x = -1.0
-    if not 0.0 <= x < math.inf or strict and x == 0.0:
+        return float(value) if isinstance(value, Real) and type(value) is not bool else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _real(value, name: str, strict: bool = False) -> float:
+    """``value`` as a float, or InvalidInputError naming ``name`` unless it is one real input
+    inside the bound 0: :func:`_reals` of a value that is not a sequence."""
+    if isinstance(value, (list, tuple, np.ndarray)):
         raise _outside(name, strict, 0, value)
-    return x
+    return float(_reals(value, name, strict))
 
 
 def _reals(value, name: str, strict: bool = False, least: float = 0) -> np.ndarray:
-    """``value`` as a float array whose entries :func:`_real` reads as reals, each finite and
-    > ``least`` (``strict``) or >= ``least``, else InvalidInputError naming the first outside."""
-    try:   # a ragged list raises ValueError, an int past the largest double OverflowError
-        x = np.asarray(value)
-        x = x.astype(float, copy=False) if x.dtype.kind in "iuf" or x.dtype.kind == "O" and all(
-            isinstance(v, numbers.Real) and type(v) is not bool for v in x.flat) else None
-    except (ValueError, OverflowError):
-        x = None
-    ok = None if x is None else np.isfinite(x) & (x > least if strict else x >= least)
-    if ok is None or not ok.all():
-        raise _outside(name, strict, least, value if ok is None else x[~ok][0].item())
+    """``value`` as a float array of real inputs (:func:`_float`), each finite and > ``least``
+    or, unless ``strict``, equal to it; else InvalidInputError naming ``name`` and quoting the
+    first entry outside.  A list, a tuple or an object array is read entry by entry, so no bool
+    converts; a numpy int or float array, a Python int or float at once."""
+    try:   # numpy holds a ragged list as objects, or raises ValueError
+        x = np.array(value, dtype=object) if isinstance(value, (list, tuple)) else np.asarray(value)
+    except ValueError:
+        raise _outside(name, strict, least, value) from None
+    if x.dtype.kind in "iuf":
+        entries, x = x, x.astype(float, copy=False)
+    elif x.dtype.kind == "O":
+        entries, x = x, np.array([_float(v) for v in x.flat]).reshape(x.shape)
+    else:   # a bool or a string array
+        raise _outside(name, strict, least, value)
+    ok = np.isfinite(x) & (x > least if strict else x >= least)
+    if not ok.all():   # a sequence as an entry: the value is ragged, so it is quoted itself
+        bad = entries[~ok].tolist()[0]
+        ragged = isinstance(bad, (list, tuple, np.ndarray))
+        raise _outside(name, strict, least, value if ragged else bad)
     return x
 
 
 def _outside(name: str, strict: bool, least: float, value) -> InvalidInputError:
+    """The rule's error: a number is quoted whole, as Python's, anything else bounded."""
+    value = value.item() if isinstance(value, np.generic) else value
+    quoted = repr(value) if isinstance(value, Real) else reprlib.repr(value)
     return InvalidInputError(f"{name} must be finite and {'>' if strict else '>='} {least!r}, "
-                             f"got {value!r}")
+                             f"got {quoted}")

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._textout import emit
-from .errors import InvalidInputError, _integer, _real
+from .errors import InvalidInputError, _integer, _reals
 from .offline import (
     Allocation,
     RunStats,
@@ -218,11 +218,11 @@ def sweep_energy(
     _integer(jobs, "jobs")
     if "online" in strategies:
         _integer(f_w, "f_w, the online strategy's flowing window,")
-    try:   # each energy by the real-number rule, under the grid's own message
-        grid = np.array([_real(E, "energy", strict=True) for E in energy_grid], dtype=float)
+    try:   # the energies by the real-number rule, under the grid's own message
+        grid = _reals(energy_grid, "energy", strict=True)
     except InvalidInputError:
         grid = np.empty(0)
-    if grid.size == 0:
+    if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("energy grid must be non-empty and positive")
     if not strategies:
         raise InvalidInputError("strategies must not be empty")

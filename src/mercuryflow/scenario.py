@@ -113,21 +113,20 @@ class Pool:
 
 def build_pools(arrivals, n: int) -> list[Pool]:
     """Partition accesses 1..n into pools at the arrival instants."""
-    arr = [(_integer(e, "arrival access"), _real(E, "packet energy")) for e, E in arrivals]
-    if not arr:
+    arrivals = list(arrivals)
+    starts = [_integer(e, "arrival access") for e, _ in arrivals]
+    energies = _reals([E for _, E in arrivals], "packet energy").tolist()
+    if not starts:
         raise InvalidInputError("need at least one energy arrival")
-    if arr[0][0] != 1:
+    if starts[0] != 1:
         raise InvalidInputError("first arrival must be at access 1 (initial battery)")
-    for (e0, _), (e1, _) in zip(arr, arr[1:]):
-        if e1 <= e0:
-            raise InvalidInputError("arrival accesses must be strictly increasing")
-    if arr[-1][0] > n:
-        raise InvalidInputError(f"arrival at access {arr[-1][0]} exceeds n = {n}")
-    pools = []
-    for j, (e, E) in enumerate(arr):
-        end = arr[j + 1][0] - 1 if j + 1 < len(arr) else n
-        pools.append(Pool(index=j + 1, start=e, end=end, energy=E))
-    return pools
+    if any(e1 <= e0 for e0, e1 in zip(starts, starts[1:])):
+        raise InvalidInputError("arrival accesses must be strictly increasing")
+    if starts[-1] > n:
+        raise InvalidInputError(f"arrival at access {starts[-1]} exceeds n = {n}")
+    ends = [e - 1 for e in starts[1:]] + [n]
+    return [Pool(index=j, start=e, end=end, energy=E)
+            for j, (e, end, E) in enumerate(zip(starts, ends, energies), 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,11 +405,10 @@ def loads(text: str) -> Scenario:
         )
     else:
         try:   # rows of JSON numbers (a bool or a string is none), equal in length, all doubles
-            if not all(type(v) in (int, float) for row in gains_doc for v in row):
-                raise TypeError
-            gains = np.asarray(gains_doc, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError("field 'gains' must be a K x N number array", field="gains") from None
+            gains = _reals(gains_doc, "gains", least=-math.inf)
+        except InvalidInputError as exc:
+            raise SchemaError(f"field 'gains' must be a K x N number array: {exc}",
+                              field="gains") from None
 
     # one conversion for both forms of gains: the spec's draw fails as Scenario does
     try:

@@ -176,6 +176,7 @@ class _Search:
         self.k_cap = caps.index(self.cap)
         self.lo, self.hi = lo, min(self.cap, top)
         self.spent_lo, self.spent_hi = 0.0, math.inf
+        self.hi_open = True   # hi not yet evaluated: a spent energy of inf is no such sign
         self.powers_lo = self.rates_lo = self.rates_hi = np.zeros(problem.gains.size)
         self.x = min(x, self.hi)
         self.evals = 0
@@ -204,10 +205,9 @@ class _Search:
             self.spent_lo, self.powers_lo, self.rates_lo = spent, powers, rates
         else:
             hi = self.hi = x
-            self.spent_hi, self.rates_hi = spent, rates
-        hi_open = self.spent_hi == math.inf
-        self.x = _next_level(x, spent - budget, slope, lo, hi, hi_open)
-        if not (lo < self.x < hi or (self.x == hi and hi_open)):
+            self.spent_hi, self.rates_hi, self.hi_open = spent, rates, False
+        self.x = _next_level(x, spent - budget, slope, lo, hi, self.hi_open)
+        if not (lo < self.x < hi or (self.x == hi and self.hi_open)):
             # the bracket holds no double between its ends: report the end
             # with active entries nearest the budget, and step the powers
             # at lo along their slopes (those at hi if none is active at lo)
@@ -339,14 +339,12 @@ def _classical_wfs(gs, budgets, ts: float) -> Iterator[EpochSolution | Convergen
 
 def _wf_levels(floors, sizes: list[int], targets):
     """Each problem's Gaussian level spending its target above its floors 1/g; its least floor."""
-    if len(set(sizes)) > 1:   # one 2-D pass per size
-        out, each = np.empty((2, len(sizes))), np.array(sizes)
-        for n in set(sizes):
-            of = each == n
-            out[0, of], out[1, of] = _wf_levels(floors[of.repeat(each)], [n], targets[of])
-        return out
+    if len(set(sizes)) > 1:   # rows padded to the longest with +inf, a floor no level is above
+        rows = np.full((len(sizes), max(sizes)), math.inf)
+        rows[np.arange(rows.shape[1]) < np.array(sizes)[:, None]] = floors
+        floors = rows
     # each row sorted in place and summed in order: the bytes of a pass over its problem alone
-    floors = floors.reshape(-1, sizes[0])
+    floors = floors.reshape(len(sizes), -1)
     floors.sort(axis=1)
     ranks = np.arange(1.0, floors.shape[1] + 1.0)
     levels = (np.add.accumulate(floors, axis=1) + targets[:, None]) / ranks

@@ -466,8 +466,9 @@ def test_an_int_past_the_doubles_in_a_config_exits_2(scenario_config, tmp_path, 
     assert f"error code=2 message=\"{name} must be finite and" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("points", [["a", "b"], [[1.0], [1.0, 2.0]], {"x": 1}, "ab", [True, True]],
-                         ids=["strings", "ragged", "object", "string", "bools"])
+@pytest.mark.parametrize("points", [["a", "b"], [[1.0], [1.0, 2.0]], {"x": 1}, "ab", [True, True],
+                                    [True, -1.0]],
+                         ids=["strings", "ragged", "object", "string", "bools", "bool-and-number"])
 def test_custom_constellation_points_that_are_not_numbers_exit_2(scenario_config, tmp_path,
                                                                  capsys, points):
     doc = json.loads(scenario_config.read_text())

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mercuryflow import constellations as cons
+from mercuryflow import errors
 from mercuryflow import evaluation as ev
 from mercuryflow import offline as off
 from mercuryflow import online as on
@@ -396,15 +397,15 @@ _NORMAL = "gains must be finite and >= 2.2250738585072014e-308, got"
 
 
 @pytest.mark.parametrize("call, message", [
-    (_scenario(gains=[["x", 1.0]]), f"{_NORMAL} [['x', 1.0]]"),
+    (_scenario(gains=[["x", 1.0]]), f"{_NORMAL} 'x'"),
     (_scenario(k=2, gains=[[1.0], [1.0, 2.0]]), f"{_NORMAL} [[1.0], [1.0, 2.0]]"),
-    (_scenario(gains=[[True, True]]), f"{_NORMAL} [[True, True]]"),
+    (_scenario(gains=[[True, True]]), f"{_NORMAL} True"),
     (_scenario(gains=np.array([[1.0, math.nan]])), f"{_NORMAL} nan"),
-    (_scenario(gains=[[10**400, 1.0]]), f"{_NORMAL} [[{10**400}, 1.0]]"),
+    (_scenario(gains=[[10**400, 1.0]]), f"{_NORMAL} {10**400}"),
     (lambda: cons.Constellation("discrete", ["a", "b"], [0.5, 0.5]),
-     "points must be finite and >= -inf, got ['a', 'b']"),
+     "points must be finite and >= -inf, got 'a'"),
     (lambda: cons.Constellation("discrete", [-1.0, 1.0], [True, True]),
-     "probs must be finite and > 0, got [True, True]"),
+     "probs must be finite and > 0, got True"),
     (lambda: cons.Constellation("discrete", [-1.0, 1.0], "ab"),
      "probs must be finite and > 0, got 'ab'"),
     (lambda: cons.Constellation("discrete", {"x": 1}, [0.5, 0.5]),
@@ -419,14 +420,24 @@ _NORMAL = "gains must be finite and >= 2.2250738585072014e-308, got"
      "water level must be finite and >= 0, got None"),
     (lambda: wf.power_at_level(_GAUSS, 1.0, [1.0, math.nan]),
      "water level must be finite and >= 0, got nan"),
-    (_epoch(gains=[["x"]]), f"{_NORMAL} [['x']]"),
-    (lambda: wf.classical_wf(["x"], 1.0), f"{_NORMAL} ['x']"),
-    (lambda: wf.classical_wf([True, True], 1.0), f"{_NORMAL} [True, True]"),
+    (_epoch(gains=[["x"]]), f"{_NORMAL} 'x'"),
+    (lambda: wf.classical_wf(["x"], 1.0), f"{_NORMAL} 'x'"),
+    (lambda: wf.classical_wf([True, True], 1.0), f"{_NORMAL} True"),
+    # numpy reads a list that mixes bools with numbers as floats; the rule reads it by entry
+    (lambda: cons.Constellation("discrete", [True, -1.0], [0.5, 0.5]),
+     "points must be finite and >= -inf, got True"),
+    (_scenario(gains=[[True, 1.0]]), f"{_NORMAL} True"),
+    (lambda: cons.Constellation("discrete", [-1.0, 0.0, 1.0], [0.25, True, 0.25]),
+     "probs must be finite and > 0, got True"),
+    (lambda: _GAUSS.mmse_at([0.5, True]), "snr must be finite and >= 0, got True"),
+    (lambda: wf.power_at_level(_GAUSS, 1.0, (2.0, False)),
+     "water level must be finite and >= 0, got False"),
 ], ids=["scenario-gains-string", "scenario-gains-ragged", "scenario-gains-bool",
         "scenario-gains-nan", "scenario-gains-huge-int", "points-strings", "probs-bool", "probs-string", "points-dict",
         "mmse-at-string", "mmse-at-numeric-string", "mmse-at-bool", "mmse-inverse-bool-array",
         "level-string", "level-none", "level-nan", "epoch-gains-string", "classical-wf-string",
-        "classical-wf-bool"])
+        "classical-wf-bool", "points-bool-and-number", "gains-bool-and-number",
+        "probs-bool-and-number", "mmse-at-bool-and-number", "level-bool-and-number"])
 def test_every_gain_point_prob_query_and_level_array_holds_real_numbers(call, message):
     # the one array rule: a bool array, a string, a ragged list, a dict or None never converts
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
@@ -436,6 +447,52 @@ def test_every_gain_point_prob_query_and_level_array_holds_real_numbers(call, me
 def test_the_array_rule_reads_an_int_past_int64_as_the_scalar_rule_does():
     # numpy holds such ints as objects; each converts as _real converts it
     assert _scenario(gains=[[2**70, 1.0]])().gains.tolist() == [[2.0**70, 1.0]]
+
+
+def _long_rows(bad):
+    rows = np.ones((4, 1600)).tolist()
+    rows[2][700] = bad
+    return rows
+
+
+@pytest.mark.parametrize("call, quoted", [
+    (_scenario(n=1600, k=4, gains=_long_rows("x"), constellations=(cons.gaussian(),) * 4), "'x'"),
+    (_scenario(n=1600, k=4, gains=_long_rows(-1.0), constellations=(cons.gaussian(),) * 4),
+     "-1.0"),
+    (_loads(n=1600, k=4, gains=_long_rows("x"), constellations=["gaussian"] * 4), "'x'"),
+    (_scenario(n=1600, k=2, gains=[[1.0] * 1600, [1.0] * 1599],
+               constellations=(cons.gaussian(),) * 2),
+     "[[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...], [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]]"),
+    (lambda: cons.Constellation("discrete", {str(i): i for i in range(1000)}, [0.5, 0.5]),
+     "{'0': 0, '1': 1, '10': 10, '100': 100, ...}"),
+    (lambda: cons.Constellation("discrete", ["x" * 10_000, 1.0], [0.5, 0.5]), "'xxxxxxxxxxxx"),
+    (_scenario(gains=[np.ones((40, 40)), np.ones((40, 41))]), "got [array("),
+], ids=["string", "negative", "config-string", "ragged", "dict", "long-string", "arrays"])
+def test_an_error_quotes_one_entry_or_a_bounded_form(call, quoted):
+    # the first entry outside, not the whole input; a ragged list, a dict or a long
+    # string bounded as reprlib bounds it
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert quoted in str(err.value) and len(str(err.value)) < 200
+
+
+_ANY = st.one_of(st.integers(-3, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                 st.floats(), st.floats(width=32).map(np.float32), st.booleans(),
+                 st.booleans().map(np.bool_), st.text(max_size=3), st.none(), st.just(10**400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_ANY, strict=st.booleans())
+def test_the_scalar_and_array_rules_share_one_definition(value, strict):
+    # _real(v) and _reals([v]) accept the same values with the same float, or raise the same text
+    def outcome(rule):
+        try:
+            return float(rule())
+        except InvalidInputError as exc:
+            return str(exc)
+    scalar = outcome(lambda: errors._real(value, "x", strict))
+    for entries in ([value], (value,), np.array([value], dtype=object)):
+        assert repr(outcome(lambda: errors._reals(entries, "x", strict)[0])) == repr(scalar)
 
 
 _STRATEGIES = {"nda": None, "fsa": None, "online": 5, "dwf": None, "pbp-wf": None,

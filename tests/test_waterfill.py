@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mercuryflow import constellations as cons
+from mercuryflow import offline as off
+from mercuryflow import scenario as scn
 from mercuryflow import tables as tb
 from mercuryflow import waterfill as wf
 from mercuryflow.errors import ConvergenceError, InvalidInputError, TableRangeError
@@ -316,6 +318,19 @@ def test_solve_epoch_settles_extreme_epochs(builtin_tables, problem):
     sol = solve_epoch(EpochProblem(gains=np.array(gains), tables=tabs, budget=budget, ts=ts))
     assert sol.evals <= most
     assert abs(sol.spent_energy - budget) <= wf.ENERGY_RTOL * budget
+
+
+@pytest.mark.parametrize("gain, budget, ts", [(1e-200, 1e-10, 1e200), (1e-290, 1e20, 1e290)])
+def test_a_top_evaluated_at_infinite_energy_closes_the_bracket(builtin_tables, gain, budget, ts):
+    # one ulp of W above the activation level spends inf J; read as a top not yet
+    # evaluated, it was evaluated again until MAX_ITER
+    sol = solve_epoch(EpochProblem([[gain]], (builtin_tables["bpsk"],), budget, ts))
+    assert sol.evals == 2 and abs(sol.spent_energy - budget) <= wf.ENERGY_RTOL * budget
+    s = scn.Scenario(n=1, k=1, ts=ts, gains=[[gain]], arrivals=((1, budget),),
+                     constellations=(cons.bpsk(),))
+    nda = off.nda_solve(s)
+    assert nda.powers.tobytes() == off.fsa_solve(s).powers.tobytes()
+    assert off.kkt_verify(s, nda).passed
 
 
 def test_solve_epoch_gaussian_level_past_the_doubles_raises_range_error(gauss, monkeypatch):
