@@ -50,13 +50,15 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _PAIR_STEP = 0.35
 _PAIR_LOG_CUT = 46.0
 
-# Elements of one temporary array of an mmse evaluation: a pairwise block of
-# (pairs, nodes, width), three live at once, or a Gauss-Hermite chunk of
-# (points, Q, at most Q/2, order), two at once.  A table build maps three times
-# this many elements once, gives each worker a share and unmaps it at its end.
+# Elements of one temporary array of an mmse evaluation, two live at once: a
+# pairwise block of (width, pairs, nodes) window values and three (pairs, nodes)
+# arrays, or a Gauss-Hermite chunk of (points, Q, at most Q/2, order) terms and
+# one (points, Q/2, order) sum.  A table build maps twice this many elements
+# once, gives each worker a share and unmaps it at its end.
 WORKSPACE = 250_000
-# A pairwise block's (pairs, nodes) arrays, about eight live at once outside
-# the workspace, hold at most 1/_ROW_PART of its elements each.
+# The window search runs in blocks of pairs whose (pairs, nodes) arrays, three
+# in the workspace and the searchsorted indices outside it, hold at most
+# 1/_ROW_PART of its elements each.
 _ROW_PART = 8
 
 
@@ -205,6 +207,39 @@ def _scratch(out: np.ndarray | None, n: int) -> np.ndarray:
     return out[:n] if out is not None and out.size >= n else np.empty(n)
 
 
+def _sum_outer(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` into ``out[0]``, in the order numpy sums a contiguous last axis.
+
+    ``out`` has ``x``'s shape and may be ``x``.  numpy starts each sum at 0.0 and
+    adds the terms pairwise: under 8 in order; up to 128 in eight strided partial
+    sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order;
+    more in two halves, the first a multiple of 8 long.  Here each step is one
+    elementwise pass over the outer axis, which numpy runs far faster than a
+    reduction along a short last axis.
+    """
+    return np.add(_pairwise_outer(x, out), 0.0, out=out[0])
+
+
+def _pairwise_outer(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of ``x`` over its outer axis, without the starting 0.0."""
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_pairwise_outer(x[:half], out[:half]),
+                      _pairwise_outer(x[half:], out[half:]), out=out[0])
+    acc, rest = x[0], 1
+    if n >= 8:
+        acc = x[:8]
+        for i in range(8, n - n % 8, 8):
+            acc = np.add(acc, x[i : i + 8], out=out[:8])
+        np.add(acc[0::2], acc[1::2], out=out[0:8:2])
+        np.add(out[0:8:4], out[2:8:4], out=out[0:8:4])
+        acc, rest = np.add(out[0], out[4], out=out[0]), n - n % 8
+    for i in range(rest, n):
+        acc = np.add(acc, x[i], out=out[0])
+    return acc
+
+
 def _pairwise_mmse(
     c: Constellation,
     snr: float,
@@ -215,8 +250,14 @@ def _pairwise_mmse(
 ) -> tuple[float, float]:
     """Return (mmse, d mmse / d snr) by the pairwise-boundary quadrature.
 
-    ``workspace`` bounds the elements of each (pairs, nodes, width) array;
-    the three such arrays are views of ``out`` when it holds them.
+    ``workspace`` bounds the elements of each (width, pairs, nodes) array;
+    the two such arrays are views of ``out`` when it holds them, and so are
+    the window search's (pairs, nodes) arrays before them.  The window
+    position is the outer axis: a block's symbol values are taken from the
+    (width, windows) table by each pair's window start at each node, and
+    every max or sum over the window is a run of elementwise passes over its
+    slabs (:func:`_sum_outer` keeps the order of a last-axis sum).  The symbol
+    array is taken again for each use, so two arrays hold a block.
     """
     s = c.points
     p = c.probs
@@ -251,53 +292,84 @@ def _pairwise_mmse(
     # pairs at a time into one compact array, and the window width, their
     # maximum over every pair and node
     sa = a * s
+    sides = np.stack([sa[:-1], sa[1:]])  # the symbols either side of each gap
     reach = 2.0 * (log_cut + logp.max() - logp.min())
     lo = np.empty((iu.size, n_nodes), dtype=np.min_scalar_type(q))
     width, rows = 0, max(1, workspace // (_ROW_PART * n_nodes))
+    search = _scratch(out, 3 * min(rows, iu.size) * n_nodes)
     for b in range(0, iu.size, rows):
-        y = mid[b : b + rows, None] + cs[b : b + rows, None] * tau
-        k = sa[1:-1].searchsorted(y) + 1  # the closest symbol is k - 1 or k
-        near = np.minimum(np.abs(y - sa[k - 1]), np.abs(y - sa[k]))
-        r = np.sqrt(near * near + reach)
-        lo[b : b + rows] = first = sa.searchsorted(y - r)
-        width = max(width, int((sa.searchsorted(y + r, side="right") - first).max()))
+        blk = slice(b, b + rows)
+        space = search[: 3 * lo[blk].size].reshape(3, -1, n_nodes)
+        (y, near, r), gap = space, space[1:]
+        np.add(mid[blk, None], np.multiply(cs[blk, None], tau, out=y), out=y)
+        # the distances to the symbols either side of y; the closer one is near
+        np.take(sides, sa[1:-1].searchsorted(y), axis=1, out=gap, mode="clip")
+        np.abs(np.subtract(y, gap, out=gap), out=gap)
+        np.minimum(near, r, out=near)
+        np.sqrt(np.add(np.square(near, out=r), reach, out=r), out=r)
+        lo[blk] = sa.searchsorted(np.subtract(y, r, out=near))
+        last = sa.searchsorted(np.add(y, r, out=near), side="right")
+        width = max(width, int(np.subtract(last, lo[blk], out=last).max()))
     np.minimum(lo, q - width, out=lo)
-    # each pair's node sums, in blocks of pairs whose (pairs, nodes, width)
-    # arrays fit the workspace; every block reuses the same three such arrays
-    # and every sum runs along one row, so the bytes do not depend on the block
+    # each pair's node sums, in blocks of pairs whose two (width + 3, pairs,
+    # nodes) arrays fit twice the workspace: the first width slabs of each
+    # hold the block's window values, the other three its (pairs, nodes)
+    # arrays; every block reuses the same two, and every sum keeps the order
+    # of one along a row, so the bytes do not depend on the block
     core_sums, slope_sums = np.empty(iu.size), np.empty(iu.size)
-    rows = max(1, workspace // (n_nodes * max(width, _ROW_PART)))
-    buf = _scratch(out, 3 * min(rows, iu.size) * n_nodes * width).reshape(3, -1, n_nodes, width)
-    win = np.arange(q - width + 1)[:, None] + np.arange(width)  # the symbol windows
+    rows = max(1, workspace // (n_nodes * (width + 3)))
+    buf = _scratch(out, 2 * min(rows, iu.size) * n_nodes * (width + 3))
+    # the symbol windows, one per column: column j holds symbols j to j + width - 1
+    win = np.arange(width)[:, None] + np.arange(q - width + 1)
     s_win, logp_win = s[win], logp[win]
     for b in range(0, iu.size, rows):
         blk = slice(b, b + rows)
-        tb = cs[blk, None] * tau
-        y = mid[blk, None] + tb
-        sw, scratch, w = buf[:, : tb.shape[0]]
-        np.take(s_win, lo[blk], axis=0, out=sw, mode="clip")
-        np.take(logp_win, lo[blk], axis=0, out=scratch, mode="clip")
+        one, two = buf[: 2 * (width + 3) * lo[blk].size].reshape(2, width + 3, -1, n_nodes)
+        sw, w = one[:width], two[:width]   # a window's values, and its posterior weights
+        (at, tb, y), (em, core, bracket) = one[width:], two[width:]
+        at = at.view(np.intp)   # the window starts as indices, so no take converts lo
+        np.copyto(at, lo[blk])
+
+        def window(values):
+            """Each pair's window of ``values`` (symbols or log priors) at each node, in sw."""
+            return np.take(values, at, axis=1, out=sw, mode="clip")
+
+        np.add(mid[blk, None], np.multiply(cs[blk, None], tau, out=tb), out=y)
         # w = exp(logp - (y - a s)^2 / 2 - em), the symbols' posterior weights
-        np.multiply(sw, a, out=w)
-        np.subtract(y[:, :, None], w, out=w)
+        np.multiply(window(s_win), a, out=w)
+        np.subtract(y, w, out=w)
         np.square(w, out=w)
         w *= 0.5
-        np.subtract(scratch, w, out=w)
-        em = w.max(axis=2)
-        w -= em[:, :, None]
+        np.subtract(window(logp_win), w, out=w)
+        np.max(w, axis=0, out=em)
+        w -= em
         np.exp(w, out=w)
-        z = w.sum(axis=2)
-        log_density = em + np.log(z) - _LOG_SQRT_2PI
-        core = np.exp(pref[blk, None] - tb * tb - math.log(2.0 * math.pi) - log_density)
+        z = _sum_outer(w, sw)
+        # em becomes log p(y) = em + log z - log sqrt(2 pi), and the core terms
+        # exp(pref - tb^2 - log 2 pi - log p(y))
+        em += np.log(z, out=core)
+        em -= _LOG_SQRT_2PI
+        np.subtract(pref[blk, None], np.square(tb, out=core), out=core)
+        core -= math.log(2.0 * math.pi)
+        core -= em
+        np.exp(core, out=core)
         core_sums[blk] = core.sum(axis=1)
-        # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a)
-        w /= z[:, :, None]
-        xhat = np.multiply(w, sw, out=scratch).sum(axis=2)
-        x2 = np.multiply(w, np.square(sw, out=sw), out=scratch).sum(axis=2)
-        yi = tb - (a * dsign[blk] / 2.0)[:, None]
-        yj = tb + (a * dsign[blk] / 2.0)[:, None]
-        bracket = yi * s[iu[blk]][:, None] + yj * s[ju[blk]][:, None] - (y * xhat - a * x2)
-        slope_sums[blk] = (core * bracket).sum(axis=1)
+        # derivative of each pair integral w.r.t. a, then d/dsnr = d/da / (2a):
+        # the bracket yi s_i + yj s_j - (y xhat - a x2), yi = tb - a dsign / 2 and
+        # yj = tb + a dsign / 2
+        w /= z
+        y *= _sum_outer(np.multiply(w, window(s_win), out=sw), sw)
+        x2 = _sum_outer(np.multiply(w, np.square(window(s_win), out=sw), out=sw), sw)
+        x2 *= a
+        y -= x2
+        half = (a * dsign[blk] / 2.0)[:, None]
+        np.multiply(np.subtract(tb, half, out=bracket), s[iu[blk]][:, None], out=bracket)
+        tb += half
+        tb *= s[ju[blk]][:, None]
+        bracket += tb
+        bracket -= y
+        bracket *= core
+        slope_sums[blk] = bracket.sum(axis=1)
     mmse = float((core_sums * cs * wt).sum() * h)
     dmmse = float((slope_sums * cs * wt).sum() * h) / (2.0 * a)
     return min(mmse, 1.0), min(dmmse, 0.0)
@@ -315,8 +387,8 @@ def _gh_mmse_grid(
     Only trustworthy while the error mass sits inside the node span; the
     table builder cross-checks it against the pairwise rule before use.
     The (G, Q, Q/2, order) arrays run in blocks of the transmitted symbols
-    that fit ``workspace`` elements (one symbol at the least), two at a time
-    in ``out`` when it holds them.
+    whose two such arrays and two (G, Q/2, order) ones fit twice ``workspace``
+    elements (one symbol at the least), in ``out`` when it holds them.
     """
     s = c.points
     logp = np.log(c.probs)
@@ -324,30 +396,34 @@ def _gh_mmse_grid(
     # symbol j at node n mirrors symbol Q-1-j at node -n
     j, _, wt = _halved(c, np.arange(s.size), np.arange(s.size))
     a = np.sqrt(snr)[:, None, None, None]                     # (G,1,1,1)
-    cols = min(j.size, max(1, workspace // (snr.size * s.size * order)))
+    cols = min(j.size, max(1, workspace // (snr.size * (s.size + 1) * order)))
     sums = np.empty((2, snr.size, j.size))  # each (G, j)'s node sums of m2 and m2^2
     for b in range(0, j.size, cols):
         jb = j[b : b + cols]
         # y = a s_j + n given transmitted s_j; posterior over s_i
         diff = (s[:, None] - s[None, jb])[None, :, :, None]   # (1,Q_i,Q_j,1)
         # w = exp(logp - (n + a diff)^2 / 2 - em), each step in place in one
-        # (G,Q_i,Q_j,R) buffer; a second one holds the posterior moments' terms
-        w, scratch = _scratch(out, 2 * snr.size * s.size * jb.size * order).reshape(
-            2, snr.size, s.size, jb.size, order)
+        # (G,Q_i,Q_j,R) buffer; a second one holds the posterior moments' terms,
+        # a (G,Q_j,R) one their sums over Q_i and another the node sums' terms
+        n = snr.size * jb.size * order
+        space = _scratch(out, 2 * (s.size + 1) * n)
+        w, scratch = space[: 2 * s.size * n].reshape(2, snr.size, s.size, jb.size, order)
+        moment, term = space[2 * s.size * n :].reshape(2, snr.size, jb.size, order)
         np.add(nodes[None, None, None, :], a * diff, out=w)
         np.square(w, out=w)
         w *= 0.5
         np.subtract(logp[None, :, None, None], w, out=w)
-        em = w.max(axis=1)
+        em = np.max(w, axis=1, out=moment)
         w -= em[:, None]
         np.exp(w, out=w)
-        z = w.sum(axis=1)
+        z = np.sum(w, axis=1, out=moment)
         w /= z[:, None]
-        xhat = np.multiply(w, s[None, :, None, None], out=scratch).sum(axis=1)   # (G,Q_j,R)
+        xhat = np.sum(np.multiply(w, s[None, :, None, None], out=scratch), axis=1, out=moment)
         np.square(np.subtract(s[None, :, None, None], xhat[:, None], out=scratch), out=scratch)
-        m2 = np.multiply(w, scratch, out=scratch).sum(axis=1)
-        sums[0, :, b : b + cols] = (m2 * wq[None, None, :]).sum(axis=2)
-        sums[1, :, b : b + cols] = (m2 * m2 * wq[None, None, :]).sum(axis=2)
+        m2 = np.sum(np.multiply(w, scratch, out=scratch), axis=1, out=moment)   # (G,Q_j,R)
+        sums[0, :, b : b + cols] = np.multiply(m2, wq[None, None, :], out=term).sum(axis=2)
+        sums[1, :, b : b + cols] = np.multiply(np.square(m2, out=term), wq[None, None, :],
+                                               out=term).sum(axis=2)
     # one sum over the whole (G, Q/2) array, so the bytes do not depend on the blocks
     mmse = (sums[0] * (c.probs[j] * wt)[None, :]).sum(axis=1)
     d = -(sums[1] * (c.probs[j] * wt)[None, :]).sum(axis=1)

@@ -15,17 +15,17 @@ the snr prefix where it agrees with the exact pairwise-boundary rule (probed
 at build time); the pairwise rule covers the rest.  A build runs on a thread
 pool with one worker per usable CPU: the exact probes and the GH probe sweeps,
 then the pairwise tail and the GH grid sweeps.  The build maps one
-workspace of three times ``WORKSPACE`` (2.5e5) elements as anonymous memory
+workspace of twice ``WORKSPACE`` (2.5e5) elements as anonymous memory
 and unmaps it when it ends, so the OS gets the pages back; each worker thread
 owns one share of it and computes every job it runs in place there (a GH point
 larger than a share is split along Q/2), so block memory does not grow with
 the CPU count.  Every point is computed alone and every sum runs in order
-along one row, so the tables are the same bytes for any worker count, chunk
-or block size.  The stored grid is truncated where mmse falls below a
-positivity floor -- double precision cannot represent the tail of e.g. BPSK
-anywhere near snr = 1e4 -- so a pairwise run stops at its first point below
-it, and inversion below the stored floor raises :class:`TableRangeError`
-rather than extrapolating.
+along one row, or in a row's order, so the tables are the same bytes for any
+worker count, chunk or block size.  The stored grid is truncated where mmse
+falls below a positivity floor -- double precision cannot represent the tail
+of e.g. BPSK anywhere near snr = 1e4 -- so a pairwise run stops at its first
+point below it, and inversion below the stored floor raises
+:class:`TableRangeError` rather than extrapolating.
 
 Gaussian-input tables bypass interpolation entirely: mmse = 1/(1+snr),
 inverse = 1/psi - 1, mercury factor identically 1.
@@ -275,8 +275,8 @@ def _verify_grid(snr, mmse, label):
             f"{label}: mmse not strictly decreasing at grid indices {bad[:8].tolist()}",
             indices=bad.tolist(),
         )
-    if np.any(mmse <= 0.0) or np.any(mmse > 1.0):
-        bad = np.nonzero((mmse <= 0.0) | (mmse > 1.0))[0]
+    bad = np.nonzero(~((mmse > 0.0) & (mmse <= 1.0)))[0]   # NaN too
+    if bad.size:
         raise TableBuildError(
             f"{label}: mmse values leave (0, 1] at indices {bad[:8].tolist()}",
             indices=bad.tolist(),
@@ -345,11 +345,11 @@ def _workers() -> int:
 
 
 def _gh_points(c: Constellation, order: int, room: int) -> int:
-    """Points per GH chunk: its (points, Q, Q/2, order) arrays fit ``room`` elements.
+    """Points per GH chunk: its (points, Q + 1, Q/2, order) elements fit ``room``.
 
     One point at the least: the kernel splits a point that does not fit along Q/2.
     """
-    return max(1, room // (c.cardinality * ((c.cardinality + 1) // 2) * order))
+    return max(1, room // ((c.cardinality + 1) * ((c.cardinality + 1) // 2) * order))
 
 
 def _pairwise_run(c: Constellation, snr: np.ndarray, room: int, share: np.ndarray,
@@ -366,11 +366,11 @@ def _pairwise_run(c: Constellation, snr: np.ndarray, room: int, share: np.ndarra
 def _sweep_mmse(c: Constellation, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mmse, dmmse) over the grid: GH sweeps where probed-safe, pairwise above.
 
-    The build computes in one anonymous mapping of ``3 * WORKSPACE`` elements,
+    The build computes in one anonymous mapping of ``2 * WORKSPACE`` elements,
     closed at its end, so its pages go back to the OS (a freed heap block
     would stay resident).
     """
-    mapping = mmap.mmap(-1, 3 * WORKSPACE * 8)
+    mapping = mmap.mmap(-1, 2 * WORKSPACE * 8)
     out = _sweep_in(c, grid, np.frombuffer(mapping))
     # raises BufferError if a view of it outlived the build; after an error the
     # traceback holds views, and the mapping goes with it
@@ -384,7 +384,7 @@ def _sweep_in(c: Constellation, grid: np.ndarray, space: np.ndarray):
     workers = _workers()
     room = WORKSPACE // workers
     # a list iterator hands out each item once, whichever threads ask
-    shares = iter([space[3 * room * k : 3 * room * (k + 1)] for k in range(workers)])
+    shares = iter([space[2 * room * k : 2 * room * (k + 1)] for k in range(workers)])
     mine = threading.local()
 
     def own():
@@ -476,17 +476,27 @@ def _disk_path(c: Constellation, key: tuple):
 
 
 def _from_disk(c: Constellation, path, snr_max: float) -> MmseTable | None:
-    """The snapshot at ``path``, or None if there is none or it cannot be read."""
+    """The snapshot at ``path``, or None if there is none, it cannot be read or it
+    is not a table: an array missing, arrays of unequal lengths, an snr grid that
+    does not increase, mmse values that fail :func:`_verify_grid` or mutual
+    information that decreases."""
     if path is None or not path.exists():
         return None
     import zipfile
 
     try:
         with np.load(path) as z:
-            return MmseTable(constellation=c, snr_max_requested=snr_max,
-                             **{f: z[f] for f in _ARRAYS})
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+            arrays = {f: z[f] for f in _ARRAYS}
+        n = arrays["snr_grid"].shape
+        if (len(n) != 1 or n[0] < 2 or any(a.shape != n for a in arrays.values())
+                or not np.all(np.diff(arrays["snr_grid"]) > 0.0)
+                or not np.all(np.diff(arrays["mi_values"]) >= 0.0)):
+            return None
+        _verify_grid(arrays["snr_grid"], arrays["mmse_values"], c.label)
+    except (OSError, ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile,
+            TableBuildError):
         return None
+    return MmseTable(constellation=c, snr_max_requested=snr_max, **arrays)
 
 
 def table_for(
@@ -498,7 +508,8 @@ def table_for(
 
     Hits the per-process cache first, then the optional on-disk cache named
     by the MERCURYFLOW_TABLE_CACHE environment variable, then builds; a
-    snapshot that cannot be read is a miss, and the build replaces it.
+    snapshot that cannot be read or is not a table is a miss, and the build
+    replaces it.
     """
     snr_max = _real(snr_max, "snr_max", strict=True)
     key = c.cache_key() + (snr_max, _integer(n_points, "n_points", least=64))

@@ -338,6 +338,23 @@ def test_in_place_kernels_equal_the_allocating_ones(name, workspace):
                 == _gh_chunked(_allocating_gh_mmse_grid, c, ladder, order, reference)), order
 
 
+def test_outer_axis_sum_keeps_numpys_last_axis_order():
+    # the pairwise kernel sums its (width, pairs, nodes) blocks over the window
+    # axis in the order of numpy's sum along a contiguous last axis; if a numpy
+    # release changes that order, this names the helper before the table bytes move.
+    # Past 128 terms numpy sums two halves, which only a window that wide reaches
+    rng = np.random.default_rng(34)
+    for width in [*range(1, 41), 128, 129, 200, 257]:
+        shape = (width, 5, 7)
+        magnitude = np.where(rng.random(shape) < 0.2, 0.0, rng.lognormal(0.0, 3.0, shape))
+        x = rng.choice([-1.0, 1.0], shape) * magnitude   # signed, zeros of both signs
+        x[:, 0, 0] = -0.0
+        want = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1).tobytes()
+        assert cons._sum_outer(x, np.empty_like(x)).tobytes() == want, width
+        in_place = x.copy()
+        assert cons._sum_outer(in_place, in_place).tobytes() == want, width
+
+
 @pytest.mark.parametrize("order", [96, 192])
 def test_shipped_gh_rules_are_scipys(order):
     # the shipped file fixes the table bytes: scipy's own bits may vary between

@@ -180,7 +180,8 @@ def test_verify_grid_names_offending_indices():
 @pytest.mark.parametrize("mmse, message, indices", [
     ([0.9, 0.5, 0.4, 0.3], "synthetic: mmse at snr=0 is 0.9, expected 1", [0]),
     ([1.0, 0.5, 0.0, -0.1], "synthetic: mmse values leave (0, 1] at indices [2, 3]", [2, 3]),
-], ids=["mmse-0-not-1", "mmse-leaves-unit-interval"])
+    ([1.0, 0.5, math.nan, 0.3], "synthetic: mmse values leave (0, 1] at indices [2]", [2]),
+], ids=["mmse-0-not-1", "mmse-leaves-unit-interval", "mmse-nan"])
 def test_verify_grid_input_checks(mmse, message, indices):
     with pytest.raises(TableBuildError, match=f"^{re.escape(message)}$") as err:
         tb._verify_grid(np.arange(4.0), np.array(mmse), "synthetic")
@@ -234,16 +235,46 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
         tb.clear_cache()
 
 
-@pytest.mark.parametrize("kept", [0.0, 0.5], ids=["empty", "half"])
-def test_a_cut_disk_snapshot_is_a_miss_and_is_replaced(tmp_path, monkeypatch, kept):
+def _resaved(path, edit):
+    """Write the snapshot at ``path`` again, its arrays as ``edit`` leaves them."""
+    with np.load(path) as z:
+        arrays = {f: z[f] for f in z.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _nan_mmse(arrays):
+    arrays["mmse_values"][20] = math.nan
+
+
+def _swapped_snr(arrays):
+    arrays["snr_grid"][[10, 11]] = arrays["snr_grid"][[11, 10]]
+
+
+_CUTS = {
     # np.savez wrote straight to the snapshot's path, so a killed writer left such a file
+    "empty": lambda path: path.write_bytes(b""),
+    "half": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    # whole archives that are not the table: an array gone, one cut and one reversed, text,
+    # a NaN, an snr grid out of order
+    "no-dlog": lambda path: _resaved(path, lambda a: a.pop("dlog_mmse")),
+    "short": lambda path: _resaved(path, lambda a: a.update(mmse_values=a["mmse_values"][:-5],
+                                                             mi_values=a["mi_values"][::-1])),
+    "text": lambda path: _resaved(path, lambda a: a.update(mi_values=a["mi_values"].astype(str))),
+    "nan": lambda path: _resaved(path, _nan_mmse),
+    "unsorted": lambda path: _resaved(path, _swapped_snr),
+}
+
+
+@pytest.mark.parametrize("cut", list(_CUTS))
+def test_a_cut_disk_snapshot_is_a_miss_and_is_replaced(tmp_path, monkeypatch, cut):
     monkeypatch.setenv(tb.CACHE_ENV_VAR, str(tmp_path))
     tb.clear_cache()
     try:
         fresh = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
         (path,) = tmp_path.glob("*.npz")
-        whole = path.read_bytes()
-        path.write_bytes(whole[: int(kept * len(whole))])
+        _CUTS[cut](path)
         tb.clear_cache()
         again = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
         assert all(getattr(again, f).tobytes() == getattr(fresh, f).tobytes() for f in tb._ARRAYS)
@@ -366,17 +397,18 @@ def _traced_peak_mb(fn):
         tracemalloc.stop()
 
 
-# A build maps its workspace of 3 * WORKSPACE elements, which tracemalloc
+# A build maps its workspace of 2 * WORKSPACE elements, which tracemalloc
 # does not see, so a build's peak counts it in.
-MAPPED_MB = 3 * tb.WORKSPACE * 8 / 2**20
+MAPPED_MB = 2 * tb.WORKSPACE * 8 / 2**20
 
 # Bounds on the peaks, a third above what they measure.  The worst 32pam
-# probe, which allocates its own three block arrays when called alone, peaks
-# at 7.3 MB; the order-192 probe sweep at 3.3 MB; and a small 32pam build at
-# 8.7-9.2 MB on 1, 2, 4 and 8 workers, 5.7 MB of it the mapped workspace.
-PAIRWISE_PEAK_MB = 9.8
+# probe, which allocates its own two block arrays and the window search's
+# three when called alone, peaks at 4.9 MB; the order-192 probe sweep at
+# 3.2 MB; and a small 32pam build at 4.4-5.3 MB on 1, 2, 4 and 8 workers,
+# 3.8 MB of it the mapped workspace.
+PAIRWISE_PEAK_MB = 6.5
 GH_PROBE_SWEEP_PEAK_MB = 4.45
-BUILD_PEAK_MB = 12.3
+BUILD_PEAK_MB = 7.1
 
 
 def test_pairwise_rule_stays_within_its_workspace():
