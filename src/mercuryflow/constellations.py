@@ -153,7 +153,7 @@ BUILTIN_NAMES = ("bpsk", "4pam", "16pam", "32pam", "gaussian")
 
 def by_name(name: str) -> Constellation:
     """Resolve a built-in constellation name ('bpsk', '4pam', ..., 'gaussian')."""
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else ""   # no name matches ""
     if key == "gaussian":
         return gaussian()
     if key == "bpsk":

@@ -230,6 +230,9 @@ def generate(
     seed = _integer(seed, "seed", least=None)
     if not 0 <= seed < 2**128:   # the Philox key range
         raise InvalidInputError(f"seed must be in 0 <= seed < 2**128, got {seed}")
+    if not isinstance(constant_across_streams, (bool, np.bool_)):
+        raise InvalidInputError(f"constant_across_streams must be a bool, "
+                                f"got {constant_across_streams!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     # draw order is part of the reproducibility contract: arrivals, energies, gains
@@ -242,10 +245,7 @@ def generate(
     shares = rng.random(j)
     energies = shares / shares.sum() * total_energy
 
-    if constant_across_streams:
-        rows = 1
-    else:
-        rows = k
+    rows = 1 if constant_across_streams else k
     if gain_model == "static":
         block_len = n  # one block spans every access
     elif gain_model != "block_random":

@@ -39,7 +39,7 @@ import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -61,7 +61,8 @@ _LN2 = math.log(2.0)
 # the packed inverse's constants as 0-d arrays, which numpy applies faster than floats
 _MINUS_ONE, _ZERO, _HALF, _ONE, _THREE = (np.array(c) for c in (-1.0, 0.0, 0.5, 1.0, 3.0))
 
-# the arrays of a table record; .npz snapshots store them under these keys
+# an .npz snapshot stores a table's three checked arrays; its record adds the two it derives
+_STORED = ("snr_grid", "mmse_values", "dlog_mmse")
 _ARRAYS = ("snr_grid", "mmse_values", "mi_values", "log_mmse", "dlog_mmse")
 
 
@@ -100,15 +101,41 @@ def _hermite_eval(x, xs, ys, ds):
 # compared and hashed by identity, so a tuple of tables keys the bank cache
 @dataclass(frozen=True, eq=False)
 class MmseTable:
-    """Monotone (snr -> mmse, mi) grid for one constellation, invertible."""
+    """Monotone (snr -> mmse, mi) grid for one constellation, invertible.
+
+    Built from the three arrays it checks, raising :class:`TableBuildError` on any
+    fault; it derives ``log_mmse`` and ``mi_values`` (the integral of mmse/2, in bits).
+    """
 
     constellation: Constellation
     snr_grid: NDArray[np.float64]
     mmse_values: NDArray[np.float64]
-    mi_values: NDArray[np.float64]
-    log_mmse: NDArray[np.float64]
     dlog_mmse: NDArray[np.float64]  # d(log mmse)/d snr, exact at the nodes
     snr_max_requested: float
+    mi_values: NDArray[np.float64] = field(init=False)
+    log_mmse: NDArray[np.float64] = field(init=False)
+
+    def __post_init__(self):
+        label, arrays = self.label, [np.asarray(getattr(self, f)) for f in _STORED]
+        grid, mmse, dlog = arrays
+        if grid.ndim != 1 or grid.size < 2 or any(
+                a.dtype != np.float64 or a.shape != grid.shape for a in arrays):
+            got = ", ".join(f"{a.dtype} {a.shape}" for a in arrays)
+            raise TableBuildError(f"{label}: a table needs three float64 arrays of one length "
+                                  f">= 2, got {got}")
+        _refuse(label, "snr grid not finite and increasing from 0",
+                ~np.isfinite(grid) | np.r_[grid[0] != 0.0, grid[1:] <= grid[:-1]])
+        _refuse(label, "d log mmse/d snr not finite and <= 0", ~(np.isfinite(dlog) & (dlog <= 0.0)))
+        _verify_grid(grid, mmse, label)
+        log = np.log(mmse)
+        if self.is_gaussian:
+            mi = 0.5 * np.log2(1.0 + grid)
+        else:
+            mi = _integrate_mi(grid, log, dlog)
+            _refuse(label, "mutual information decreases", ~(np.diff(mi) >= -1e-12))   # NaN too
+            mi = np.minimum(np.maximum.accumulate(mi), self.constellation.max_information_bits())
+        for name, a in zip(_ARRAYS, (grid, mmse, mi, log, dlog)):
+            object.__setattr__(self, name, a)
 
     @property
     def label(self) -> str:
@@ -125,8 +152,6 @@ class MmseTable:
     @property
     def mmse_floor(self) -> float:
         """Smallest mmse on the table's grid; a finite table's inverse errors out below it."""
-        if self.is_gaussian:
-            return 1.0 / (1.0 + self.snr_top)
         return float(self.mmse_values[-1])
 
     # -- forward maps --------------------------------------------------
@@ -263,24 +288,22 @@ def _invert(bank, rows, psi, at=None):
     return np.where(g, 1.0 / p - 1.0, snr), np.where(g, -p, df / h)
 
 
+def _refuse(label, what, bad):
+    """Raise :class:`TableBuildError` naming the first eight indices where ``bad`` holds."""
+    bad = np.nonzero(bad)[0]
+    if bad.size:
+        raise TableBuildError(f"{label}: {what} at indices {bad[:8].tolist()}",
+                              indices=bad.tolist())
+
+
 def _verify_grid(snr, mmse, label):
-    """Enforce the table invariants, naming offenders on failure."""
+    """Enforce the mmse invariants, naming offenders on failure."""
     if abs(mmse[0] - 1.0) > 1e-9:
         raise TableBuildError(
             f"{label}: mmse at snr=0 is {float(mmse[0])!r}, expected 1", indices=[0]
         )
-    bad = np.nonzero(np.diff(mmse) >= 0.0)[0]
-    if bad.size:
-        raise TableBuildError(
-            f"{label}: mmse not strictly decreasing at grid indices {bad[:8].tolist()}",
-            indices=bad.tolist(),
-        )
-    bad = np.nonzero(~((mmse > 0.0) & (mmse <= 1.0)))[0]   # NaN too
-    if bad.size:
-        raise TableBuildError(
-            f"{label}: mmse values leave (0, 1] at indices {bad[:8].tolist()}",
-            indices=bad.tolist(),
-        )
+    _refuse(label, "mmse not strictly decreasing", mmse[1:] >= mmse[:-1])
+    _refuse(label, "mmse values leave (0, 1]", ~((mmse > 0.0) & (mmse <= 1.0)))   # NaN too
 
 
 def build_table(
@@ -305,36 +328,21 @@ def build_table(
 
     if c.is_gaussian:
         mmse = 1.0 / (1.0 + grid)
-        mi, dlog = 0.5 * np.log2(1.0 + grid), -mmse
+        dlog = -mmse
     else:
         mmse, dmmse = _sweep_mmse(c, grid)
-        # truncate the numerically meaningless tail before invariant checks
+        # truncate the numerically meaningless tail before the table checks the rest
         keep = mmse.size
         while keep > 2 and (
             mmse[keep - 1] < MMSE_FLOOR or mmse[keep - 1] >= mmse[keep - 2]
         ):
             keep -= 1
-        grid, mmse, dmmse = grid[:keep], mmse[:keep], dmmse[:keep]
-        _verify_grid(grid, mmse, c.label)
-        mi = _integrate_mi(grid, mmse, dmmse)
-        bad = np.nonzero(np.diff(mi) < -1e-12)[0]
-        if bad.size:
-            raise TableBuildError(
-                f"{c.label}: mutual information decreases at indices {bad[:8].tolist()}",
-                indices=bad.tolist(),
-            )
-        mi = np.minimum(np.maximum.accumulate(mi), c.max_information_bits())
-        dlog = dmmse / mmse
-    return MmseTable(c, grid, mmse, mi, np.log(mmse), dlog, snr_max)
+        grid, mmse = grid[:keep], mmse[:keep]
+        dlog = dmmse[:keep] / mmse
+    return MmseTable(c, grid, mmse, dlog, snr_max)
 
 
 _SWEEP_ORDERS = (96, 192)
-
-# A pairwise tail point's arrays hold about (pairs, nodes, width) =
-# (Q^2/4, 128, Q) = 32 Q^3 elements.  Below this many, numpy calls are too
-# short to run long without the interpreter lock, so slices of the tail on
-# several workers only contend for it: such a tail stays one slice.
-_GIL_BOUND = 65_536
 
 
 def _workers() -> int:
@@ -418,10 +426,8 @@ def _sweep_in(c: Constellation, grid: np.ndarray, space: np.ndarray):
             sel.append(np.nonzero(~done & (grid <= bound))[0])
             done[sel[-1]] = True
 
-        tail = np.nonzero(~done)[0]
-        slices = workers if 32 * c.cardinality**3 >= _GIL_BOUND else 1
-        jobs = [spread(_pairwise_run, grid, tail, max(1, -(-tail.size // slices)), step=0.4,
-                       log_cut=40.0)]
+        tail = np.nonzero(~done)[0]   # one job: it runs while the GH grid sweeps share the rest
+        jobs = [spread(_pairwise_run, grid, tail, max(1, tail.size), step=0.4, log_cut=40.0)]
         jobs += [spread(_gh_mmse_grid, grid, idx, _gh_points(c, order, room), order)
                  for order, idx in zip(_SWEEP_ORDERS, sel)]
         for idx, rows in zip([tail, *sel], jobs):
@@ -437,15 +443,13 @@ _GL_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.3
                0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
 
 
-def _integrate_mi(grid, mmse, dmmse) -> np.ndarray:
-    """Cumulative I(snr) in bits from dI/dsnr = mmse/2 (nats).
+def _integrate_mi(grid, logm, dlogm) -> np.ndarray:
+    """Cumulative I(snr) in bits from dI/dsnr = mmse/2 (nats), given log mmse and its slope.
 
     Integrates the same log-space Hermite interpolant later used for
     evaluation, with an 8-point Gauss-Legendre rule per cell.
     """
     gl_x, gl_w = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
-    logm = np.log(mmse)
-    dlogm = dmmse / mmse
     h = np.diff(grid)
     mid = grid[:-1, None] + (gl_x[None, :] + 1.0) * 0.5 * h[:, None]
     vals = np.exp(_hermite_eval(mid.ravel(), grid, logm, dlogm)).reshape(mid.shape)
@@ -476,27 +480,19 @@ def _disk_path(c: Constellation, key: tuple):
 
 
 def _from_disk(c: Constellation, path, snr_max: float) -> MmseTable | None:
-    """The snapshot at ``path``, or None if there is none, it cannot be read or it
-    is not a table: an array missing, arrays of unequal lengths, an snr grid that
-    does not increase, mmse values that fail :func:`_verify_grid` or mutual
-    information that decreases."""
+    """The table of the snapshot at ``path``, or None if there is none, it cannot be
+    read, an array is missing or :class:`MmseTable` refuses its arrays."""
     if path is None or not path.exists():
         return None
     import zipfile
 
     try:
         with np.load(path) as z:
-            arrays = {f: z[f] for f in _ARRAYS}
-        n = arrays["snr_grid"].shape
-        if (len(n) != 1 or n[0] < 2 or any(a.shape != n for a in arrays.values())
-                or not np.all(np.diff(arrays["snr_grid"]) > 0.0)
-                or not np.all(np.diff(arrays["mi_values"]) >= 0.0)):
-            return None
-        _verify_grid(arrays["snr_grid"], arrays["mmse_values"], c.label)
+            arrays = {f: z[f] for f in _STORED}
+        return MmseTable(constellation=c, snr_max_requested=snr_max, **arrays)
     except (OSError, ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile,
             TableBuildError):
         return None
-    return MmseTable(constellation=c, snr_max_requested=snr_max, **arrays)
 
 
 def table_for(
@@ -523,7 +519,7 @@ def table_for(
                 path.parent.mkdir(parents=True, exist_ok=True)
                 part = path.with_name(f"{path.name}.{os.getpid()}.part")
                 with open(part, "wb") as fh:
-                    np.savez(fh, **{f: getattr(tab, f) for f in _ARRAYS})
+                    np.savez(fh, **{f: getattr(tab, f) for f in _STORED})
                 os.replace(part, path)
         _TABLE_CACHE[key] = tab
     return tab

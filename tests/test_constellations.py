@@ -77,8 +77,9 @@ _PAIR = np.array([-1.0, 1.0])
     (lambda: cons.pam(1), "PAM order must be >= 2, got 1"),
     (lambda: cons.pam(4.0), "PAM order must be an integer >= 2, got 4.0"),
     (lambda: cons.by_name("xpam"), "unknown constellation name 'xpam'"),
+    (lambda: cons.by_name(5), "unknown constellation name 5"),
 ], ids=["gaussian-with-points", "unknown-kind", "shape-mismatch", "one-point", "non-finite-point",
-        "pam-1", "pam-float", "pam-name-not-a-number"])
+        "pam-1", "pam-float", "pam-name-not-a-number", "name-not-a-string"])
 def test_constellation_input_checks(call, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()

@@ -96,6 +96,10 @@ def test_generate_constant_across_streams():
                      gain_model="block_random", block_len=2,
                      constant_across_streams=True, seed=4)
     assert np.all(s.gains == s.gains[:1, :])
+    assert s == scn.generate(n=8, k=4, ts=1.0, j=2, total_energy=1.0,
+                             constellations=("bpsk", "4pam", "16pam", "32pam"),
+                             gain_model="block_random", block_len=2,
+                             constant_across_streams=np.True_, seed=4)
 
 
 def test_generate_rejects_bad_params():
@@ -288,6 +292,12 @@ _ZERO = _scenario(arrivals=((1, 0.0),))()
      "one constellation per stream"),
     (_generate(gain_model="rayleigh"), InvalidInputError, None, "unknown gain model"),
     (_generate(block_len=0), InvalidInputError, None, "block_len must be >= 1"),
+    (_generate(constellations=(5,)), InvalidInputError, None, "^unknown constellation name 5$"),
+    # only a bool decides whether the streams share one gain track, not a truthy value
+    (_generate(constant_across_streams="no"), InvalidInputError, None,
+     "^constant_across_streams must be a bool, got 'no'$"),
+    (_generate(constant_across_streams=1), InvalidInputError, None,
+     "^constant_across_streams must be a bool, got 1$"),
     (lambda: scn.rescale_energy(_ZERO, -1.0), InvalidInputError, None,
      "total_energy must be finite and >= 0, got -1.0"),
     (lambda: scn.rescale_energy(_ZERO, 1.0), InvalidInputError, None, "zero-energy"),
@@ -295,7 +305,8 @@ _ZERO = _scenario(arrivals=((1, 0.0),))()
 ], ids=["invalid-json", "top-level-list", "arrival-not-object", "unknown-constellation",
         "custom-no-points", "custom-no-probs", "custom-invalid", "constellation-number",
         "non-numeric-gains", "bool-gains", "string-gains", "huge-int-gains", "n-below-1", "gains-shape", "constellation-count",
-        "unknown-gain-model", "block-len-0", "rescale-negative", "rescale-zero-energy",
+        "unknown-gain-model", "block-len-0", "generate-constellation-number",
+        "generate-shared-string", "generate-shared-int", "rescale-negative", "rescale-zero-energy",
         "no-arrivals"])
 def test_scenario_input_checks_raise_typed_errors(call, error, field, match):
     with pytest.raises(error, match=match) as err:

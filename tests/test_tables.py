@@ -260,8 +260,8 @@ _CUTS = {
     # a NaN, an snr grid out of order
     "no-dlog": lambda path: _resaved(path, lambda a: a.pop("dlog_mmse")),
     "short": lambda path: _resaved(path, lambda a: a.update(mmse_values=a["mmse_values"][:-5],
-                                                             mi_values=a["mi_values"][::-1])),
-    "text": lambda path: _resaved(path, lambda a: a.update(mi_values=a["mi_values"].astype(str))),
+                                                             dlog_mmse=a["dlog_mmse"][::-1])),
+    "text": lambda path: _resaved(path, lambda a: a.update(dlog_mmse=a["dlog_mmse"].astype(str))),
     "nan": lambda path: _resaved(path, _nan_mmse),
     "unsorted": lambda path: _resaved(path, _swapped_snr),
 }
@@ -280,9 +280,57 @@ def test_a_cut_disk_snapshot_is_a_miss_and_is_replaced(tmp_path, monkeypatch, cu
         assert all(getattr(again, f).tobytes() == getattr(fresh, f).tobytes() for f in tb._ARRAYS)
         assert list(tmp_path.iterdir()) == [path]   # the build replaced it, and left no .part
         with np.load(path) as z:
-            assert all(z[f].tobytes() == getattr(fresh, f).tobytes() for f in tb._ARRAYS)
+            assert sorted(z.files) == sorted(tb._STORED)
+            assert all(z[f].tobytes() == getattr(fresh, f).tobytes() for f in tb._STORED)
     finally:
         tb.clear_cache()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5], ids=["five-arrays", "log-mmse-scaled"])
+def test_a_five_array_snapshot_serves_the_fresh_build(tmp_path, monkeypatch, scale):
+    # older snapshots also hold log mmse and mi; the table derives both from the three
+    # arrays it checks, so a log mmse that disagrees with the mmse is never served
+    monkeypatch.setenv(tb.CACHE_ENV_VAR, str(tmp_path))
+    tb.clear_cache()
+    try:
+        fresh = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
+        (path,) = tmp_path.glob("*.npz")
+        _resaved(path, lambda a: a.update({f: getattr(fresh, f) for f in tb._ARRAYS},
+                                          log_mmse=fresh.log_mmse * scale))
+        tb.clear_cache()
+        monkeypatch.setattr(tb, "build_table", None)   # served from the snapshot, not built
+        again = tb.table_for(cons.bpsk(), snr_max=10.0, n_points=64)
+        assert all(getattr(again, f).tobytes() == getattr(fresh, f).tobytes() for f in tb._ARRAYS)
+        assert again.mmse_inverse(0.3) == fresh.mmse_inverse(0.3)
+        assert again.mmse_at(2.0) == fresh.mmse_at(2.0)
+    finally:
+        tb.clear_cache()
+
+
+_GRID, _MMSE = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("grid, mmse, dlog, message", [
+    (_GRID, _MMSE, -_MMSE[:2], "a table needs three float64 arrays of one length >= 2, "
+     "got float64 (3,), float64 (3,), float64 (2,)"),
+    (_GRID[:1], _MMSE[:1], -_MMSE[:1], "a table needs three float64 arrays of one length >= 2, "
+     "got float64 (1,), float64 (1,), float64 (1,)"),
+    (np.arange(3), _MMSE, -_MMSE, "a table needs three float64 arrays of one length >= 2, "
+     "got int64 (3,), float64 (3,), float64 (3,)"),
+    (np.array([0.0, 2.0, 1.0]), _MMSE, -_MMSE,
+     "snr grid not finite and increasing from 0 at indices [2]"),
+    (np.array([-math.inf, 1.0, math.inf]), _MMSE, -_MMSE,
+     "snr grid not finite and increasing from 0 at indices [0, 2]"),
+    (np.array([1.0, 2.0, 3.0]), _MMSE, -_MMSE,
+     "snr grid not finite and increasing from 0 at indices [0]"),
+    (_GRID, _MMSE, np.array([-1.0, 0.5, math.nan]),
+     "d log mmse/d snr not finite and <= 0 at indices [1, 2]"),
+    (_GRID, np.array([1.0, 0.5, 0.5]), -_MMSE, "mmse not strictly decreasing at indices [1]"),
+], ids=["unequal-lengths", "one-point", "int-grid", "grid-out-of-order", "grid-infinite",
+        "grid-not-from-0", "dlog-positive-or-nan", "mmse-flat"])
+def test_a_table_refuses_arrays_that_are_not_one(grid, mmse, dlog, message):
+    with pytest.raises(TableBuildError, match=f"^bpsk: {re.escape(message)}$"):
+        tb.MmseTable(cons.bpsk(), grid, mmse, dlog, 10.0)
 
 
 @settings(max_examples=40, deadline=None)
